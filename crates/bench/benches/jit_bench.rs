@@ -5,12 +5,16 @@
 //!
 //! Beyond the on-screen numbers, the harness records the measured speedups
 //! in `BENCH_jit.json` at the repository root so the gain is tracked in-tree.
+//! Its `per_candidate` section times what the search does per candidate —
+//! build the executor with `backend_for`, then run the 16-test corpus — and
+//! is the record of why `BackendKind::Auto` resolves to the interpreter.
 
-use bpf_interp::{ExecBackend, InterpBackend, ProgramInput};
+use bpf_interp::{ExecBackend, InputGenerator, InterpBackend, ProgramInput};
 use bpf_isa::{asm, Program, ProgramType};
 use bpf_jit::JitProgram;
 use criterion::{criterion_group, criterion_main, Criterion};
-use k2_core::{BackendKind, SearchParams};
+use k2_core::proposals::RuleProbabilities;
+use k2_core::{BackendKind, ProposalGenerator, SearchParams};
 use k2_netsim::{TrafficGenerator, WorkloadConfig};
 use std::hint::black_box;
 use std::time::Instant;
@@ -41,6 +45,59 @@ fn measure(backend: &dyn ExecBackend, inputs: &[ProgramInput], reps: usize) -> f
         }
     }
     start.elapsed().as_secs_f64() / reps as f64
+}
+
+/// Proposals graded per program in the per-candidate sweep.
+const CANDIDATES: usize = 2000;
+
+/// Mean seconds to grade one candidate the way the cost function does:
+/// build its executor with `backend_for`, run it on every test, drop it.
+fn grade(kind: BackendKind, cands: &[Program], tests: &[ProgramInput]) -> f64 {
+    let start = Instant::now();
+    for cand in cands {
+        let exec = bpf_jit::backend_for(cand, kind);
+        for input in tests {
+            let _ = black_box(exec.run(input));
+        }
+    }
+    start.elapsed().as_secs_f64() / cands.len() as f64
+}
+
+/// Per-candidate cost of each backend over `ProposalGenerator` candidates
+/// of a benchmark's best baseline, on the search's 16-test corpus. Returns
+/// one JSON row; the median of five alternating rounds damps host drift.
+fn per_candidate_row(name: &str) -> String {
+    let bench = bpf_bench_suite::by_name(name).expect("benchmark exists");
+    let (_, src) = k2_baseline::best_baseline(&bench.prog);
+    let tests = InputGenerator::new(1).generate_suite(&src, 16);
+    let mut generator = ProposalGenerator::new(&src, RuleProbabilities::default(), 1);
+    let cands: Vec<Program> = (0..CANDIDATES)
+        .map(|_| src.with_insns(generator.propose(&src.insns).0))
+        .collect();
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (mut interp, mut jit, mut compile) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..5 {
+        interp.push(grade(BackendKind::Interp, &cands, &tests));
+        jit.push(grade(BackendKind::Jit, &cands, &tests));
+        compile.push(grade(BackendKind::Jit, &cands, &[]));
+    }
+    let (interp_us, jit_us, compile_us) = (
+        median(interp) * 1e6,
+        median(jit) * 1e6,
+        median(compile) * 1e6,
+    );
+    let ratio = jit_us / interp_us;
+    println!(
+        "  {name} per candidate: interp {interp_us:.2}us  jit {jit_us:.2}us \
+         (compile+unmap {compile_us:.2}us)  jit/interp {ratio:.2}"
+    );
+    format!(
+        "    {{\"program\": \"{name}\", \"candidates\": {CANDIDATES}, \"tests\": {}, \"interp_us\": {interp_us:.3}, \"jit_us\": {jit_us:.3}, \"jit_compile_us\": {compile_us:.3}, \"jit_over_interp\": {ratio:.2}}}",
+        tests.len()
+    )
 }
 
 fn bench_backends(c: &mut Criterion) {
@@ -87,9 +144,15 @@ fn bench_backends(c: &mut Criterion) {
     group.finish();
 
     if !rows.is_empty() {
+        let per_candidate: Vec<String> = ["xdp_pktcntr", "socket/0"]
+            .into_iter()
+            .map(per_candidate_row)
+            .collect();
         let json = format!(
-            "{{\n  \"bench\": \"jit_bench\",\n  \"unit\": \"seconds per corpus sweep\",\n  \"results\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
+            "{{\n  \"bench\": \"jit_bench\",\n  \"cores\": {},\n  \"unit\": \"seconds per corpus sweep\",\n  \"results\": [\n{}\n  ],\n  \"per_candidate_unit\": \"microseconds per candidate: backend_for + 16 tests\",\n  \"per_candidate\": [\n{}\n  ]\n}}\n",
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+            rows.join(",\n"),
+            per_candidate.join(",\n")
         );
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_jit.json");
         if let Err(e) = std::fs::write(path, json) {

@@ -4,8 +4,8 @@
 //! exist only to *discover a counterexample* — an input the fast execution
 //! backends can find a thousand times cheaper than a bit-blasted solve. The
 //! [`Refuter`] holds a deterministic batch of random inputs together with
-//! the source program's outputs on them (computed once, on the fast backend,
-//! JIT where available); a candidate that disagrees on any of them is
+//! the source program's outputs on them (computed once, on the configured
+//! execution backend); a candidate that disagrees on any of them is
 //! refuted in microseconds without ever building a formula, and the
 //! divergent input flows into the search's counterexample pool exactly like
 //! an SMT model would.

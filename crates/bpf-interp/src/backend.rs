@@ -10,9 +10,9 @@
 //! root differential suite (`tests/differential_jit.rs`) enforces on random
 //! programs.
 //!
-//! Backend selection is a [`BackendKind`]: `Interp`, `Jit`, or `Auto`
-//! (use the JIT when the target supports it, fall back to the interpreter
-//! otherwise). The `K2_BACKEND` environment variable still lets any harness
+//! Backend selection is a [`BackendKind`]: `Interp`, `Jit`, or `Auto` (the
+//! backend measured fastest for search grading, currently the interpreter).
+//! The `K2_BACKEND` environment variable still lets any harness
 //! switch backends without a rebuild, but it is read in exactly one place —
 //! the `k2::api` configuration layering — and arrives here already resolved
 //! into the configured kind.
@@ -82,7 +82,9 @@ pub enum BackendKind {
     /// The native JIT; falls back to the interpreter per-program when a
     /// program cannot be translated (and entirely on unsupported targets).
     Jit,
-    /// `Jit` when the target supports it, `Interp` otherwise.
+    /// The backend measured fastest for search grading: the interpreter.
+    /// Each candidate runs on only ~16 inputs, too few to repay the JIT's
+    /// per-program code-page syscalls.
     #[default]
     Auto,
 }

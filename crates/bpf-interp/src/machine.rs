@@ -169,7 +169,7 @@ impl MachineState {
             return false;
         }
         self.data_off = new_off as usize;
-        let words: Vec<u64> = vec![
+        let words = [
             u32::from_le_bytes(self.ctx[24..28].try_into().expect("ctx")) as u64,
             u32::from_le_bytes(self.ctx[28..32].try_into().expect("ctx")) as u64,
         ];
@@ -179,9 +179,8 @@ impl MachineState {
 
     /// Read `size` bytes at `addr`, little-endian, as a zero-extended u64.
     pub fn read_mem(&self, addr: u64, size: MemSize, pc: usize) -> Result<u64, Trap> {
-        let bytes = self.read_bytes(addr, size.bytes(), pc)?;
         let mut buf = [0u8; 8];
-        buf[..bytes.len()].copy_from_slice(&bytes);
+        self.read_into(addr, &mut buf[..size.bytes()], pc)?;
         Ok(u64::from_le_bytes(buf))
     }
 
@@ -199,6 +198,16 @@ impl MachineState {
 
     /// Read an arbitrary byte range (used by helpers for keys and values).
     pub fn read_bytes(&self, addr: u64, len: usize, pc: usize) -> Result<Vec<u8>, Trap> {
+        let mut buf = vec![0u8; len];
+        self.read_into(addr, &mut buf, pc)?;
+        Ok(buf)
+    }
+
+    /// Fill `buf` with the bytes at `addr`: the one bounds- and
+    /// init-checked read path behind [`Self::read_mem`] and
+    /// [`Self::read_bytes`].
+    fn read_into(&self, addr: u64, buf: &mut [u8], pc: usize) -> Result<(), Trap> {
+        let len = buf.len();
         let kind = MemKind::classify(addr).ok_or(Trap::BadPointer { value: addr, pc })?;
         match kind {
             MemKind::Stack => {
@@ -218,7 +227,7 @@ impl MachineState {
                         });
                     }
                 }
-                Ok(self.stack[off..off + len].to_vec())
+                buf.copy_from_slice(&self.stack[off..off + len]);
             }
             MemKind::Packet => {
                 let off = (addr - PACKET_BASE) as usize;
@@ -229,7 +238,7 @@ impl MachineState {
                         pc,
                     });
                 }
-                Ok(self.packet[off..off + len].to_vec())
+                buf.copy_from_slice(&self.packet[off..off + len]);
             }
             MemKind::Context => {
                 let off = (addr - CTX_BASE) as usize;
@@ -240,7 +249,7 @@ impl MachineState {
                         pc,
                     });
                 }
-                Ok(self.ctx[off..off + len].to_vec())
+                buf.copy_from_slice(&self.ctx[off..off + len]);
             }
             MemKind::MapValue => {
                 let (id, cell, off) = self
@@ -261,9 +270,10 @@ impl MachineState {
                         pc,
                     });
                 }
-                Ok(value[off..off + len].to_vec())
+                buf.copy_from_slice(&value[off..off + len]);
             }
         }
+        Ok(())
     }
 
     /// Write an arbitrary byte range.
@@ -530,6 +540,46 @@ mod tests {
             snap[&(0, 0u32.to_le_bytes().to_vec())],
             77u64.to_le_bytes().to_vec()
         );
+    }
+
+    #[test]
+    fn read_traps_carry_exact_payloads() {
+        // Loads and helper byte reads share one checked path: the same trap
+        // variant, faulting address, size and pc come out of both.
+        let mut m = machine();
+        let fp = m.reg_raw(Reg::R10);
+        m.write_mem(fp - 8, MemSize::Word, 1, 0).unwrap();
+        m.write_mem(fp - 2, MemSize::Half, 1, 0).unwrap();
+        let uninit = Trap::UninitStackRead {
+            addr: fp - 4,
+            pc: 7,
+        };
+        assert_eq!(m.read_mem(fp - 8, MemSize::Dword, 7), Err(uninit.clone()));
+        assert_eq!(m.read_bytes(fp - 8, 8, 7), Err(uninit));
+
+        let end = m.packet_data_ptr() + 60;
+        let past_end = Trap::OutOfBounds {
+            addr: end,
+            size: 8,
+            pc: 3,
+        };
+        assert_eq!(m.read_mem(end, MemSize::Dword, 3), Err(past_end.clone()));
+        assert_eq!(m.read_bytes(end, 8, 3), Err(past_end));
+        assert_eq!(m.read_bytes(end, 4, 3), Ok(vec![0xab; 4]));
+
+        let inst = m.maps.get_mut(bpf_isa::MapId(0)).unwrap();
+        let cell = inst.lookup(&1u32.to_le_bytes()).unwrap();
+        let value = m.maps.cell_addr(bpf_isa::MapId(0), cell);
+        let past_cell = Trap::OutOfBounds {
+            addr: value + 4,
+            size: 8,
+            pc: 9,
+        };
+        assert_eq!(
+            m.read_mem(value + 4, MemSize::Dword, 9),
+            Err(past_cell.clone())
+        );
+        assert_eq!(m.read_bytes(value + 4, 8, 9), Err(past_cell));
     }
 
     #[test]

@@ -33,6 +33,48 @@ impl Src {
     }
 }
 
+/// The registers an instruction reads, in operand order, returned by
+/// [`Insn::uses`].
+///
+/// Stored inline (no instruction reads more than five registers: a helper
+/// call's `r1`–`r5`), so the per-instruction register checks of the
+/// interpreter and the analyses never touch the heap. Dereferences to a
+/// `[Reg]` slice and iterates by value.
+#[derive(Debug, Clone, Copy)]
+pub struct RegList {
+    regs: [Reg; 5],
+    len: u8,
+}
+
+impl RegList {
+    const EMPTY: RegList = RegList {
+        regs: [Reg::R0; 5],
+        len: 0,
+    };
+
+    fn push(&mut self, r: Reg) {
+        self.regs[self.len as usize] = r;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for RegList {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl IntoIterator for RegList {
+    type Item = Reg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Reg, 5>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(self.len as usize)
+    }
+}
+
 impl fmt::Display for Src {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -371,8 +413,8 @@ impl Insn {
     }
 
     /// Registers read by this instruction.
-    pub fn uses(&self) -> Vec<Reg> {
-        let mut out = Vec::with_capacity(3);
+    pub fn uses(&self) -> RegList {
+        let mut out = RegList::EMPTY;
         match *self {
             Insn::Alu64 { op, dst, src } | Insn::Alu32 { op, dst, src } => {
                 if op.reads_dst() {
@@ -404,8 +446,10 @@ impl Insn {
                 }
             }
             Insn::Call { helper } => {
-                let args = [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5];
-                out.extend_from_slice(&args[..helper.num_args().min(5)]);
+                out = RegList {
+                    regs: [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5],
+                    len: helper.num_args().min(5) as u8,
+                };
             }
             Insn::Exit => out.push(Reg::R0),
         }
@@ -557,29 +601,32 @@ mod tests {
     fn defs_and_uses() {
         let add = Insn::add64(Reg::R1, Reg::R2);
         assert_eq!(add.def(), Some(Reg::R1));
-        assert_eq!(add.uses(), vec![Reg::R1, Reg::R2]);
+        assert_eq!(add.uses()[..], [Reg::R1, Reg::R2]);
 
         let mov = Insn::mov64(Reg::R3, Reg::R4);
         assert_eq!(mov.def(), Some(Reg::R3));
-        assert_eq!(mov.uses(), vec![Reg::R4]);
+        assert_eq!(mov.uses()[..], [Reg::R4]);
 
         let st = Insn::store(MemSize::Word, Reg::R10, -4, Reg::R1);
         assert_eq!(st.def(), None);
-        assert_eq!(st.uses(), vec![Reg::R10, Reg::R1]);
+        assert_eq!(st.uses()[..], [Reg::R10, Reg::R1]);
 
         let call = Insn::call(HelperId::MapLookup);
         assert_eq!(call.def(), Some(Reg::R0));
-        assert_eq!(call.uses(), vec![Reg::R1, Reg::R2]);
+        assert_eq!(call.uses()[..], [Reg::R1, Reg::R2]);
         assert_eq!(call.clobbers().len(), 5);
+        let csum = Insn::call(HelperId::CsumDiff);
+        assert_eq!(csum.uses()[..], *csum.clobbers());
+        assert_eq!(csum.uses().into_iter().collect::<Vec<_>>(), csum.clobbers());
 
-        assert_eq!(Insn::Exit.uses(), vec![Reg::R0]);
-        assert_eq!(Insn::Nop.uses(), Vec::<Reg>::new());
+        assert_eq!(Insn::Exit.uses()[..], [Reg::R0]);
+        assert!(Insn::Nop.uses().is_empty());
     }
 
     #[test]
     fn neg_reads_dst_only() {
         let neg = Insn::alu64_imm(AluOp::Neg, Reg::R5, 0);
-        assert_eq!(neg.uses(), vec![Reg::R5]);
+        assert_eq!(neg.uses()[..], [Reg::R5]);
         assert_eq!(neg.def(), Some(Reg::R5));
     }
 

@@ -53,7 +53,7 @@ pub mod wire;
 
 pub use error::IsaError;
 pub use helper::HelperId;
-pub use insn::{Insn, Src};
+pub use insn::{Insn, RegList, Src};
 pub use opcode::{AluOp, ByteOrder, JmpOp, MemSize};
 pub use program::{MapDef, MapId, MapKind, Program, ProgramType};
 pub use reg::Reg;

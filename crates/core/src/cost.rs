@@ -64,7 +64,7 @@ pub struct CostSettings {
     /// Weight of the safety cost (γ).
     pub gamma: f64,
     /// Which execution backend evaluates candidates on the test suite
-    /// (`Auto` picks the JIT when the target supports it). The `K2_BACKEND`
+    /// (`Auto` is the interpreter; `Jit` opts into native code). The `K2_BACKEND`
     /// environment override is resolved by the `k2::api` configuration
     /// layering before options reach the engine.
     pub backend: BackendKind,
@@ -77,8 +77,8 @@ pub struct CostSettings {
     /// `k2::api` configuration layering.
     pub window_verification: bool,
     /// Size of the pre-SMT refutation batch: cache-miss candidates are first
-    /// run on this many deterministic random inputs (fast backend, JIT where
-    /// available) and refuted without a solver query when any output
+    /// run on this many deterministic random inputs (on the configured
+    /// backend) and refuted without a solver query when any output
     /// diverges. `0` disables the stage. Refutation is conservative — it
     /// never flips a verdict the solver would have reached — and the batch
     /// seed is drawn from the chain's RNG stream so same-seed runs stay
@@ -680,6 +680,13 @@ mod tests {
         if bpf_jit::jit_available() {
             assert_eq!(jit_fn.backend_name(), "jit");
         }
+    }
+
+    #[test]
+    fn default_settings_grade_candidates_on_the_interpreter() {
+        let f = cost_fn(&xdp("mov64 r0, 5\nexit"));
+        assert_eq!(f.backend(), BackendKind::Auto);
+        assert_eq!(f.backend_name(), "interp");
     }
 
     #[test]
