@@ -91,11 +91,6 @@ pub struct K2Config {
     /// and refuted without a solver query when any output diverges.
     /// Refutation never flips a verdict the solver would have reached.
     pub refute_inputs: usize,
-    /// Incremental SAT solving for full-program equivalence queries
-    /// (`K2_INCREMENTAL_SAT`, file key `incremental_sat`). Keeps the source
-    /// CNF and learned clauses warm in a per-source solver context. A pure
-    /// solver-work knob: results are bit-identical either way.
-    pub incremental_sat: bool,
     /// Kernel-conformant abstract interpretation (tnum + range analysis) as
     /// a screening pass ahead of the safety walk and a solver-pruning oracle
     /// for equivalence checking (`K2_STATIC_ANALYSIS`, file key
@@ -133,7 +128,6 @@ impl Default for K2Config {
             backend: base.backend,
             window_verification: base.window_verification,
             refute_inputs: base.refute_inputs,
-            incremental_sat: base.incremental_sat,
             static_analysis: base.static_analysis,
             engine: base.engine,
             telemetry: false,
@@ -238,10 +232,8 @@ impl K2Config {
                 Some(v) => self.refute_inputs = v as usize,
                 None => return bad("an unsigned integer (0 = off)"),
             },
-            "incremental_sat" => match value.as_bool() {
-                Some(v) => self.incremental_sat = v,
-                None => return bad("a boolean"),
-            },
+            // A removed knob: accepted, so files that still set it load.
+            "incremental_sat" => env::warn_removed(&format!("config key {key:?}")),
             "static_analysis" => match value.as_bool() {
                 Some(v) => self.static_analysis = v,
                 None => return bad("a boolean"),
@@ -329,9 +321,7 @@ impl K2Config {
         if let Some(v) = env::usize("K2_REFUTE_INPUTS") {
             self.refute_inputs = v;
         }
-        if let Some(v) = env::flag("K2_INCREMENTAL_SAT") {
-            self.incremental_sat = v;
-        }
+        env::removed("K2_INCREMENTAL_SAT");
         if let Some(v) = env::flag("K2_STATIC_ANALYSIS") {
             self.static_analysis = v;
         }
@@ -395,7 +385,6 @@ impl K2Config {
             backend: self.backend,
             window_verification: self.window_verification,
             refute_inputs: self.refute_inputs,
-            incremental_sat: self.incremental_sat,
             static_analysis: self.static_analysis,
             engine: self.engine,
             ..CompilerOptions::default()
@@ -455,27 +444,18 @@ mod tests {
     fn solver_pipeline_keys_layer() {
         let mut config = K2Config::default();
         assert_eq!(config.refute_inputs, 64);
-        assert!(config.incremental_sat);
         assert!(config.static_analysis);
         config
-            .apply_json(
-                &Json::parse(
-                    r#"{"refute_inputs": 0, "incremental_sat": false, "static_analysis": false}"#,
-                )
-                .unwrap(),
-            )
+            .apply_json(&Json::parse(r#"{"refute_inputs": 0, "static_analysis": false}"#).unwrap())
             .unwrap();
         assert_eq!(config.refute_inputs, 0, "zero must mean off, not clamp");
-        assert!(!config.incremental_sat);
         assert!(!config.static_analysis);
         let opts = config.options();
         assert_eq!(opts.refute_inputs, 0);
-        assert!(!opts.incremental_sat);
         assert!(!opts.static_analysis);
 
         for bad in [
             r#"{"refute_inputs": true}"#,
-            r#"{"incremental_sat": 2}"#,
             r#"{"static_analysis": "yes"}"#,
         ] {
             let mut c = K2Config::default();
@@ -483,6 +463,22 @@ mod tests {
                 c.apply_json(&Json::parse(bad).unwrap()).is_err(),
                 "should reject {bad}"
             );
+        }
+    }
+
+    #[test]
+    fn removed_incremental_sat_key_is_accepted_and_ignored() {
+        // Config files written for earlier releases may still carry the
+        // key: it warns instead of failing, whatever its value, and changes
+        // nothing.
+        for file in [
+            r#"{"incremental_sat": false}"#,
+            r#"{"incremental_sat": true}"#,
+            r#"{"incremental_sat": 2}"#,
+        ] {
+            let mut config = K2Config::default();
+            config.apply_json(&Json::parse(file).unwrap()).unwrap();
+            assert_eq!(config, K2Config::default(), "{file}");
         }
     }
 

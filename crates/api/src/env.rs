@@ -20,6 +20,21 @@ pub(crate) fn warn_malformed(name: &str, value: &str, expected: &str) {
     eprintln!("k2: warning: ignoring {name}={value:?}: expected {expected}");
 }
 
+/// Print the one-line diagnostic for a knob that no longer has any effect.
+pub(crate) fn warn_removed(what: &str) {
+    eprintln!("k2: warning: {what} no longer has any effect; ignoring it");
+}
+
+/// Check for a removed `K2_*` knob: when it is set, warn that it no longer
+/// has any effect. Returns whether it was set.
+pub fn removed(name: &str) -> bool {
+    let set = string(name).is_some();
+    if set {
+        warn_removed(name);
+    }
+    set
+}
+
 /// Read a `K2_*` variable as a raw string. Never warns: any set value is a
 /// valid string. Non-UTF-8 values are reported and treated as unset.
 pub fn string(name: &str) -> Option<String> {
@@ -107,6 +122,7 @@ mod tests {
         assert_eq!(flag("K2_TEST_UNSET_KNOB"), None);
         assert_eq!(string("K2_TEST_UNSET_KNOB"), None);
         assert_eq!(backend("K2_TEST_UNSET_KNOB"), None);
+        assert!(!removed("K2_TEST_UNSET_KNOB"));
     }
 
     #[test]
@@ -147,5 +163,16 @@ mod tests {
         std::env::set_var("K2_TEST_BAD_KNOB", "maybe");
         assert_eq!(flag("K2_TEST_BAD_KNOB"), None);
         std::env::remove_var("K2_TEST_BAD_KNOB");
+    }
+
+    #[test]
+    fn removed_knobs_are_reported_whatever_their_value() {
+        let _guard = env_lock();
+        for raw in ["0", "1", "", "maybe"] {
+            std::env::set_var("K2_TEST_REMOVED_KNOB", raw);
+            assert!(removed("K2_TEST_REMOVED_KNOB"), "raw = {raw:?}");
+        }
+        std::env::remove_var("K2_TEST_REMOVED_KNOB");
+        assert!(!removed("K2_TEST_REMOVED_KNOB"));
     }
 }

@@ -345,9 +345,6 @@ pub struct ReportSummary {
     /// Precondition constraints asserted on windowed checks from
     /// abstract-interpretation facts about the source program.
     pub static_window_facts: u64,
-    /// Branch edges the abstract interpreter proved dead and the incremental
-    /// encoder replaced with `false`.
-    pub static_pruned_branches: u64,
 }
 
 /// One optimization response (schema `v: 1`).
@@ -426,7 +423,6 @@ impl OptimizeResponse {
                 safety_screens: 0,
                 safety_screen_rejects: 0,
                 static_window_facts: 0,
-                static_pruned_branches: 0,
             },
             duration_ms: None,
             queue_wait_ms: None,
@@ -484,7 +480,6 @@ impl OptimizeResponse {
                 safety_screens: report.safety.screens,
                 safety_screen_rejects: report.safety.screen_rejects,
                 static_window_facts: report.equiv.static_window_facts,
-                static_pruned_branches: report.equiv.static_pruned_branches,
             },
             duration_ms: None,
             queue_wait_ms: None,
@@ -599,10 +594,9 @@ impl OptimizeResponse {
                     "static_window_facts".into(),
                     Json::Int(r.static_window_facts as i64),
                 ),
-                (
-                    "static_pruned_branches".into(),
-                    Json::Int(r.static_pruned_branches as i64),
-                ),
+                // Dead-edge pruning is gone; its v:1 key stays, always 0, so
+                // responses keep their byte layout within the version.
+                ("static_pruned_branches".into(), Json::Int(0)),
             ]),
         ));
         // Service timing is opt-in and serialized only when present, so the
@@ -776,10 +770,6 @@ impl OptimizeResponse {
                     .get("static_window_facts")
                     .and_then(Json::as_u64)
                     .unwrap_or(0),
-                static_pruned_branches: report_json
-                    .get("static_pruned_branches")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
             },
             // Added within v:1 (telemetry): optional service timing, absent
             // in responses from earlier builds and from untimed calls.
@@ -942,6 +932,15 @@ mod tests {
         assert!(!parsed.ok);
         assert_eq!(parsed.error.as_deref(), Some("boom"));
         assert_eq!(parsed.id.as_deref(), Some("x"));
+    }
+
+    #[test]
+    fn removed_pruning_counter_keeps_its_v1_key_at_zero() {
+        let mut resp = OptimizeResponse::from_error(None, "boom");
+        (resp.ok, resp.error) = (true, None);
+        let json = Json::parse(&resp.to_json_string()).unwrap();
+        let report = json.get("report").expect("report object");
+        assert_eq!(report.get("static_pruned_branches"), Some(&Json::Int(0)));
     }
 
     #[test]

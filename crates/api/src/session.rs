@@ -189,7 +189,6 @@ pub struct K2SessionBuilder {
     backend: Option<BackendKind>,
     window_verification: Option<bool>,
     refute_inputs: Option<usize>,
-    incremental_sat: Option<bool>,
     static_analysis: Option<bool>,
     epochs: Option<u64>,
     shared_cache: Option<bool>,
@@ -274,10 +273,9 @@ impl K2SessionBuilder {
         self
     }
 
-    /// Override incremental SAT solving for equivalence queries. A pure
-    /// solver-work knob: results are bit-identical either way.
-    pub fn incremental_sat(mut self, enabled: bool) -> Self {
-        self.incremental_sat = Some(enabled);
+    /// No effect: every escalated equivalence query is a one-shot solve.
+    /// Kept so existing callers keep compiling.
+    pub fn incremental_sat(self, _enabled: bool) -> Self {
         self
     }
 
@@ -396,9 +394,6 @@ impl K2SessionBuilder {
         if let Some(inputs) = self.refute_inputs {
             config.refute_inputs = inputs;
         }
-        if let Some(enabled) = self.incremental_sat {
-            config.incremental_sat = enabled;
-        }
         if let Some(enabled) = self.static_analysis {
             config.static_analysis = enabled;
         }
@@ -477,7 +472,6 @@ mod tests {
             .time_budget_ms(0)
             .batch_workers(3)
             .refute_inputs(0)
-            .incremental_sat(false)
             .static_analysis(false)
             .build()
             .unwrap();
@@ -490,7 +484,6 @@ mod tests {
         assert_eq!(options.engine.time_budget_ms, None);
         assert_eq!(options.engine.batch_workers, 3);
         assert_eq!(options.refute_inputs, 0);
-        assert!(!options.incremental_sat);
         assert!(!options.static_analysis);
     }
 

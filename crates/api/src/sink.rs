@@ -205,7 +205,6 @@ impl EventSink for StderrProgress {
                 safety_screens,
                 safety_screen_rejects,
                 static_window_facts,
-                static_pruned_branches,
                 ..
             } => {
                 let _ = writeln!(
@@ -215,8 +214,7 @@ impl EventSink for StderrProgress {
                      {window_hits} hits / {window_fallbacks} fallbacks, refuted \
                      {refuted_by_testing} / escalated {smt_escalations}, absint \
                      {safety_screens} screens / {safety_screen_rejects} rejects, \
-                     {static_window_facts} window facts / {static_pruned_branches} \
-                     pruned branches"
+                     {static_window_facts} window facts"
                 );
             }
             SearchEvent::EpochBarrier {

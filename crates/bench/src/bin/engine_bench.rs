@@ -8,13 +8,11 @@
 //! cache hit rates (including the shared layer's cross-chain hit rate), and
 //! time-to-best. A same-seed re-run of the shared configuration checks
 //! reproducibility, and ablation sweeps isolate each solver-pipeline stage:
-//! windows off (optimization IV), incremental SAT off, static analysis off
-//! (no safety screening, window facts or dead-branch pruning), and a cold
-//! configuration with both pre-SMT refutation and incremental solving off —
-//! the pre-pipeline cost every full-program query used to pay. The run
-//! asserts that windows, incremental SAT and static analysis change no
-//! result bit, that solver queries do not increase with windows or the
-//! analysis on, and — via a per-benchmark
+//! windows off (optimization IV), static analysis off (no safety screening
+//! or window facts), and a cold configuration with pre-SMT refutation off —
+//! every cache miss then pays a full-program query. The run asserts that
+//! windows and static analysis change no result bit, that solver queries do
+//! not increase with windows or the analysis on, and — via a per-benchmark
 //! proposal-stream replay — that concrete-execution refutation never flips a
 //! verdict against the solver-only checker (CI gates on this run). The
 //! numbers — window-hit rate, refutation counts, and the solver-time deltas
@@ -46,7 +44,6 @@ struct ConfigRun {
 struct Pipeline {
     windows: bool,
     refute: bool,
-    incremental: bool,
     static_analysis: bool,
 }
 
@@ -55,7 +52,6 @@ impl Pipeline {
         Pipeline {
             windows: true,
             refute: true,
-            incremental: true,
             static_analysis: true,
         }
     }
@@ -79,7 +75,6 @@ fn run_config(
             options.engine = engine;
             options.window_verification = pipeline.windows;
             options.refute_inputs = if pipeline.refute { 64 } else { 0 };
-            options.incremental_sat = pipeline.incremental;
             options.static_analysis = pipeline.static_analysis;
             // One shared counting sink observes every job of the sweep: the
             // streamed event totals land in the summary below.
@@ -208,13 +203,6 @@ fn total_window_facts(run: &ConfigRun) -> u64 {
     run.rows
         .iter()
         .map(|r| r.report.equiv.static_window_facts)
-        .sum()
-}
-
-fn total_pruned_branches(run: &ConfigRun) -> u64 {
-    run.rows
-        .iter()
-        .map(|r| r.report.equiv.static_pruned_branches)
         .sum()
 }
 
@@ -370,26 +358,10 @@ fn main() {
         &events,
         &telemetry,
     );
-    // Incremental-SAT ablation: every escalated query pays a one-shot solve.
-    // Must be bit-identical to `shared` — incremental solving re-derives SAT
-    // models through the cold path precisely so this holds.
-    let noinc = run_config(
-        EngineConfig::default(),
-        Pipeline {
-            incremental: false,
-            ..Pipeline::full()
-        },
-        iterations,
-        &benches,
-        &baselines,
-        &events,
-        &telemetry,
-    );
     // Static-analysis ablation: abstract interpreter off — no safety
-    // screening, no window-precondition facts, no dead-branch pruning. Must
-    // be bit-identical to `shared`: the screen's rejections mirror the path
-    // walk's, window facts only convert fallbacks into hits, and pruning is
-    // a pure encoding simplification on the UNSAT-only incremental path.
+    // screening, no window-precondition facts. Must be bit-identical to
+    // `shared`: the screen's rejections mirror the path walk's, and window
+    // facts only convert fallbacks into hits.
     let nostatic = run_config(
         EngineConfig::default(),
         Pipeline {
@@ -402,14 +374,13 @@ fn main() {
         &events,
         &telemetry,
     );
-    // Cold configuration: refutation and incremental SAT both off — the
-    // pre-pipeline solver cost, kept in the sweep so BENCH_engine.json
-    // tracks the before/after of the pre-SMT stages.
+    // Cold configuration: refutation off — the pre-pipeline solver cost,
+    // kept in the sweep so BENCH_engine.json tracks the before/after of the
+    // pre-SMT stage.
     let cold = run_config(
         EngineConfig::default(),
         Pipeline {
             refute: false,
-            incremental: false,
             ..Pipeline::full()
         },
         iterations,
@@ -476,53 +447,6 @@ fn main() {
         total_queries(&nowin)
     );
 
-    // Incremental SAT purity: same seed, incremental on vs. off, bit-identical
-    // runs. Unlike refutation (which substitutes its own counterexample
-    // inputs for SMT models), the incremental context re-derives every SAT
-    // verdict's model through the cold path, so nothing — not even the query
-    // count — may differ.
-    for ((bench, s), c) in benches.iter().zip(&shared.rows).zip(&noinc.rows) {
-        assert_eq!(
-            s.best.insns, c.best.insns,
-            "incremental SAT changed the result on {}",
-            bench.name
-        );
-        assert_eq!(
-            s.best_cost, c.best_cost,
-            "incremental SAT changed the cost on {}",
-            bench.name
-        );
-        assert_eq!(
-            s.report.equiv.queries, c.report.equiv.queries,
-            "incremental SAT changed the query count on {}",
-            bench.name
-        );
-        assert_eq!(
-            s.report.equiv.refuted_by_testing, c.report.equiv.refuted_by_testing,
-            "incremental SAT changed the refutation count on {}",
-            bench.name
-        );
-        assert_eq!(
-            s.report.counterexamples_exchanged, c.report.counterexamples_exchanged,
-            "incremental SAT changed the counterexample flow on {}",
-            bench.name
-        );
-        assert_eq!(
-            s.report.equiv.cache_misses, c.report.equiv.cache_misses,
-            "incremental SAT changed the verdict-cache behaviour on {}",
-            bench.name
-        );
-        for ((id_s, cost_s, st_s), (id_c, cost_c, st_c)) in s.chains.iter().zip(&c.chains) {
-            assert_eq!(id_s, id_c);
-            assert_eq!(
-                (cost_s, st_s.iterations, st_s.accepted, st_s.best_found_at),
-                (cost_c, st_c.iterations, st_c.accepted, st_c.best_found_at),
-                "incremental SAT changed chain {id_s}'s trajectory on {}",
-                bench.name
-            );
-        }
-    }
-
     // Static-analysis purity: same seed, abstract interpreter on vs. off,
     // bit-identical trajectories — and with the analysis on, full-program
     // solver queries must not increase (CI gates on this run).
@@ -550,12 +474,8 @@ fn main() {
             bench.name
         );
         assert_eq!(
-            (
-                a.report.safety.screens,
-                a.report.equiv.static_window_facts,
-                a.report.equiv.static_pruned_branches
-            ),
-            (0, 0, 0),
+            (a.report.safety.screens, a.report.equiv.static_window_facts),
+            (0, 0),
             "the abstract interpreter ran with the knob off on {}",
             bench.name
         );
@@ -711,21 +631,17 @@ fn main() {
         total_refute_time_s(&shared),
     );
     println!(
-        "static analysis: {} screens / {} screen rejects, {} window-fact constraints, \
-         {} pruned branch edges; solver queries {} with analysis vs {} without \
-         (bit-identical run)",
+        "static analysis: {} screens / {} screen rejects, {} window-fact constraints; \
+         solver queries {} with analysis vs {} without (bit-identical run)",
         total_screens(&shared),
         total_screen_rejects(&shared),
         total_window_facts(&shared),
-        total_pruned_branches(&shared),
         total_queries(&shared),
         total_queries(&nostatic),
     );
     println!(
-        "solver pipeline: {:.2}s full-check time vs {:.2}s one-shot SAT (incremental off, \
-         bit-identical run) vs {:.2}s cold (refutation + incremental off)",
+        "solver pipeline: {:.2}s full-check time vs {:.2}s cold (refutation off)",
         total_solver_time_s(&shared),
-        total_solver_time_s(&noinc),
         total_solver_time_s(&cold),
     );
     let counts = events.counts();
@@ -780,13 +696,12 @@ fn main() {
          \"window_hit_rate_pct\": {:.2},\n  \"solver_queries_saved_by_windows\": {},\n  \
          \"window_time_s\": {:.3},\n  \"solver_time_shared_s\": {:.3},\n  \
          \"solver_time_window_off_s\": {:.3},\n  \
-         \"solver_time_incremental_off_s\": {:.3},\n  \"solver_time_cold_s\": {:.3},\n  \
+         \"solver_time_cold_s\": {:.3},\n  \
          \"mean_compression_cold_pct\": {:.2},\n  \
          \"refuted_by_testing\": {},\n  \"smt_escalations\": {},\n  \
          \"refute_time_s\": {:.3},\n  \"refute_verdict_parity\": true,\n  \
          \"total_solver_queries_static_off\": {},\n  \"safety_screens\": {},\n  \
          \"safety_screen_rejects\": {},\n  \"static_window_facts\": {},\n  \
-         \"static_pruned_branches\": {},\n  \
          \"cache_hit_rate_shared_pct\": {:.2},\n  \"cache_hit_rate_isolated_pct\": {:.2},\n  \
          \"cross_chain_shared_layer_hit_rate_pct\": {:.2},\n  \
          \"mean_time_to_best_shared_s\": {:.3},\n  \"mean_time_to_best_isolated_s\": {:.3},\n  \
@@ -804,7 +719,6 @@ fn main() {
         total_window_time_s(&shared),
         total_solver_time_s(&shared),
         total_solver_time_s(&nowin),
-        total_solver_time_s(&noinc),
         total_solver_time_s(&cold),
         mean_compression(&cold, &baselines),
         total_refuted(&shared),
@@ -814,7 +728,6 @@ fn main() {
         total_screens(&shared),
         total_screen_rejects(&shared),
         total_window_facts(&shared),
-        total_pruned_branches(&shared),
         cache_hit_rate(&shared),
         cache_hit_rate(&isolated),
         shared_hit_rate(&shared),
@@ -828,11 +741,11 @@ fn main() {
         Err(e) => eprintln!("could not write BENCH_engine.json: {e}"),
     }
 
-    // Sweep-wide telemetry: every job of all seven configurations folded into
+    // Sweep-wide telemetry: every job of all six configurations folded into
     // one snapshot, printed as the standard stats table and optionally
     // dumped as JSON (K2_TELEMETRY_JSON=<path>).
     if let Some(snapshot) = telemetry.snapshot() {
-        println!("\nsweep telemetry (all seven configurations):");
+        println!("\nsweep telemetry (all six configurations):");
         println!("{}", snapshot.render_table());
         if let Some(path) = k2_api::env::string("K2_TELEMETRY_JSON") {
             match std::fs::write(&path, snapshot.to_json_string()) {

@@ -23,9 +23,27 @@ pub enum Bit {
 pub struct BitBlaster {
     /// The CNF formula being produced.
     pub cnf: CnfBuilder,
-    memo: HashMap<TermId, Vec<Bit>>,
+    /// The bits of each blasted term, indexed by [`TermId`]; empty until
+    /// the term is blasted (every term is at least one bit wide).
+    memo: Vec<Vec<Bit>>,
     /// CNF variables backing each named bit-vector variable (LSB first).
     pub var_bits: HashMap<String, Vec<Lit>>,
+}
+
+/// A copy of a blasted term's bits on the stack (terms are at most 64 bits
+/// wide), so operands can be read while gates are added.
+#[derive(Clone, Copy)]
+struct Word {
+    bits: [Bit; 64],
+    len: usize,
+}
+
+impl std::ops::Deref for Word {
+    type Target = [Bit];
+
+    fn deref(&self) -> &[Bit] {
+        &self.bits[..self.len]
+    }
 }
 
 impl BitBlaster {
@@ -37,93 +55,107 @@ impl BitBlaster {
     /// Assert that a 1-bit term is true.
     pub fn assert_true(&mut self, pool: &TermPool, term: TermId) {
         assert_eq!(pool.width(term), 1, "only 1-bit terms can be asserted");
-        let bits = self.blast(pool, term);
-        match bits[0] {
+        match self.blast(pool, term)[0] {
             Bit::Const(true) => {}
             Bit::Const(false) => self.cnf.add_contradiction(),
             Bit::Lit(l) => self.cnf.add_clause(&[l]),
         }
     }
 
+    fn blasted(&self, id: TermId) -> bool {
+        !self.memo[id.index()].is_empty()
+    }
+
     /// Translate a term into its bits.
-    pub fn blast(&mut self, pool: &TermPool, term: TermId) -> Vec<Bit> {
-        if let Some(bits) = self.memo.get(&term) {
-            return bits.clone();
+    pub fn blast(&mut self, pool: &TermPool, term: TermId) -> &[Bit] {
+        if self.memo.len() < pool.len() {
+            self.memo.resize_with(pool.len(), Vec::new);
         }
-        // Post-order traversal without recursion (terms can be deep).
-        let mut order: Vec<TermId> = Vec::new();
-        let mut stack: Vec<(TermId, bool)> = vec![(term, false)];
-        while let Some((id, ready)) = stack.pop() {
-            if self.memo.contains_key(&id) {
-                continue;
-            }
-            if ready {
-                order.push(id);
-                continue;
-            }
-            stack.push((id, true));
-            for child in crate::term::children(&pool.node(id).op) {
-                if !self.memo.contains_key(&child) {
-                    stack.push((child, false));
+        if !self.blasted(term) {
+            // Post-order traversal without recursion (terms can be deep).
+            let mut order: Vec<TermId> = Vec::new();
+            let mut stack: Vec<(TermId, bool)> = vec![(term, false)];
+            while let Some((id, ready)) = stack.pop() {
+                if self.blasted(id) {
+                    continue;
+                }
+                if ready {
+                    order.push(id);
+                    continue;
+                }
+                stack.push((id, true));
+                for child in crate::term::children(&pool.node(id).op) {
+                    if !self.blasted(child) {
+                        stack.push((child, false));
+                    }
                 }
             }
-        }
-        for id in order {
-            if self.memo.contains_key(&id) {
-                continue;
+            for id in order {
+                if self.blasted(id) {
+                    continue;
+                }
+                let bits = self.blast_node(pool, id);
+                debug_assert_eq!(bits.len() as u32, pool.width(id));
+                self.memo[id.index()] = bits;
             }
-            let bits = self.blast_node(pool, id);
-            debug_assert_eq!(bits.len() as u32, pool.width(id));
-            self.memo.insert(id, bits);
         }
-        self.memo[&term].clone()
+        &self.memo[term.index()]
+    }
+
+    /// The bits of an already blasted term.
+    fn get(&self, t: TermId) -> Word {
+        let bits = &self.memo[t.index()];
+        let mut word = Word {
+            bits: [Bit::Const(false); 64],
+            len: bits.len(),
+        };
+        word.bits[..bits.len()].copy_from_slice(bits);
+        word
     }
 
     fn blast_node(&mut self, pool: &TermPool, id: TermId) -> Vec<Bit> {
-        let node = pool.node(id).clone();
+        let node = pool.node(id);
         let w = node.width as usize;
-        let get = |s: &Self, t: TermId| s.memo[&t].clone();
         match node.op {
             Op::Const(c) => (0..w).map(|i| Bit::Const((c >> i) & 1 == 1)).collect(),
-            Op::Var(name) => {
-                if let Some(lits) = self.var_bits.get(&name) {
+            Op::Var(ref name) => {
+                if let Some(lits) = self.var_bits.get(name) {
                     return lits.iter().map(|&l| Bit::Lit(l)).collect();
                 }
                 let lits: Vec<Lit> = (0..w).map(|_| self.cnf.fresh()).collect();
-                self.var_bits.insert(name, lits.clone());
-                lits.into_iter().map(Bit::Lit).collect()
+                let bits = lits.iter().map(|&l| Bit::Lit(l)).collect();
+                self.var_bits.insert(name.clone(), lits);
+                bits
             }
-            Op::Not(a) => get(self, a).into_iter().map(|b| self.bit_not(b)).collect(),
-            Op::And(a, b) => self.zip(pool, a, b, |s, x, y| s.bit_and(x, y)),
-            Op::Or(a, b) => self.zip(pool, a, b, |s, x, y| s.bit_or(x, y)),
-            Op::Xor(a, b) => self.zip(pool, a, b, |s, x, y| s.bit_xor(x, y)),
+            Op::Not(a) => self.get(a).iter().map(|&b| self.bit_not(b)).collect(),
+            Op::And(a, b) => self.zip(a, b, |s, x, y| s.bit_and(x, y)),
+            Op::Or(a, b) => self.zip(a, b, |s, x, y| s.bit_or(x, y)),
+            Op::Xor(a, b) => self.zip(a, b, |s, x, y| s.bit_xor(x, y)),
             Op::Add(a, b) => {
-                let (sum, _carry) = self.adder(&get(self, a), &get(self, b), Bit::Const(false));
+                let (sum, _carry) = self.adder(&self.get(a), &self.get(b), Bit::Const(false));
                 sum
             }
-            Op::Sub(a, b) => self.subtract(&get(self, a), &get(self, b)).0,
-            Op::Mul(a, b) => self.multiply(&get(self, a), &get(self, b)),
-            Op::UDiv(a, b) => self.divide(&get(self, a), &get(self, b)).0,
-            Op::URem(a, b) => self.divide(&get(self, a), &get(self, b)).1,
-            Op::Shl(a, b) => self.shift(&get(self, a), &get(self, b), ShiftKind::Left),
-            Op::Lshr(a, b) => self.shift(&get(self, a), &get(self, b), ShiftKind::LogicalRight),
-            Op::Ashr(a, b) => self.shift(&get(self, a), &get(self, b), ShiftKind::ArithmeticRight),
+            Op::Sub(a, b) => self.subtract(&self.get(a), &self.get(b)).0,
+            Op::Mul(a, b) => self.multiply(&self.get(a), &self.get(b)),
+            Op::UDiv(a, b) => self.divide(&self.get(a), &self.get(b)).0,
+            Op::URem(a, b) => self.divide(&self.get(a), &self.get(b)).1,
+            Op::Shl(a, b) => self.shift(&self.get(a), &self.get(b), ShiftKind::Left),
+            Op::Lshr(a, b) => self.shift(&self.get(a), &self.get(b), ShiftKind::LogicalRight),
+            Op::Ashr(a, b) => self.shift(&self.get(a), &self.get(b), ShiftKind::ArithmeticRight),
             Op::Eq(a, b) => {
-                let av = get(self, a);
-                let bv = get(self, b);
+                let (av, bv) = (self.get(a), self.get(b));
                 let mut acc = Bit::Const(true);
-                for (x, y) in av.into_iter().zip(bv) {
+                for (&x, &y) in av.iter().zip(bv.iter()) {
                     let x_eq_y = self.bit_xnor(x, y);
                     acc = self.bit_and(acc, x_eq_y);
                 }
                 vec![acc]
             }
             Op::Ult(a, b) => {
-                vec![self.ult(&get(self, a), &get(self, b))]
+                vec![self.ult(&self.get(a), &self.get(b))]
             }
             Op::Slt(a, b) => {
-                let av = get(self, a);
-                let bv = get(self, b);
+                let (av, bv) = (self.get(a), self.get(b));
                 let sa = *av.last().expect("nonempty");
                 let sb = *bv.last().expect("nonempty");
                 let unsigned_lt = self.ult(&av, &bv);
@@ -132,18 +164,17 @@ impl BitBlaster {
                 vec![self.bit_ite(signs_differ, sa, unsigned_lt)]
             }
             Op::Concat(a, b) => {
-                let mut bits = get(self, b);
-                bits.extend(get(self, a));
+                let mut bits = self.get(b).to_vec();
+                bits.extend_from_slice(&self.get(a));
                 bits
             }
-            Op::Extract { hi, lo, arg } => get(self, arg)[lo as usize..=hi as usize].to_vec(),
+            Op::Extract { hi, lo, arg } => self.get(arg)[lo as usize..=hi as usize].to_vec(),
             Op::Ite(c, t, e) => {
-                let cond = get(self, c)[0];
-                let tv = get(self, t);
-                let ev = get(self, e);
-                tv.into_iter()
-                    .zip(ev)
-                    .map(|(x, y)| self.bit_ite(cond, x, y))
+                let cond = self.get(c)[0];
+                let (tv, ev) = (self.get(t), self.get(e));
+                tv.iter()
+                    .zip(ev.iter())
+                    .map(|(&x, &y)| self.bit_ite(cond, x, y))
                     .collect()
             }
         }
@@ -151,14 +182,15 @@ impl BitBlaster {
 
     fn zip<F: FnMut(&mut Self, Bit, Bit) -> Bit>(
         &mut self,
-        _pool: &TermPool,
         a: TermId,
         b: TermId,
         mut f: F,
     ) -> Vec<Bit> {
-        let av = self.memo[&a].clone();
-        let bv = self.memo[&b].clone();
-        av.into_iter().zip(bv).map(|(x, y)| f(self, x, y)).collect()
+        let (av, bv) = (self.get(a), self.get(b));
+        av.iter()
+            .zip(bv.iter())
+            .map(|(&x, &y)| f(self, x, y))
+            .collect()
     }
 
     // ----- single-bit gates (Tseitin) --------------------------------------
@@ -391,7 +423,8 @@ mod tests {
     fn solve(pool: &TermPool, term: TermId) -> Option<Assignment> {
         let mut blaster = BitBlaster::new();
         blaster.assert_true(pool, term);
-        let mut solver = SatSolver::new(blaster.cnf.num_vars, blaster.cnf.clauses.clone());
+        let mut solver = SatSolver::new();
+        solver.load(&blaster.cnf);
         match solver.solve() {
             SatResult::Sat(assignment) => {
                 let mut out = Assignment::new();

@@ -4,13 +4,15 @@
 /// absolute value is the variable index (DIMACS convention).
 pub type Lit = i32;
 
-/// A CNF formula under construction.
+/// A CNF formula under construction. The clauses' literals are stored back
+/// to back in one buffer.
 #[derive(Debug, Default, Clone)]
 pub struct CnfBuilder {
     /// Number of variables allocated so far (variables are `1..=num_vars`).
     pub num_vars: u32,
-    /// The clauses.
-    pub clauses: Vec<Vec<Lit>>,
+    lits: Vec<Lit>,
+    /// End offset in `lits` of each clause.
+    ends: Vec<usize>,
 }
 
 impl CnfBuilder {
@@ -30,24 +32,26 @@ impl CnfBuilder {
         debug_assert!(lits
             .iter()
             .all(|&l| l != 0 && l.unsigned_abs() <= self.num_vars));
-        self.clauses.push(lits.to_vec());
+        self.lits.extend_from_slice(lits);
+        self.ends.push(self.lits.len());
     }
 
     /// Add the empty clause, making the formula trivially unsatisfiable.
     pub fn add_contradiction(&mut self) {
-        self.clauses.push(Vec::new());
+        self.ends.push(self.lits.len());
     }
 
     /// Number of clauses so far.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
-    /// Drain the accumulated clauses, leaving the variable universe intact.
-    /// Incremental solving uses this to feed each query's newly generated
-    /// clauses to a persistent SAT solver without re-sending old ones.
-    pub fn take_clauses(&mut self) -> Vec<Vec<Lit>> {
-        std::mem::take(&mut self.clauses)
+    /// The clauses, in the order they were added.
+    pub fn clauses(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.lits[start..end])
     }
 }
 
@@ -64,5 +68,17 @@ mod tests {
         cnf.add_clause(&[1, -2]);
         cnf.add_clause(&[-1]);
         assert_eq!(cnf.num_clauses(), 2);
+    }
+
+    #[test]
+    fn clauses_come_back_in_order_including_empty_ones() {
+        let mut cnf = CnfBuilder::new();
+        cnf.fresh();
+        cnf.fresh();
+        cnf.add_clause(&[1, -2]);
+        cnf.add_contradiction();
+        cnf.add_clause(&[2]);
+        let clauses: Vec<&[Lit]> = cnf.clauses().collect();
+        assert_eq!(clauses, vec![&[1, -2][..], &[][..], &[2][..]]);
     }
 }

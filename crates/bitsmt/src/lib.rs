@@ -17,14 +17,12 @@
 //!    carry adders, shift-and-add multipliers, restoring dividers, barrel
 //!    shifters, and comparison chains.
 //! 4. [`sat`] — a CDCL SAT solver with two-watched-literal propagation,
-//!    VSIDS branching, phase saving, first-UIP clause learning, Luby
-//!    restarts, assumption-based incremental solving, and activity-based
-//!    learned-clause database reduction.
+//!    VSIDS branching from an activity heap, phase saving, first-UIP clause
+//!    learning and Luby restarts, whose decisions are reproducible release
+//!    to release.
 //! 5. [`solver`] — the user-facing façade: assert 1-bit terms, call
 //!    `check()`, and extract a [`Model`] mapping variables to `u64` values.
-//!    The [`IncrementalSolver`] variant keeps the CNF and learned clauses
-//!    warm across a sequence of related queries (K2 asks thousands of
-//!    near-identical equivalence queries per source program).
+//!    Every check is one-shot; only the SAT solver's buffers are reused.
 //!
 //! ```
 //! use bitsmt::{Solver, TermPool};
@@ -63,5 +61,5 @@ pub mod term;
 
 pub use eval::Assignment;
 pub use sat::{SatResult, SatSolver};
-pub use solver::{CheckResult, IncrementalSolver, Model, Solver, SolverStats};
+pub use solver::{CheckResult, Model, Solver, SolverStats};
 pub use term::{Op, TermId, TermPool};

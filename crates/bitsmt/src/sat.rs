@@ -2,21 +2,20 @@
 //!
 //! Features: two-watched-literal unit propagation, VSIDS-style variable
 //! activities with exponential decay, phase saving, first-UIP conflict
-//! analysis with non-chronological backjumping, Luby-sequence restarts, and
-//! assumption-based incremental solving ([`SatSolver::solve_under_assumptions`]).
+//! analysis with non-chronological backjumping, and Luby-sequence restarts.
+//! Learned clauses are kept for the whole solve.
 //!
-//! The solver runs in one of two modes. The one-shot constructor
-//! ([`SatSolver::new`]) keeps the historical policy — linear-scan decision
-//! picking and no clause deletion — so that cold-path models are
-//! byte-for-byte reproducible across releases (K2's search trajectories
-//! depend on the exact counterexamples the solver produces). The incremental
-//! constructor ([`SatSolver::new_incremental`]) is built for long-lived
-//! instances that answer many queries: decisions come from an
-//! activity-ordered heap (a linear scan over an ever-growing variable set
-//! would dominate), clauses may be added between `solve` calls (simplified
-//! against the level-0 assignment so the watch invariants stay sound), and
-//! the learned-clause database is periodically reduced by activity so it
-//! stays bounded across queries.
+//! The solver decides one formula at a time: [`SatSolver::reset`], then
+//! [`SatSolver::add_clause`] for each clause, then [`SatSolver::solve`]. Its
+//! choices are reproducible release to release, because K2's search
+//! trajectories depend on the exact counterexample models it returns: each
+//! decision takes the lowest-numbered unassigned variable of maximal activity
+//! (an activity heap that breaks ties by variable index), and every clause
+//! keeps its literal order and its place in the watch lists. A solver reused
+//! across formulas keeps its buffers — the clause arena, the watch lists and
+//! the per-variable tables — so small queries pay almost nothing for setup.
+
+use crate::cnf::CnfBuilder;
 
 /// Outcome of solving.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,39 +34,28 @@ impl SatResult {
     }
 }
 
-/// Truth value of a variable during search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Value {
-    Unassigned,
-    True,
-    False,
-}
+/// Reason of a variable assigned without a clause (decisions, level-0 units).
+const NO_REASON: u32 = u32::MAX;
+/// Heap position of a variable that is not in the heap.
+const ABSENT: u32 = u32::MAX;
 
 /// The solver.
 #[derive(Debug)]
 pub struct SatSolver {
     num_vars: usize,
-    /// All clauses (original and learned). Clauses are literal vectors with
-    /// the two watched literals kept in positions 0 and 1.
-    clauses: Vec<Vec<i32>>,
-    /// Parallel to `clauses`: whether each clause was learned (and is thus
-    /// eligible for activity-based deletion).
-    clause_learned: Vec<bool>,
-    /// Parallel to `clauses`: bump-on-use activity (the deletion heuristic).
-    clause_act: Vec<f64>,
-    cla_inc: f64,
-    /// Learned clauses currently in the database.
-    num_learned: usize,
-    /// Learned-clause budget: when exceeded (checked at restarts in
-    /// incremental mode), the lowest-activity half is dropped.
-    max_learned: usize,
-    /// `watches[lit_index]` — indices of clauses currently watching `lit`.
-    watches: Vec<Vec<usize>>,
-    values: Vec<Value>,
+    /// Every clause (original, then learned), back to back: a length word,
+    /// then the literals. A clause is named by the index of its length word,
+    /// so visiting it touches one place. Its two watched literals are its
+    /// first two.
+    lits: Vec<i32>,
+    /// `watches[lit_index(lit)]` — clauses currently watching `lit`.
+    watches: Vec<Vec<u32>>,
+    /// Per variable: 1 true, -1 false, 0 unassigned.
+    assigns: Vec<i8>,
     /// Decision level at which each variable was assigned.
     level: Vec<u32>,
-    /// Clause that implied each variable (None for decisions).
-    reason: Vec<Option<usize>>,
+    /// Clause that implied each variable (`NO_REASON` for decisions).
+    reason: Vec<u32>,
     /// Assigned literals in assignment order.
     trail: Vec<i32>,
     /// Start of each decision level in the trail.
@@ -79,27 +67,33 @@ pub struct SatSolver {
     var_inc: f64,
     /// Saved phases for phase-saving.
     phase: Vec<bool>,
-    /// Set when the formula is unsatisfiable regardless of assumptions.
+    /// Binary max-heap of variables ordered by activity, then by lower
+    /// index. Lazily maintained: it may contain assigned variables, but
+    /// always contains every unassigned one.
+    heap: Vec<u32>,
+    /// Position of each variable in `heap` (`ABSENT` when not in it).
+    heap_pos: Vec<u32>,
+    /// Conflict-analysis marks; all clear between analyses.
+    seen: Vec<bool>,
+    /// The clause the last conflict analysis learned, asserting literal
+    /// first.
+    learned: Vec<i32>,
+    /// Scratch space for sanitizing added clauses.
+    scratch: Vec<i32>,
+    /// Set when the formula is unsatisfiable.
     unsat: bool,
-    /// Incremental mode (see the module docs): heap-ordered decisions,
-    /// between-solve clause additions, learned-clause DB reduction.
-    incremental: bool,
-    /// Binary max-heap of variables ordered by activity (incremental mode).
-    /// Lazily maintained: it may contain assigned variables, but always
-    /// contains every unassigned one.
-    heap: Vec<usize>,
-    /// Position of each variable in `heap` (`usize::MAX` = absent).
-    heap_pos: Vec<usize>,
     /// Statistics: number of conflicts seen.
     pub conflicts: u64,
     /// Statistics: number of decisions made.
     pub decisions: u64,
     /// Statistics: number of literal propagations.
     pub propagations: u64,
-    /// Statistics: learned-clause database reductions performed.
-    pub db_reductions: u64,
-    /// Statistics: learned clauses dropped by database reductions.
-    pub learned_dropped: u64,
+}
+
+impl Default for SatSolver {
+    fn default() -> Self {
+        SatSolver::new()
+    }
 }
 
 fn lit_index(lit: i32) -> usize {
@@ -107,204 +101,194 @@ fn lit_index(lit: i32) -> usize {
     2 * var + usize::from(lit < 0)
 }
 
+/// The value of `lit` under `assigns` (1 true, -1 false, 0 unassigned).
+fn value(assigns: &[i8], lit: i32) -> i8 {
+    let v = assigns[lit.unsigned_abs() as usize];
+    if lit > 0 {
+        v
+    } else {
+        -v
+    }
+}
+
+/// Clear `v` and refill it with `len` copies of `x`, keeping its buffer.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, x: T) {
+    v.clear();
+    v.resize(len, x);
+}
+
 impl SatSolver {
-    /// Create a one-shot solver for `num_vars` variables and the given
-    /// clauses (linear-scan decisions, no clause deletion — see the module
-    /// docs on reproducibility).
-    pub fn new(num_vars: u32, clauses: Vec<Vec<i32>>) -> SatSolver {
-        let n = num_vars as usize;
+    /// An empty solver over no variables; see [`SatSolver::reset`].
+    pub fn new() -> SatSolver {
         let mut solver = SatSolver {
-            num_vars: n,
-            clauses: Vec::with_capacity(clauses.len()),
-            clause_learned: Vec::with_capacity(clauses.len()),
-            clause_act: Vec::with_capacity(clauses.len()),
-            cla_inc: 1.0,
-            num_learned: 0,
-            max_learned: 10_000,
-            watches: vec![Vec::new(); 2 * (n + 1)],
-            values: vec![Value::Unassigned; n + 1],
-            level: vec![0; n + 1],
-            reason: vec![None; n + 1],
-            trail: Vec::with_capacity(n),
+            num_vars: 0,
+            lits: Vec::new(),
+            watches: Vec::new(),
+            assigns: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
+            trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
-            activity: vec![0.0; n + 1],
+            activity: Vec::new(),
             var_inc: 1.0,
-            phase: vec![false; n + 1],
-            unsat: false,
-            incremental: false,
+            phase: Vec::new(),
             heap: Vec::new(),
-            heap_pos: vec![usize::MAX; n + 1],
+            heap_pos: Vec::new(),
+            seen: Vec::new(),
+            learned: Vec::new(),
+            scratch: Vec::new(),
+            unsat: false,
             conflicts: 0,
             decisions: 0,
             propagations: 0,
-            db_reductions: 0,
-            learned_dropped: 0,
         };
-        for clause in clauses {
-            solver.add_clause(clause);
-        }
+        solver.reset(0);
         solver
     }
 
-    /// Create an empty incremental solver: variables are added with
-    /// [`SatSolver::ensure_vars`], clauses with [`SatSolver::add_clause`]
-    /// (also between [`SatSolver::solve_under_assumptions`] calls), and the
-    /// learned-clause database persists — warm — across queries.
-    pub fn new_incremental() -> SatSolver {
-        let mut solver = SatSolver::new(0, Vec::new());
-        solver.incremental = true;
-        solver
-    }
-
-    /// Grow the variable universe to `num_vars` (no-op if already larger).
-    pub fn ensure_vars(&mut self, num_vars: u32) {
+    /// Start a new formula over variables `1..=num_vars` with no clauses.
+    /// Every field is reset; buffers keep their capacity for reuse.
+    pub fn reset(&mut self, num_vars: u32) {
         let n = num_vars as usize;
-        if n <= self.num_vars {
-            return;
+        // Only the previous formula's watch lists can be non-empty.
+        let used = (2 * (self.num_vars + 1)).min(self.watches.len());
+        for watch in &mut self.watches[..used] {
+            watch.clear();
         }
-        self.watches.resize(2 * (n + 1), Vec::new());
-        self.values.resize(n + 1, Value::Unassigned);
-        self.level.resize(n + 1, 0);
-        self.reason.resize(n + 1, None);
-        self.activity.resize(n + 1, 0.0);
-        self.phase.resize(n + 1, false);
-        self.heap_pos.resize(n + 1, usize::MAX);
-        let old = self.num_vars;
+        if self.watches.len() < 2 * (n + 1) {
+            self.watches.resize_with(2 * (n + 1), Vec::new);
+        }
         self.num_vars = n;
-        if self.incremental {
-            for var in old + 1..=n {
-                self.heap_insert(var);
-            }
+        self.lits.clear();
+        refill(&mut self.assigns, n + 1, 0);
+        refill(&mut self.level, n + 1, 0);
+        refill(&mut self.reason, n + 1, NO_REASON);
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        refill(&mut self.activity, n + 1, 0.0);
+        self.var_inc = 1.0;
+        refill(&mut self.phase, n + 1, false);
+        // Equal activities order by index, so `1..=n` is already a heap.
+        self.heap.clear();
+        self.heap.extend(1..=num_vars);
+        refill(&mut self.heap_pos, 1, ABSENT);
+        self.heap_pos.extend(0..num_vars);
+        refill(&mut self.seen, n + 1, false);
+        self.learned.clear();
+        self.unsat = false;
+        self.conflicts = 0;
+        self.decisions = 0;
+        self.propagations = 0;
+    }
+
+    /// [`SatSolver::reset`] to the formula `cnf`.
+    pub fn load(&mut self, cnf: &CnfBuilder) {
+        self.reset(cnf.num_vars);
+        for clause in cnf.clauses() {
+            self.add_clause(clause);
         }
     }
 
-    /// Number of clauses currently in the database (original + learned).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Learned clauses currently in the database.
-    pub fn num_learned(&self) -> usize {
-        self.num_learned
-    }
-
-    /// Add one clause (sanitizing duplicates and tautologies). On an
-    /// incremental solver this may be called between solves: the clause is
-    /// first simplified against the level-0 assignment — a clause that
-    /// watched two already-false literals would never be woken by
-    /// propagation, which is unsound once solving has happened.
-    pub fn add_clause(&mut self, mut lits: Vec<i32>) {
+    /// Add one clause (sanitizing duplicates and tautologies) before
+    /// [`SatSolver::solve`].
+    pub fn add_clause(&mut self, lits: &[i32]) {
         if self.unsat {
             return;
         }
-        lits.sort_unstable();
-        lits.dedup();
-        // Tautology (x ∨ ¬x) — trivially satisfied, drop it.
-        if lits.iter().any(|&l| lits.contains(&-l)) {
-            return;
-        }
-        if self.incremental {
-            self.backtrack_to(0);
-            if lits.iter().any(|&l| self.value_of(l) == Value::True) {
-                return;
-            }
-            lits.retain(|&l| self.value_of(l) != Value::False);
-        }
-        match lits.len() {
-            0 => self.unsat = true,
-            1 => {
+        let mut clause = std::mem::take(&mut self.scratch);
+        clause.clear();
+        clause.extend_from_slice(lits);
+        clause.sort_unstable();
+        clause.dedup();
+        // A tautology (x ∨ ¬x) is trivially satisfied: drop it.
+        if !clause.iter().any(|&l| clause.contains(&-l)) {
+            match clause.len() {
+                0 => self.unsat = true,
                 // Unit clause: assign at level 0 (conflicts detected in solve).
-                let lit = lits[0];
-                match self.value_of(lit) {
-                    Value::True => {}
-                    Value::False => self.unsat = true,
-                    Value::Unassigned => self.enqueue(lit, None),
+                1 => match value(&self.assigns, clause[0]) {
+                    1 => {}
+                    -1 => self.unsat = true,
+                    _ => self.enqueue(clause[0], NO_REASON),
+                },
+                _ => {
+                    self.push_clause(&clause);
                 }
             }
-            _ => {
-                let idx = self.clauses.len();
-                self.watches[lit_index(lits[0])].push(idx);
-                self.watches[lit_index(lits[1])].push(idx);
-                self.clauses.push(lits);
-                self.clause_learned.push(false);
-                self.clause_act.push(0.0);
-            }
         }
+        self.scratch = clause;
     }
 
-    fn value_of(&self, lit: i32) -> Value {
-        let v = self.values[lit.unsigned_abs() as usize];
-        match (v, lit > 0) {
-            (Value::Unassigned, _) => Value::Unassigned,
-            (Value::True, true) | (Value::False, false) => Value::True,
-            _ => Value::False,
-        }
+    /// Append a clause of two or more literals, watching its first two.
+    fn push_clause(&mut self, clause: &[i32]) -> u32 {
+        let cr = u32::try_from(self.lits.len()).expect("fewer than 2^32 clause words");
+        self.watches[lit_index(clause[0])].push(cr);
+        self.watches[lit_index(clause[1])].push(cr);
+        self.lits.push(clause.len() as i32);
+        self.lits.extend_from_slice(clause);
+        cr
     }
 
-    fn enqueue(&mut self, lit: i32, reason: Option<usize>) {
+    fn enqueue(&mut self, lit: i32, reason: u32) {
         let var = lit.unsigned_abs() as usize;
-        self.values[var] = if lit > 0 { Value::True } else { Value::False };
+        self.assigns[var] = if lit > 0 { 1 } else { -1 };
         self.level[var] = self.trail_lim.len() as u32;
         self.reason[var] = reason;
         self.phase[var] = lit > 0;
         self.trail.push(lit);
     }
 
-    /// Unit propagation. Returns the index of a conflicting clause, if any.
-    fn propagate(&mut self) -> Option<usize> {
+    /// Unit propagation. Returns a conflicting clause, if any.
+    fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let lit = self.trail[self.qhead];
             self.qhead += 1;
             self.propagations += 1;
             let false_lit = -lit;
-            let mut watch_list = std::mem::take(&mut self.watches[lit_index(false_lit)]);
+            let wi = lit_index(false_lit);
+            let mut watch_list = std::mem::take(&mut self.watches[wi]);
+            let mut conflict = None;
             let mut i = 0;
             while i < watch_list.len() {
-                let ci = watch_list[i];
+                let cr = watch_list[i];
+                let start = cr as usize + 1;
+                let len = self.lits[start - 1] as usize;
+                let clause = &mut self.lits[start..start + len];
                 // Ensure the false literal is in position 1.
-                if self.clauses[ci][0] == false_lit {
-                    self.clauses[ci].swap(0, 1);
+                if clause[0] == false_lit {
+                    clause.swap(0, 1);
                 }
-                debug_assert_eq!(self.clauses[ci][1], false_lit);
+                debug_assert_eq!(clause[1], false_lit);
                 // If the first watched literal is already true, keep watching.
-                if self.value_of(self.clauses[ci][0]) == Value::True {
+                let first = clause[0];
+                let first_value = value(&self.assigns, first);
+                if first_value == 1 {
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut found = false;
-                for k in 2..self.clauses[ci].len() {
-                    if self.value_of(self.clauses[ci][k]) != Value::False {
-                        self.clauses[ci].swap(1, k);
-                        let new_watch = self.clauses[ci][1];
-                        self.watches[lit_index(new_watch)].push(ci);
-                        watch_list.swap_remove(i);
-                        found = true;
-                        break;
-                    }
-                }
-                if found {
+                if let Some(k) = (2..clause.len()).find(|&k| value(&self.assigns, clause[k]) != -1)
+                {
+                    clause.swap(1, k);
+                    self.watches[lit_index(clause[1])].push(cr);
+                    watch_list.swap_remove(i);
                     continue;
                 }
                 // No new watch: the clause is unit or conflicting.
-                let first = self.clauses[ci][0];
-                match self.value_of(first) {
-                    Value::False => {
-                        // Conflict: restore the remaining watches and report.
-                        self.watches[lit_index(false_lit)].append(&mut watch_list);
-                        return Some(ci);
-                    }
-                    Value::Unassigned => {
-                        self.enqueue(first, Some(ci));
-                        i += 1;
-                    }
-                    Value::True => {
-                        i += 1;
-                    }
+                if first_value == -1 {
+                    conflict = Some(cr);
+                    break;
                 }
+                if first_value == 0 {
+                    self.enqueue(first, cr);
+                }
+                i += 1;
             }
-            self.watches[lit_index(false_lit)] = watch_list;
+            self.watches[wi] = watch_list;
+            if conflict.is_some() {
+                return conflict;
+            }
         }
         None
     }
@@ -316,112 +300,113 @@ impl SatSolver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
-        }
-        if self.incremental && self.heap_pos[var] != usize::MAX {
-            self.heap_sift_up(self.heap_pos[var]);
-        }
-    }
-
-    fn bump_clause(&mut self, ci: usize) {
-        self.clause_act[ci] += self.cla_inc;
-        if self.clause_act[ci] > 1e100 {
-            for a in &mut self.clause_act {
-                *a *= 1e-100;
+            // Rescaling can round distinct activities to equal ones, whose
+            // heap order must then fall back to the variable index.
+            for i in (0..self.heap.len() / 2).rev() {
+                self.heap_sift_down(i);
             }
-            self.cla_inc *= 1e-100;
+        } else if self.heap_pos[var] != ABSENT {
+            self.heap_sift_up(self.heap_pos[var] as usize);
         }
     }
 
-    fn decay_activities(&mut self) {
-        self.var_inc /= 0.95;
-        self.cla_inc /= 0.999;
-    }
+    // ----- activity heap ---------------------------------------------------
 
-    // ----- activity heap (incremental mode) --------------------------------
-
-    /// Max-heap order: does variable `a` rank above variable `b`?
-    fn heap_before(&self, a: usize, b: usize) -> bool {
-        self.activity[a] > self.activity[b]
+    /// Heap order: does variable `a` rank above variable `b`? Higher
+    /// activity first, then the lower index — the variable a linear scan for
+    /// the first maximum would pick.
+    fn heap_before(&self, a: u32, b: u32) -> bool {
+        let (x, y) = (self.activity[a as usize], self.activity[b as usize]);
+        x > y || (x == y && a < b)
     }
 
     fn heap_sift_up(&mut self, mut i: usize) {
+        let var = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            let (va, vp) = (self.heap[i], self.heap[parent]);
-            if !self.heap_before(va, vp) {
+            let above = self.heap[parent];
+            if !self.heap_before(var, above) {
                 break;
             }
-            self.heap.swap(i, parent);
-            self.heap_pos[va] = parent;
-            self.heap_pos[vp] = i;
+            self.heap[i] = above;
+            self.heap_pos[above as usize] = i as u32;
             i = parent;
         }
+        self.heap[i] = var;
+        self.heap_pos[var as usize] = i as u32;
     }
 
     fn heap_sift_down(&mut self, mut i: usize) {
+        let var = self.heap[i];
         loop {
-            let mut best = i;
-            for child in [2 * i + 1, 2 * i + 2] {
-                if child < self.heap.len() && self.heap_before(self.heap[child], self.heap[best]) {
-                    best = child;
-                }
-            }
-            if best == i {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
                 break;
             }
-            let (va, vb) = (self.heap[i], self.heap[best]);
-            self.heap.swap(i, best);
-            self.heap_pos[va] = best;
-            self.heap_pos[vb] = i;
-            i = best;
+            let right = left + 1;
+            let child =
+                if right < self.heap.len() && self.heap_before(self.heap[right], self.heap[left]) {
+                    right
+                } else {
+                    left
+                };
+            let below = self.heap[child];
+            if !self.heap_before(below, var) {
+                break;
+            }
+            self.heap[i] = below;
+            self.heap_pos[below as usize] = i as u32;
+            i = child;
         }
+        self.heap[i] = var;
+        self.heap_pos[var as usize] = i as u32;
     }
 
     fn heap_insert(&mut self, var: usize) {
-        if self.heap_pos[var] != usize::MAX {
+        if self.heap_pos[var] != ABSENT {
             return;
         }
-        self.heap_pos[var] = self.heap.len();
-        self.heap.push(var);
+        self.heap.push(var as u32);
         self.heap_sift_up(self.heap.len() - 1);
     }
 
     fn heap_pop(&mut self) -> Option<usize> {
         let top = *self.heap.first()?;
-        self.heap_pos[top] = usize::MAX;
+        self.heap_pos[top as usize] = ABSENT;
         let last = self.heap.pop().expect("non-empty");
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.heap_pos[last] = 0;
             self.heap_sift_down(0);
         }
-        Some(top)
+        Some(top as usize)
     }
 
     // ----- conflict analysis -----------------------------------------------
 
-    /// First-UIP conflict analysis. Returns (learned clause, backjump level).
-    fn analyze(&mut self, conflict: usize) -> (Vec<i32>, u32) {
+    /// First-UIP conflict analysis into `self.learned` (asserting literal
+    /// first). Returns the backjump level.
+    fn analyze(&mut self, conflict: u32) -> u32 {
         let current_level = self.trail_lim.len() as u32;
-        let mut learned: Vec<i32> = Vec::new();
-        let mut seen = vec![false; self.num_vars + 1];
+        let mut learned = std::mem::take(&mut self.learned);
+        learned.clear();
+        learned.push(0); // the asserting literal, filled in at the end
         let mut counter = 0usize;
         let mut lit0: i32 = 0;
         let mut trail_pos = self.trail.len();
-        let mut clause_idx = Some(conflict);
+        let mut cr = conflict;
 
         loop {
-            if let Some(ci) = clause_idx {
-                self.bump_clause(ci);
-                let clause = self.clauses[ci].clone();
-                for &q in &clause {
+            if cr != NO_REASON {
+                let start = cr as usize + 1;
+                for k in start..start + self.lits[start - 1] as usize {
+                    let q = self.lits[k];
                     // Skip the literal we are currently resolving on.
                     if q == lit0 {
                         continue;
                     }
                     let var = q.unsigned_abs() as usize;
-                    if !seen[var] && self.level[var] > 0 {
-                        seen[var] = true;
+                    if !self.seen[var] && self.level[var] > 0 {
+                        self.seen[var] = true;
                         self.bump_var(var);
                         if self.level[var] >= current_level {
                             counter += 1;
@@ -435,32 +420,34 @@ impl SatSolver {
             loop {
                 trail_pos -= 1;
                 let lit = self.trail[trail_pos];
-                if seen[lit.unsigned_abs() as usize] {
+                if self.seen[lit.unsigned_abs() as usize] {
                     lit0 = -lit;
                     break;
                 }
             }
             let var = lit0.unsigned_abs() as usize;
-            seen[var] = false;
+            self.seen[var] = false;
             counter -= 1;
             if counter == 0 {
                 break;
             }
-            clause_idx = self.reason[var];
+            cr = self.reason[var];
             // When resolving on a reason clause, the literal itself must be
             // skipped; we marked it via lit0 above (reason[var] implies `-lit0`).
             lit0 = -lit0;
         }
-        learned.insert(0, lit0);
+        learned[0] = lit0;
 
-        // Backjump level: highest level among the other learned literals.
-        let backjump = learned
-            .iter()
-            .skip(1)
-            .map(|&l| self.level[l.unsigned_abs() as usize])
-            .max()
-            .unwrap_or(0);
-        (learned, backjump)
+        // Every current-level mark was cleared on resolution; clear the
+        // lower-level ones, and backjump to the highest of their levels.
+        let mut backjump = 0;
+        for &l in &learned[1..] {
+            let var = l.unsigned_abs() as usize;
+            self.seen[var] = false;
+            backjump = backjump.max(self.level[var]);
+        }
+        self.learned = learned;
+        backjump
     }
 
     fn backtrack_to(&mut self, level: u32) {
@@ -469,135 +456,36 @@ impl SatSolver {
             while self.trail.len() > lim {
                 let lit = self.trail.pop().expect("non-empty");
                 let var = lit.unsigned_abs() as usize;
-                self.values[var] = Value::Unassigned;
-                self.reason[var] = None;
-                if self.incremental {
-                    self.heap_insert(var);
-                }
+                self.assigns[var] = 0;
+                self.reason[var] = NO_REASON;
+                self.heap_insert(var);
             }
         }
-        // Propagation restarts from the end of the shortened trail. (The
-        // `min` matters for the incremental entry path: backtracking to the
-        // level we are already at must not skip unpropagated units.)
         self.qhead = self.qhead.min(self.trail.len());
     }
 
     fn decide(&mut self) -> bool {
-        // Pick the unassigned variable with the highest activity: from the
-        // lazy heap in incremental mode (assigned entries are skipped), by
-        // linear scan in one-shot mode (the historical, trajectory-stable
-        // policy).
-        let best = if self.incremental {
-            loop {
-                match self.heap_pop() {
-                    None => break None,
-                    Some(var) if self.values[var] == Value::Unassigned => break Some(var),
-                    Some(_) => continue,
-                }
+        // The heap is lazy: skip entries assigned since they were inserted.
+        let var = loop {
+            match self.heap_pop() {
+                None => return false,
+                Some(var) if self.assigns[var] == 0 => break var,
+                Some(_) => {}
             }
-        } else {
-            let mut best: Option<usize> = None;
-            let mut best_act = -1.0f64;
-            for var in 1..=self.num_vars {
-                if self.values[var] == Value::Unassigned && self.activity[var] > best_act {
-                    best = Some(var);
-                    best_act = self.activity[var];
-                }
-            }
-            best
         };
-        match best {
-            None => false,
-            Some(var) => {
-                self.decisions += 1;
-                self.trail_lim.push(self.trail.len());
-                let lit = if self.phase[var] {
-                    var as i32
-                } else {
-                    -(var as i32)
-                };
-                self.enqueue(lit, None);
-                true
-            }
-        }
-    }
-
-    /// Shrink the learned-clause database (incremental mode, at level 0):
-    /// drop the lowest-activity half of the non-binary learned clauses,
-    /// garbage-collect every clause already satisfied at level 0 (including
-    /// retired activation-literal queries), strip false level-0 literals
-    /// from the rest, and rebuild the watch lists.
-    fn reduce_db(&mut self) {
-        debug_assert!(self.trail_lim.is_empty());
-        self.db_reductions += 1;
-        let learned_before = self.num_learned;
-        // Level-0 implications never feed conflict analysis (analyze skips
-        // level-0 variables), so their reason indices — about to be
-        // invalidated by compaction — can be dropped.
-        for r in &mut self.reason {
-            *r = None;
-        }
-        let mut order: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| self.clause_learned[i] && self.clauses[i].len() > 2)
-            .collect();
-        order.sort_by(|&a, &b| {
-            self.clause_act[a]
-                .total_cmp(&self.clause_act[b])
-                .then(a.cmp(&b))
-        });
-        let mut drop = vec![false; self.clauses.len()];
-        for &i in order.iter().take(order.len() / 2) {
-            drop[i] = true;
-        }
-        let old_clauses = std::mem::take(&mut self.clauses);
-        let old_learned = std::mem::take(&mut self.clause_learned);
-        let old_act = std::mem::take(&mut self.clause_act);
-        for watch in &mut self.watches {
-            watch.clear();
-        }
-        self.num_learned = 0;
-        for (i, mut lits) in old_clauses.into_iter().enumerate() {
-            if drop[i] {
-                continue;
-            }
-            if lits.iter().any(|&l| self.value_of(l) == Value::True) {
-                continue;
-            }
-            lits.retain(|&l| self.value_of(l) != Value::False);
-            match lits.len() {
-                0 => self.unsat = true,
-                1 => self.enqueue(lits[0], None),
-                _ => {
-                    let idx = self.clauses.len();
-                    self.watches[lit_index(lits[0])].push(idx);
-                    self.watches[lit_index(lits[1])].push(idx);
-                    self.clauses.push(lits);
-                    self.clause_learned.push(old_learned[i]);
-                    self.clause_act.push(old_act[i]);
-                    if old_learned[i] {
-                        self.num_learned += 1;
-                    }
-                }
-            }
-        }
-        self.learned_dropped += (learned_before - self.num_learned) as u64;
-        // Let the database grow before the next reduction.
-        self.max_learned += self.max_learned / 10;
+        self.decisions += 1;
+        self.trail_lim.push(self.trail.len());
+        let lit = if self.phase[var] {
+            var as i32
+        } else {
+            -(var as i32)
+        };
+        self.enqueue(lit, NO_REASON);
+        true
     }
 
     /// Solve the formula.
     pub fn solve(&mut self) -> SatResult {
-        self.solve_under_assumptions(&[])
-    }
-
-    /// Solve under the given assumption literals (minisat-style): each
-    /// assumption is asserted as a pseudo-decision before ordinary
-    /// decisions. `Unsat` means "unsatisfiable under these assumptions" —
-    /// unless a level-0 conflict proves the formula itself unsatisfiable,
-    /// later calls with other assumptions may still be SAT. The solver
-    /// state (assignment trail, learned clauses, activities) stays warm
-    /// across calls.
-    pub fn solve_under_assumptions(&mut self, assumptions: &[i32]) -> SatResult {
         if self.unsat {
             return SatResult::Unsat;
         }
@@ -617,36 +505,28 @@ impl SatSolver {
                 Some(conflict) => {
                     self.conflicts += 1;
                     conflicts_since_restart += 1;
-                    if self.trail_lim.len() <= assumptions.len() {
-                        // Every open decision is an assumption: the conflict
-                        // is implied by them (or, at level 0, by the formula
-                        // itself — record that globally).
-                        if self.trail_lim.is_empty() {
-                            self.unsat = true;
-                        }
+                    if self.trail_lim.is_empty() {
+                        self.unsat = true;
                         return SatResult::Unsat;
                     }
-                    let (learned, backjump) = self.analyze(conflict);
+                    let backjump = self.analyze(conflict);
                     self.backtrack_to(backjump);
-                    self.decay_activities();
-                    if learned.len() == 1 {
-                        if self.value_of(learned[0]) == Value::False {
-                            self.unsat = true;
-                            return SatResult::Unsat;
-                        }
-                        if self.value_of(learned[0]) == Value::Unassigned {
-                            self.enqueue(learned[0], None);
+                    self.var_inc /= 0.95;
+                    let asserting = self.learned[0];
+                    if self.learned.len() == 1 {
+                        match value(&self.assigns, asserting) {
+                            -1 => {
+                                self.unsat = true;
+                                return SatResult::Unsat;
+                            }
+                            0 => self.enqueue(asserting, NO_REASON),
+                            _ => {}
                         }
                     } else {
-                        let idx = self.clauses.len();
-                        self.watches[lit_index(learned[0])].push(idx);
-                        self.watches[lit_index(learned[1])].push(idx);
-                        let asserting = learned[0];
-                        self.clauses.push(learned);
-                        self.clause_learned.push(true);
-                        self.clause_act.push(self.cla_inc);
-                        self.num_learned += 1;
-                        self.enqueue(asserting, Some(idx));
+                        let learned = std::mem::take(&mut self.learned);
+                        let cr = self.push_clause(&learned);
+                        self.learned = learned;
+                        self.enqueue(asserting, cr);
                     }
                 }
                 None => {
@@ -655,35 +535,13 @@ impl SatSolver {
                         luby_index += 1;
                         restart_threshold = 100 * luby(luby_index);
                         self.backtrack_to(0);
-                        if self.incremental && self.num_learned > self.max_learned {
-                            self.reduce_db();
-                        }
-                        continue;
-                    }
-                    // Re-assert the next pending assumption (restarts and
-                    // deep backjumps retract them; they are replayed here
-                    // one per propagation round).
-                    if self.trail_lim.len() < assumptions.len() {
-                        let a = assumptions[self.trail_lim.len()];
-                        match self.value_of(a) {
-                            // Already implied: open an empty pseudo-level so
-                            // the level/assumption correspondence holds.
-                            Value::True => self.trail_lim.push(self.trail.len()),
-                            Value::False => return SatResult::Unsat,
-                            Value::Unassigned => {
-                                self.decisions += 1;
-                                self.trail_lim.push(self.trail.len());
-                                self.enqueue(a, None);
-                            }
-                        }
                         continue;
                     }
                     if !self.decide() {
                         // All variables assigned without conflict: SAT.
-                        let mut model = vec![false; self.num_vars + 1];
-                        for (var, item) in model.iter_mut().enumerate().skip(1) {
-                            *item = self.values[var] == Value::True;
-                        }
+                        let model = (0..=self.num_vars)
+                            .map(|var| var > 0 && self.assigns[var] == 1)
+                            .collect();
                         return SatResult::Sat(model);
                     }
                 }
@@ -715,6 +573,15 @@ fn luby(i: u32) -> u64 {
 mod tests {
     use super::*;
 
+    fn solver(num_vars: u32, clauses: &[Vec<i32>]) -> SatSolver {
+        let mut s = SatSolver::new();
+        s.reset(num_vars);
+        for clause in clauses {
+            s.add_clause(clause);
+        }
+        s
+    }
+
     fn check_model(clauses: &[Vec<i32>], model: &[bool]) -> bool {
         clauses.iter().all(|clause| {
             clause.iter().any(|&lit| {
@@ -731,8 +598,7 @@ mod tests {
     #[test]
     fn trivially_sat() {
         let clauses = vec![vec![1], vec![-2], vec![1, 2, 3]];
-        let mut s = SatSolver::new(3, clauses.clone());
-        match s.solve() {
+        match solver(3, &clauses).solve() {
             SatResult::Sat(model) => {
                 assert!(model[1]);
                 assert!(!model[2]);
@@ -744,30 +610,29 @@ mod tests {
 
     #[test]
     fn trivially_unsat() {
-        let mut s = SatSolver::new(1, vec![vec![1], vec![-1]]);
-        assert_eq!(s.solve(), SatResult::Unsat);
-        let mut s2 = SatSolver::new(2, vec![vec![]]);
-        assert_eq!(s2.solve(), SatResult::Unsat);
+        assert_eq!(solver(1, &[vec![1], vec![-1]]).solve(), SatResult::Unsat);
+        assert_eq!(solver(2, &[vec![]]).solve(), SatResult::Unsat);
     }
 
     #[test]
     fn requires_propagation_chain() {
         // 1 -> 2 -> 3 -> 4, and finally ¬4 forces UNSAT.
         let clauses = vec![vec![1], vec![-1, 2], vec![-2, 3], vec![-3, 4], vec![-4]];
-        let mut s = SatSolver::new(4, clauses);
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(solver(4, &clauses).solve(), SatResult::Unsat);
     }
 
-    fn pigeonhole_clauses() -> Vec<Vec<i32>> {
-        // 3 pigeons, 2 holes. Variables p_{i,j} = pigeon i in hole j.
-        // p11=1 p12=2 p21=3 p22=4 p31=5 p32=6
-        let mut clauses = vec![vec![1, 2], vec![3, 4], vec![5, 6]];
+    /// `pigeons` pigeons in `holes` holes; variable `p * holes + h + 1` puts
+    /// pigeon `p` in hole `h`. Unsatisfiable when `pigeons > holes`.
+    fn pigeonhole(pigeons: i32, holes: i32) -> Vec<Vec<i32>> {
+        let var = |p: i32, h: i32| p * holes + h + 1;
+        let mut clauses: Vec<Vec<i32>> = (0..pigeons)
+            .map(|p| (0..holes).map(|h| var(p, h)).collect())
+            .collect();
         // No two pigeons share a hole.
-        for hole in 0..2 {
-            let vars = [1 + hole, 3 + hole, 5 + hole];
-            for i in 0..3 {
-                for j in i + 1..3 {
-                    clauses.push(vec![-vars[i], -vars[j]]);
+        for h in 0..holes {
+            for p in 0..pigeons {
+                for q in p + 1..pigeons {
+                    clauses.push(vec![-var(p, h), -var(q, h)]);
                 }
             }
         }
@@ -776,8 +641,7 @@ mod tests {
 
     #[test]
     fn small_pigeonhole_is_unsat() {
-        let mut s = SatSolver::new(6, pigeonhole_clauses());
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(solver(6, &pigeonhole(3, 2)).solve(), SatResult::Unsat);
     }
 
     #[test]
@@ -791,8 +655,7 @@ mod tests {
             vec![-1, -2, -3],
             vec![4, 5, 6],
         ];
-        let mut s = SatSolver::new(6, clauses.clone());
-        match s.solve() {
+        match solver(6, &clauses).solve() {
             SatResult::Sat(model) => assert!(check_model(&clauses, &model)),
             SatResult::Unsat => panic!("should be sat"),
         }
@@ -802,8 +665,7 @@ mod tests {
     fn xor_chain_forces_unique_model() {
         // x1 xor x2 = 1, x2 xor x3 = 1, x1 = 1  =>  x2 = 0, x3 = 1.
         let clauses = vec![vec![1, 2], vec![-1, -2], vec![2, 3], vec![-2, -3], vec![1]];
-        let mut s = SatSolver::new(3, clauses.clone());
-        match s.solve() {
+        match solver(3, &clauses).solve() {
             SatResult::Sat(model) => {
                 assert!(model[1]);
                 assert!(!model[2]);
@@ -824,8 +686,7 @@ mod tests {
         }
         clauses.push(vec![1]);
         clauses.push(vec![n / 2, -n]);
-        let mut s = SatSolver::new(n as u32, clauses.clone());
-        match s.solve() {
+        match solver(n as u32, &clauses).solve() {
             SatResult::Sat(model) => assert!(check_model(&clauses, &model)),
             SatResult::Unsat => panic!("should be sat"),
         }
@@ -839,224 +700,543 @@ mod tests {
         }
     }
 
-    // ----- incremental / assumption tests ---------------------------------
+    // ----- bit-identity with the linear-scan solver ------------------------
 
-    #[test]
-    fn assumptions_flip_satisfiability_without_poisoning_state() {
-        // (1 ∨ 2) ∧ (¬1 ∨ 2): under ¬2 the formula is UNSAT, but only under
-        // that assumption — the same warm solver must then prove SAT under 2
-        // and with no assumptions at all.
-        let mut s = SatSolver::new_incremental();
-        s.ensure_vars(2);
-        s.add_clause(vec![1, 2]);
-        s.add_clause(vec![-1, 2]);
-        assert_eq!(s.solve_under_assumptions(&[-2]), SatResult::Unsat);
-        match s.solve_under_assumptions(&[2]) {
-            SatResult::Sat(model) => assert!(model[2]),
-            SatResult::Unsat => panic!("sat under 2"),
+    /// The one-shot solver as it stood before the activity heap, the clause
+    /// arena and buffer reuse, kept verbatim (minus the incremental mode it
+    /// shared a struct with) as the behavioural reference: the fast solver
+    /// must make exactly its decisions.
+    mod reference {
+        use super::super::{luby, SatResult};
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Value {
+            Unassigned,
+            True,
+            False,
         }
-        assert!(s.solve().is_sat());
-    }
 
-    #[test]
-    fn assumptions_already_implied_and_conflicting() {
-        // Unit clause 1 makes assumption [1] a no-op pseudo-level and
-        // assumption [-1] immediately unsat (but not globally).
-        let mut s = SatSolver::new_incremental();
-        s.ensure_vars(2);
-        s.add_clause(vec![1]);
-        s.add_clause(vec![-1, 2]);
-        assert!(s.solve_under_assumptions(&[1]).is_sat());
-        assert_eq!(s.solve_under_assumptions(&[-1]), SatResult::Unsat);
-        assert!(s.solve().is_sat(), "global state must stay satisfiable");
-    }
+        #[derive(Debug)]
+        pub struct SatSolver {
+            num_vars: usize,
+            clauses: Vec<Vec<i32>>,
+            clause_act: Vec<f64>,
+            cla_inc: f64,
+            watches: Vec<Vec<usize>>,
+            values: Vec<Value>,
+            level: Vec<u32>,
+            reason: Vec<Option<usize>>,
+            trail: Vec<i32>,
+            trail_lim: Vec<usize>,
+            qhead: usize,
+            activity: Vec<f64>,
+            var_inc: f64,
+            phase: Vec<bool>,
+            unsat: bool,
+            pub conflicts: u64,
+            pub decisions: u64,
+            pub propagations: u64,
+        }
 
-    #[test]
-    fn clauses_added_between_solves_take_effect() {
-        let mut s = SatSolver::new_incremental();
-        s.ensure_vars(3);
-        s.add_clause(vec![1, 2]);
-        assert!(s.solve().is_sat());
-        // Constrain further after a solve: the new clauses must be
-        // propagated even though the old trail was already processed.
-        s.add_clause(vec![-1]);
-        s.add_clause(vec![-2, 3]);
-        match s.solve() {
-            SatResult::Sat(model) => {
-                assert!(!model[1]);
-                assert!(model[2]);
-                assert!(model[3]);
+        fn lit_index(lit: i32) -> usize {
+            let var = lit.unsigned_abs() as usize;
+            2 * var + usize::from(lit < 0)
+        }
+
+        impl SatSolver {
+            pub fn new(num_vars: u32, clauses: Vec<Vec<i32>>) -> SatSolver {
+                let n = num_vars as usize;
+                let mut solver = SatSolver {
+                    num_vars: n,
+                    clauses: Vec::with_capacity(clauses.len()),
+                    clause_act: Vec::with_capacity(clauses.len()),
+                    cla_inc: 1.0,
+                    watches: vec![Vec::new(); 2 * (n + 1)],
+                    values: vec![Value::Unassigned; n + 1],
+                    level: vec![0; n + 1],
+                    reason: vec![None; n + 1],
+                    trail: Vec::with_capacity(n),
+                    trail_lim: Vec::new(),
+                    qhead: 0,
+                    activity: vec![0.0; n + 1],
+                    var_inc: 1.0,
+                    phase: vec![false; n + 1],
+                    unsat: false,
+                    conflicts: 0,
+                    decisions: 0,
+                    propagations: 0,
+                };
+                for clause in clauses {
+                    solver.add_clause(clause);
+                }
+                solver
             }
-            SatResult::Unsat => panic!("still satisfiable"),
+
+            fn add_clause(&mut self, mut lits: Vec<i32>) {
+                if self.unsat {
+                    return;
+                }
+                lits.sort_unstable();
+                lits.dedup();
+                if lits.iter().any(|&l| lits.contains(&-l)) {
+                    return;
+                }
+                match lits.len() {
+                    0 => self.unsat = true,
+                    1 => {
+                        let lit = lits[0];
+                        match self.value_of(lit) {
+                            Value::True => {}
+                            Value::False => self.unsat = true,
+                            Value::Unassigned => self.enqueue(lit, None),
+                        }
+                    }
+                    _ => {
+                        let idx = self.clauses.len();
+                        self.watches[lit_index(lits[0])].push(idx);
+                        self.watches[lit_index(lits[1])].push(idx);
+                        self.clauses.push(lits);
+                        self.clause_act.push(0.0);
+                    }
+                }
+            }
+
+            fn value_of(&self, lit: i32) -> Value {
+                let v = self.values[lit.unsigned_abs() as usize];
+                match (v, lit > 0) {
+                    (Value::Unassigned, _) => Value::Unassigned,
+                    (Value::True, true) | (Value::False, false) => Value::True,
+                    _ => Value::False,
+                }
+            }
+
+            fn enqueue(&mut self, lit: i32, reason: Option<usize>) {
+                let var = lit.unsigned_abs() as usize;
+                self.values[var] = if lit > 0 { Value::True } else { Value::False };
+                self.level[var] = self.trail_lim.len() as u32;
+                self.reason[var] = reason;
+                self.phase[var] = lit > 0;
+                self.trail.push(lit);
+            }
+
+            fn propagate(&mut self) -> Option<usize> {
+                while self.qhead < self.trail.len() {
+                    let lit = self.trail[self.qhead];
+                    self.qhead += 1;
+                    self.propagations += 1;
+                    let false_lit = -lit;
+                    let mut watch_list = std::mem::take(&mut self.watches[lit_index(false_lit)]);
+                    let mut i = 0;
+                    while i < watch_list.len() {
+                        let ci = watch_list[i];
+                        if self.clauses[ci][0] == false_lit {
+                            self.clauses[ci].swap(0, 1);
+                        }
+                        if self.value_of(self.clauses[ci][0]) == Value::True {
+                            i += 1;
+                            continue;
+                        }
+                        let mut found = false;
+                        for k in 2..self.clauses[ci].len() {
+                            if self.value_of(self.clauses[ci][k]) != Value::False {
+                                self.clauses[ci].swap(1, k);
+                                let new_watch = self.clauses[ci][1];
+                                self.watches[lit_index(new_watch)].push(ci);
+                                watch_list.swap_remove(i);
+                                found = true;
+                                break;
+                            }
+                        }
+                        if found {
+                            continue;
+                        }
+                        let first = self.clauses[ci][0];
+                        match self.value_of(first) {
+                            Value::False => {
+                                self.watches[lit_index(false_lit)].append(&mut watch_list);
+                                return Some(ci);
+                            }
+                            Value::Unassigned => {
+                                self.enqueue(first, Some(ci));
+                                i += 1;
+                            }
+                            Value::True => {
+                                i += 1;
+                            }
+                        }
+                    }
+                    self.watches[lit_index(false_lit)] = watch_list;
+                }
+                None
+            }
+
+            fn bump_var(&mut self, var: usize) {
+                self.activity[var] += self.var_inc;
+                if self.activity[var] > 1e100 {
+                    for a in &mut self.activity {
+                        *a *= 1e-100;
+                    }
+                    self.var_inc *= 1e-100;
+                }
+            }
+
+            fn bump_clause(&mut self, ci: usize) {
+                self.clause_act[ci] += self.cla_inc;
+                if self.clause_act[ci] > 1e100 {
+                    for a in &mut self.clause_act {
+                        *a *= 1e-100;
+                    }
+                    self.cla_inc *= 1e-100;
+                }
+            }
+
+            fn decay_activities(&mut self) {
+                self.var_inc /= 0.95;
+                self.cla_inc /= 0.999;
+            }
+
+            fn analyze(&mut self, conflict: usize) -> (Vec<i32>, u32) {
+                let current_level = self.trail_lim.len() as u32;
+                let mut learned: Vec<i32> = Vec::new();
+                let mut seen = vec![false; self.num_vars + 1];
+                let mut counter = 0usize;
+                let mut lit0: i32 = 0;
+                let mut trail_pos = self.trail.len();
+                let mut clause_idx = Some(conflict);
+
+                loop {
+                    if let Some(ci) = clause_idx {
+                        self.bump_clause(ci);
+                        let clause = self.clauses[ci].clone();
+                        for &q in &clause {
+                            if q == lit0 {
+                                continue;
+                            }
+                            let var = q.unsigned_abs() as usize;
+                            if !seen[var] && self.level[var] > 0 {
+                                seen[var] = true;
+                                self.bump_var(var);
+                                if self.level[var] >= current_level {
+                                    counter += 1;
+                                } else {
+                                    learned.push(q);
+                                }
+                            }
+                        }
+                    }
+                    loop {
+                        trail_pos -= 1;
+                        let lit = self.trail[trail_pos];
+                        if seen[lit.unsigned_abs() as usize] {
+                            lit0 = -lit;
+                            break;
+                        }
+                    }
+                    let var = lit0.unsigned_abs() as usize;
+                    seen[var] = false;
+                    counter -= 1;
+                    if counter == 0 {
+                        break;
+                    }
+                    clause_idx = self.reason[var];
+                    lit0 = -lit0;
+                }
+                learned.insert(0, lit0);
+
+                let backjump = learned
+                    .iter()
+                    .skip(1)
+                    .map(|&l| self.level[l.unsigned_abs() as usize])
+                    .max()
+                    .unwrap_or(0);
+                (learned, backjump)
+            }
+
+            fn backtrack_to(&mut self, level: u32) {
+                while self.trail_lim.len() as u32 > level {
+                    let lim = self.trail_lim.pop().expect("non-empty");
+                    while self.trail.len() > lim {
+                        let lit = self.trail.pop().expect("non-empty");
+                        let var = lit.unsigned_abs() as usize;
+                        self.values[var] = Value::Unassigned;
+                        self.reason[var] = None;
+                    }
+                }
+                self.qhead = self.qhead.min(self.trail.len());
+            }
+
+            fn decide(&mut self) -> bool {
+                let mut best: Option<usize> = None;
+                let mut best_act = -1.0f64;
+                for var in 1..=self.num_vars {
+                    if self.values[var] == Value::Unassigned && self.activity[var] > best_act {
+                        best = Some(var);
+                        best_act = self.activity[var];
+                    }
+                }
+                match best {
+                    None => false,
+                    Some(var) => {
+                        self.decisions += 1;
+                        self.trail_lim.push(self.trail.len());
+                        let lit = if self.phase[var] {
+                            var as i32
+                        } else {
+                            -(var as i32)
+                        };
+                        self.enqueue(lit, None);
+                        true
+                    }
+                }
+            }
+
+            pub fn solve(&mut self) -> SatResult {
+                if self.unsat {
+                    return SatResult::Unsat;
+                }
+                self.backtrack_to(0);
+                if self.propagate().is_some() {
+                    self.unsat = true;
+                    return SatResult::Unsat;
+                }
+
+                let mut conflicts_since_restart: u64 = 0;
+                let mut restart_threshold: u64 = 100;
+                let mut luby_index: u32 = 1;
+
+                loop {
+                    match self.propagate() {
+                        Some(conflict) => {
+                            self.conflicts += 1;
+                            conflicts_since_restart += 1;
+                            if self.trail_lim.is_empty() {
+                                self.unsat = true;
+                                return SatResult::Unsat;
+                            }
+                            let (learned, backjump) = self.analyze(conflict);
+                            self.backtrack_to(backjump);
+                            self.decay_activities();
+                            if learned.len() == 1 {
+                                if self.value_of(learned[0]) == Value::False {
+                                    self.unsat = true;
+                                    return SatResult::Unsat;
+                                }
+                                if self.value_of(learned[0]) == Value::Unassigned {
+                                    self.enqueue(learned[0], None);
+                                }
+                            } else {
+                                let idx = self.clauses.len();
+                                self.watches[lit_index(learned[0])].push(idx);
+                                self.watches[lit_index(learned[1])].push(idx);
+                                let asserting = learned[0];
+                                self.clauses.push(learned);
+                                self.clause_act.push(self.cla_inc);
+                                self.enqueue(asserting, Some(idx));
+                            }
+                        }
+                        None => {
+                            if conflicts_since_restart >= restart_threshold {
+                                conflicts_since_restart = 0;
+                                luby_index += 1;
+                                restart_threshold = 100 * luby(luby_index);
+                                self.backtrack_to(0);
+                                continue;
+                            }
+                            if !self.decide() {
+                                let mut model = vec![false; self.num_vars + 1];
+                                for (var, item) in model.iter_mut().enumerate().skip(1) {
+                                    *item = self.values[var] == Value::True;
+                                }
+                                return SatResult::Sat(model);
+                            }
+                        }
+                    }
+                }
+            }
         }
-        s.add_clause(vec![-3]);
-        assert_eq!(s.solve(), SatResult::Unsat);
-        // Globally unsat now: stays unsat under any assumptions.
-        assert_eq!(s.solve_under_assumptions(&[2]), SatResult::Unsat);
     }
 
-    #[test]
-    fn activation_literals_retire_queries() {
-        // The IncrementalSolver usage pattern: per-query clauses guarded by
-        // an activation literal, retired with a ¬act unit afterwards.
-        let mut s = SatSolver::new_incremental();
-        s.ensure_vars(4);
-        s.add_clause(vec![1, 2]); // permanent
-        let act1 = 3;
-        s.add_clause(vec![-act1, -1]);
-        s.add_clause(vec![-act1, -2]);
-        // Under act1 the permanent clause is violated.
-        assert_eq!(s.solve_under_assumptions(&[act1]), SatResult::Unsat);
-        s.add_clause(vec![-act1]); // retire query 1
-        let act2 = 4;
-        s.add_clause(vec![-act2, 1]);
-        match s.solve_under_assumptions(&[act2]) {
-            SatResult::Sat(model) => assert!(model[1]),
-            SatResult::Unsat => panic!("query 2 is satisfiable"),
+    /// Solve with the reference and with `fast` (reset in place, so buffer
+    /// reuse is exercised too) and demand identical results and statistics.
+    /// Returns the result.
+    fn assert_bit_identical(
+        fast: &mut SatSolver,
+        num_vars: u32,
+        clauses: &[Vec<i32>],
+    ) -> SatResult {
+        let mut slow = reference::SatSolver::new(num_vars, clauses.to_vec());
+        let want = slow.solve();
+        fast.reset(num_vars);
+        for clause in clauses {
+            fast.add_clause(clause);
         }
+        let got = fast.solve();
+        assert_eq!(got, want, "result (model bits included)");
+        assert_eq!(
+            (fast.conflicts, fast.decisions, fast.propagations),
+            (slow.conflicts, slow.decisions, slow.propagations),
+            "conflicts, decisions, propagations"
+        );
+        if let SatResult::Sat(model) = &got {
+            assert!(check_model(clauses, model));
+        }
+        got
     }
 
-    #[test]
-    fn incremental_pigeonhole_under_assumptions() {
-        // A guarded pigeonhole: UNSAT under the activation literal, then SAT
-        // again once the query is retired — exercises conflict analysis
-        // with assumption pseudo-levels in play.
-        let mut s = SatSolver::new_incremental();
-        s.ensure_vars(7);
-        let act = 7;
-        for mut clause in pigeonhole_clauses() {
-            clause.push(-act);
-            s.add_clause(clause);
-        }
-        assert_eq!(s.solve_under_assumptions(&[act]), SatResult::Unsat);
-        s.add_clause(vec![-act]);
-        assert!(s.solve().is_sat());
-    }
-
-    #[test]
-    fn incremental_and_oneshot_verdicts_agree() {
-        // A deterministic pseudo-random stream of 3-SAT queries over a
-        // shared prefix: the warm incremental solver and a cold one-shot
-        // solver must return the same verdict for every query.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
+    /// A deterministic xorshift stream.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
-        let n = 12u32;
-        let mut rand_clause = |width: u64| -> Vec<i32> {
-            let mut lits = Vec::new();
-            for _ in 0..width {
-                let var = (next() % n as u64) as i32 + 1;
-                let sign = if next() & 1 == 0 { 1 } else { -1 };
-                lits.push(sign * var);
-            }
-            lits
-        };
-        let mut permanent: Vec<Vec<i32>> = Vec::new();
-        for _ in 0..6 {
-            permanent.push(rand_clause(3));
         }
-        let mut inc = SatSolver::new_incremental();
-        inc.ensure_vars(n);
-        for clause in &permanent {
-            inc.add_clause(clause.clone());
+    }
+
+    fn random_ksat(vars: u32, clauses: usize, width: usize, seed: u64) -> Vec<Vec<i32>> {
+        let mut next = xorshift(seed);
+        (0..clauses)
+            .map(|_| {
+                (0..width)
+                    .map(|_| {
+                        let var = (next() % vars as u64) as i32 + 1;
+                        if next() & 1 == 0 {
+                            var
+                        } else {
+                            -var
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `x_i xor x_{i+1} = b_i` for random `b`, plus unit `x_1`; closing the
+    /// ring with a parity that disagrees makes it UNSAT.
+    fn xor_chain(n: i32, seed: u64, close_wrong: bool) -> Vec<Vec<i32>> {
+        let mut next = xorshift(seed);
+        let mut clauses = vec![vec![1]];
+        let mut parity = false;
+        for i in 1..=n {
+            let j = if i == n { 1 } else { i + 1 };
+            let mut b = next() & 1 == 1;
+            if i == n {
+                b = parity ^ close_wrong;
+            } else {
+                parity ^= b;
+            }
+            if b {
+                clauses.push(vec![i, j]);
+                clauses.push(vec![-i, -j]);
+            } else {
+                clauses.push(vec![-i, j]);
+                clauses.push(vec![i, -j]);
+            }
         }
-        for query in 0..40 {
-            let extra: Vec<Vec<i32>> = (0..4).map(|_| rand_clause(2)).collect();
-            // Incremental: guard the query clauses with an activation var.
-            let act = n as i32 + 1 + query;
-            inc.ensure_vars(act as u32);
-            for clause in &extra {
-                let mut guarded = clause.clone();
-                guarded.push(-act);
-                inc.add_clause(guarded);
+        clauses
+    }
+
+    #[test]
+    fn heap_solver_matches_the_linear_scan_on_random_3sat() {
+        let mut fast = SatSolver::new();
+        let (mut sat, mut unsat) = (0, 0);
+        for seed in 1..=120u64 {
+            let vars = 10 + (seed % 40) as u32;
+            // Around the 4.26 clause/variable threshold: a mix of verdicts.
+            let m = (vars as f64 * (3.6 + (seed % 9) as f64 * 0.15)) as usize;
+            let clauses = random_ksat(vars, m, 3, seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            if assert_bit_identical(&mut fast, vars, &clauses).is_sat() {
+                sat += 1;
+            } else {
+                unsat += 1;
             }
-            let warm = inc.solve_under_assumptions(&[act]).is_sat();
-            inc.add_clause(vec![-act]);
-            // Cold: one-shot solve of permanent + extra.
-            let mut all = permanent.clone();
-            all.extend(extra);
-            let cold = SatSolver::new(n, all).solve().is_sat();
-            assert_eq!(warm, cold, "verdict drift on query {query}");
-            // Also grow the permanent set occasionally.
-            if query % 5 == 0 {
-                let grown = rand_clause(3);
-                permanent.push(grown.clone());
-                inc.add_clause(grown);
-            }
+        }
+        assert!(sat > 10 && unsat > 10, "{sat} sat / {unsat} unsat");
+    }
+
+    #[test]
+    fn heap_solver_matches_the_linear_scan_on_pigeonholes_and_xor_chains() {
+        let mut fast = SatSolver::new();
+        for (pigeons, holes) in [(3, 2), (4, 3), (5, 4), (6, 5), (4, 4), (6, 6)] {
+            assert_bit_identical(
+                &mut fast,
+                (pigeons * holes) as u32,
+                &pigeonhole(pigeons, holes),
+            );
+        }
+        for seed in 1..=20u64 {
+            let n = 5 + seed as i32 * 3;
+            assert_bit_identical(&mut fast, n as u32, &xor_chain(n, seed, seed % 2 == 0));
         }
     }
 
     #[test]
-    fn db_reduction_preserves_correctness() {
-        // Run queries, force a database reduction in between, and confirm
-        // verdicts stay right on both sides of the reduction.
-        let mut s = SatSolver::new_incremental();
-        let n = 10i32;
-        s.ensure_vars(n as u32 + 1);
-        // An XOR ladder (forces some clause learning under assumptions).
-        for i in 1..n {
-            s.add_clause(vec![i, i + 1]);
-            s.add_clause(vec![-i, -(i + 1)]);
-        }
-        let act = n + 1;
-        s.add_clause(vec![-act, 1]);
-        assert!(s.solve_under_assumptions(&[act]).is_sat());
-        // Reduce the database directly (the solve loop only triggers this at
-        // restarts, which these tiny instances never reach).
-        s.backtrack_to(0);
-        s.reduce_db();
-        assert_eq!(s.db_reductions, 1);
-        // Contradict the ladder under the same assumption: x1 and x2 both
-        // true is impossible.
-        s.add_clause(vec![-act, 2]);
-        assert_eq!(s.solve_under_assumptions(&[act]), SatResult::Unsat);
-        s.backtrack_to(0);
-        s.reduce_db();
-        s.add_clause(vec![-act]);
-        match s.solve() {
-            SatResult::Sat(model) => {
-                for i in 1..n as usize {
-                    assert_ne!(model[i], model[i + 1], "xor ladder violated at {i}");
-                }
-            }
-            SatResult::Unsat => panic!("ladder alone is satisfiable"),
-        }
-        assert_eq!(s.db_reductions, 2);
+    fn heap_solver_matches_the_linear_scan_across_the_activity_rescale() {
+        // var_inc grows by 1/0.95 per conflict and crosses 1e100 after about
+        // 4,490 conflicts: past that, activities are rescaled and ties the
+        // rescale creates must still resolve to the lowest index.
+        let mut fast = SatSolver::new();
+        assert_bit_identical(&mut fast, 56, &pigeonhole(8, 7));
+        assert!(fast.conflicts > 4_500, "only {} conflicts", fast.conflicts);
     }
 
     #[test]
-    fn heap_decisions_find_models_on_oneshot_instances() {
-        // The incremental solver must solve the same instances the one-shot
-        // solver does (different decision order, same verdicts).
-        let instances: Vec<(u32, Vec<Vec<i32>>)> = vec![
-            (6, pigeonhole_clauses()),
-            (
-                3,
-                vec![vec![1, 2], vec![-1, -2], vec![2, 3], vec![-2, -3], vec![1]],
-            ),
-            (
-                4,
-                vec![vec![1], vec![-1, 2], vec![-2, 3], vec![-3, 4], vec![-4]],
-            ),
-        ];
-        for (n, clauses) in instances {
-            let verdict = SatSolver::new(n, clauses.clone()).solve().is_sat();
-            let mut inc = SatSolver::new_incremental();
-            inc.ensure_vars(n);
-            for clause in clauses.clone() {
-                inc.add_clause(clause);
-            }
-            match inc.solve() {
-                SatResult::Sat(model) => {
-                    assert!(verdict, "one-shot disagreed");
-                    assert!(check_model(&clauses, &model));
-                }
-                SatResult::Unsat => assert!(!verdict, "one-shot disagreed"),
-            }
+    fn heap_solver_matches_the_linear_scan_on_a_blasted_equivalence_query() {
+        use crate::bitblast::BitBlaster;
+        use crate::term::TermPool;
+        let mut pool = TermPool::new();
+        let x = pool.var("x", 12);
+        let y = pool.var("y", 12);
+        // x * y == y * x (UNSAT negation) and x * 3 == x << 2 (SAT).
+        let xy = pool.mul(x, y);
+        let yx = pool.mul(y, x);
+        let commutes = pool.ne(xy, yx);
+        let three = pool.constant(3, 12);
+        let two = pool.constant(2, 12);
+        let times3 = pool.mul(x, three);
+        let shl2 = pool.shl(x, two);
+        let differs = pool.ne(times3, shl2);
+        let mut fast = SatSolver::new();
+        for goal in [commutes, differs] {
+            let mut blaster = BitBlaster::new();
+            blaster.assert_true(&pool, goal);
+            let clauses: Vec<Vec<i32>> = blaster.cnf.clauses().map(<[i32]>::to_vec).collect();
+            assert_bit_identical(&mut fast, blaster.cnf.num_vars, &clauses);
         }
+    }
+
+    #[test]
+    fn reset_forgets_the_previous_formula() {
+        // A large UNSAT formula followed by a small SAT one on the same
+        // solver: no clause, watch, activity or unsat flag may leak across.
+        let mut s = solver(56, &pigeonhole(8, 7));
+        assert_eq!(s.solve(), SatResult::Unsat);
+        let clauses = vec![vec![1, 2], vec![-1]];
+        s.reset(2);
+        for clause in &clauses {
+            s.add_clause(clause);
+        }
+        assert_eq!(s.solve(), SatResult::Sat(vec![false, false, true]));
+        assert_eq!((s.conflicts, s.decisions), (0, 0));
+    }
+
+    #[test]
+    fn rescale_ties_fall_back_to_index_order() {
+        // Two activities one ulp apart that the 1e-100 rescale rounds to the
+        // same value: before it, variable 2 outranks variable 1; after it,
+        // they tie and the lower index must be picked first, as a scan does.
+        let low = (0..)
+            .map(|i| 1.0 + f64::from(i) * 1e-3)
+            .find(|&x: &f64| x * 1e-100 == f64::from_bits(x.to_bits() + 1) * 1e-100)
+            .expect("some pair rounds together");
+        let mut s = SatSolver::new();
+        s.reset(3);
+        for (var, inc) in [(1, low), (2, f64::from_bits(low.to_bits() + 1)), (3, 2e100)] {
+            s.var_inc = inc;
+            s.bump_var(var);
+        }
+        assert_eq!(s.activity[1], s.activity[2]);
+        let order: Vec<usize> = std::iter::from_fn(|| s.heap_pop()).collect();
+        assert_eq!(order, vec![3, 1, 2]);
     }
 }

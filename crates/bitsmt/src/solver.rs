@@ -1,22 +1,24 @@
 //! The user-facing solver façade: assert 1-bit terms, check satisfiability,
 //! extract models.
 //!
-//! Two flavors: the one-shot [`Solver`] (fresh CNF and SAT state per
-//! `check()`, byte-identical results release to release) and the
-//! [`IncrementalSolver`], which keeps the bit-blaster, the CNF, and the SAT
-//! solver's learned clauses warm across a sequence of related queries. K2's
-//! equivalence checks are the motivating workload: one source program
-//! generates thousands of near-identical queries, and re-blasting and
-//! re-proving the source-side constraints on every call dominates solve
-//! time.
+//! Every [`Solver::check`] is one-shot: the assertions are bit-blasted into a
+//! fresh CNF and decided from scratch, so a query's result (its model
+//! included) depends on nothing but its own assertions. The SAT solver's
+//! buffers are reused across the checks of one thread.
 
-use crate::bitblast::{Bit, BitBlaster};
+use crate::bitblast::BitBlaster;
 use crate::eval::Assignment;
 use crate::sat::{SatResult, SatSolver};
 use crate::term::{TermId, TermPool};
 use k2_telemetry::TelemetryRef;
-use std::collections::{HashMap, HashSet};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::time::Instant;
+
+thread_local! {
+    /// The SAT solver of this thread's checks, reset for each one.
+    static SAT: RefCell<SatSolver> = RefCell::new(SatSolver::new());
+}
 
 /// A model: concrete values for the formula's free variables.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -143,166 +145,22 @@ impl<'p> Solver<'p> {
         for &a in &self.assertions {
             blaster.assert_true(self.pool, a);
         }
-        let num_vars = blaster.cnf.num_vars;
-        let clauses = std::mem::take(&mut blaster.cnf.clauses);
-        self.stats.cnf_vars = num_vars as u64;
-        self.stats.cnf_clauses = clauses.len() as u64;
+        self.stats.cnf_vars = blaster.cnf.num_vars as u64;
+        self.stats.cnf_clauses = blaster.cnf.num_clauses() as u64;
         blast_span.finish();
 
         let solve_span = self.telemetry.span("bitsmt.solve");
-        let mut sat = SatSolver::new(num_vars, clauses);
-        let result = sat.solve();
+        let result = SAT.with(|sat| {
+            let mut sat = sat.borrow_mut();
+            sat.load(&blaster.cnf);
+            let result = sat.solve();
+            self.stats.conflicts = sat.conflicts;
+            self.stats.decisions = sat.decisions;
+            self.stats.propagations = sat.propagations;
+            result
+        });
         solve_span.finish();
-        self.stats.conflicts = sat.conflicts;
-        self.stats.decisions = sat.decisions;
-        self.stats.propagations = sat.propagations;
         self.stats.time_us = start.elapsed().as_micros() as u64;
-        if self.telemetry.is_enabled() {
-            self.telemetry.count("bitsmt.queries", 1);
-            self.telemetry.count("bitsmt.cnf_vars", self.stats.cnf_vars);
-            self.telemetry
-                .count("bitsmt.cnf_clauses", self.stats.cnf_clauses);
-            self.telemetry.count("bitsmt.conflicts", sat.conflicts);
-            self.telemetry.count("bitsmt.decisions", sat.decisions);
-            self.telemetry
-                .count("bitsmt.propagations", sat.propagations);
-        }
-
-        match result {
-            SatResult::Unsat => CheckResult::Unsat,
-            SatResult::Sat(assignment) => {
-                let mut model = Model::default();
-                for (name, bits) in &blaster.var_bits {
-                    let mut value = 0u64;
-                    for (i, &lit) in bits.iter().enumerate() {
-                        if assignment[lit.unsigned_abs() as usize] {
-                            value |= 1 << i;
-                        }
-                    }
-                    model.values.insert(name.clone(), value);
-                }
-                CheckResult::Sat(model)
-            }
-        }
-    }
-}
-
-/// An incremental solver: permanent assertions are blasted once and stay
-/// proven; per-query goals are guarded by a fresh activation literal,
-/// decided under assumption of that literal, and retired afterwards with a
-/// `¬act` unit. Tseitin definitional clauses are universally valid, so they
-/// go in unguarded and are reused by every later query; the SAT solver's
-/// learned clauses stay warm too (with activity-based database reduction
-/// keeping them bounded).
-///
-/// Determinism: verdicts are query-history independent (each query decides
-/// exactly "permanent ∧ goals"), but a SAT model may differ from the one a
-/// cold [`Solver`] would produce — callers that need history-independent
-/// models should treat SAT as "escalate to a cold check".
-#[derive(Debug)]
-pub struct IncrementalSolver {
-    blaster: BitBlaster,
-    sat: SatSolver,
-    asserted: HashSet<TermId>,
-    /// Statistics from the most recent `check_assuming()` call (deltas for
-    /// this query, not running totals).
-    pub stats: SolverStats,
-    /// Queries answered so far.
-    pub queries: u64,
-    telemetry: TelemetryRef,
-}
-
-impl Default for IncrementalSolver {
-    fn default() -> Self {
-        IncrementalSolver::new()
-    }
-}
-
-impl IncrementalSolver {
-    /// Create an empty incremental solver.
-    pub fn new() -> IncrementalSolver {
-        IncrementalSolver {
-            blaster: BitBlaster::new(),
-            sat: SatSolver::new_incremental(),
-            asserted: HashSet::new(),
-            stats: SolverStats::default(),
-            queries: 0,
-            telemetry: TelemetryRef::none(),
-        }
-    }
-
-    /// Attach a telemetry recorder (see [`Solver::set_telemetry`]); also
-    /// records incremental-specific counters under `bitsmt.inc.*`.
-    pub fn set_telemetry(&mut self, telemetry: TelemetryRef) {
-        self.telemetry = telemetry;
-    }
-
-    /// Number of clauses currently held by the persistent SAT solver.
-    pub fn clauses_in_db(&self) -> usize {
-        self.sat.num_clauses()
-    }
-
-    /// Assert a 1-bit term that holds for every future query. Re-asserting
-    /// the same term (by hash-consed identity) is a no-op, so callers may
-    /// simply re-send the full permanent set each query.
-    pub fn assert_permanent(&mut self, pool: &TermPool, term: TermId) {
-        assert_eq!(pool.width(term), 1, "assertions must be 1-bit terms");
-        if !self.asserted.insert(term) {
-            return;
-        }
-        self.blaster.assert_true(pool, term);
-    }
-
-    /// Decide `permanent ∧ goals`: blast each goal, guard it behind a fresh
-    /// activation literal, solve under the assumption of that literal, and
-    /// retire the query. The blaster's memo table makes re-blasting shared
-    /// subterms free, and the definitional clauses it emits are reused by
-    /// every subsequent query.
-    pub fn check_assuming(&mut self, pool: &TermPool, goals: &[TermId]) -> CheckResult {
-        let start = Instant::now();
-        self.queries += 1;
-        let vars_before = self.blaster.cnf.num_vars;
-        let clauses_before = self.sat.num_clauses() as u64;
-        let (conflicts0, decisions0, propagations0) = (
-            self.sat.conflicts,
-            self.sat.decisions,
-            self.sat.propagations,
-        );
-        let (reductions0, dropped0) = (self.sat.db_reductions, self.sat.learned_dropped);
-
-        let blast_span = self.telemetry.span("bitsmt.bitblast");
-        let act = self.blaster.cnf.fresh();
-        for &goal in goals {
-            assert_eq!(pool.width(goal), 1, "goals must be 1-bit terms");
-            match self.blaster.blast(pool, goal)[0] {
-                Bit::Const(true) => {}
-                Bit::Const(false) => self.blaster.cnf.add_clause(&[-act]),
-                Bit::Lit(l) => self.blaster.cnf.add_clause(&[-act, l]),
-            }
-        }
-        let new_clauses = self.blaster.cnf.take_clauses();
-        let new_clause_count = new_clauses.len() as u64;
-        self.sat.ensure_vars(self.blaster.cnf.num_vars);
-        for clause in new_clauses {
-            self.sat.add_clause(clause);
-        }
-        blast_span.finish();
-
-        let solve_span = self.telemetry.span("bitsmt.solve");
-        let result = self.sat.solve_under_assumptions(&[act]);
-        solve_span.finish();
-        // Retire the query: its guarded clauses are satisfied outright and
-        // garbage-collected at the next database reduction.
-        self.sat.add_clause(vec![-act]);
-
-        self.stats = SolverStats {
-            cnf_vars: (self.blaster.cnf.num_vars - vars_before) as u64,
-            cnf_clauses: new_clause_count,
-            conflicts: self.sat.conflicts - conflicts0,
-            decisions: self.sat.decisions - decisions0,
-            propagations: self.sat.propagations - propagations0,
-            time_us: start.elapsed().as_micros() as u64,
-        };
         if self.telemetry.is_enabled() {
             self.telemetry.count("bitsmt.queries", 1);
             self.telemetry.count("bitsmt.cnf_vars", self.stats.cnf_vars);
@@ -314,24 +172,13 @@ impl IncrementalSolver {
                 .count("bitsmt.decisions", self.stats.decisions);
             self.telemetry
                 .count("bitsmt.propagations", self.stats.propagations);
-            self.telemetry.count("bitsmt.inc.queries", 1);
-            self.telemetry
-                .count("bitsmt.inc.reused_clauses", clauses_before);
-            self.telemetry.count(
-                "bitsmt.inc.db_reductions",
-                self.sat.db_reductions - reductions0,
-            );
-            self.telemetry.count(
-                "bitsmt.inc.learned_dropped",
-                self.sat.learned_dropped - dropped0,
-            );
         }
 
         match result {
             SatResult::Unsat => CheckResult::Unsat,
             SatResult::Sat(assignment) => {
                 let mut model = Model::default();
-                for (name, bits) in &self.blaster.var_bits {
+                for (name, bits) in &blaster.var_bits {
                     let mut value = 0u64;
                     for (i, &lit) in bits.iter().enumerate() {
                         if assignment[lit.unsigned_abs() as usize] {
@@ -477,95 +324,5 @@ mod tests {
         let mut solver = Solver::new(&mut pool);
         solver.assert(f);
         assert_eq!(solver.check(), CheckResult::Unsat);
-    }
-
-    #[test]
-    fn incremental_verdicts_match_cold_solves_across_queries() {
-        // A shared permanent constraint plus a stream of per-query goals:
-        // every verdict must equal what a cold solve of the same conjunction
-        // returns, regardless of the queries answered before it.
-        let mut pool = TermPool::new();
-        let x = pool.var("x", 32);
-        let y = pool.var("y", 32);
-        let sum = pool.add(x, y);
-        let hundred = pool.constant(100, 32);
-        let permanent = pool.eq(sum, hundred);
-
-        let mut inc = IncrementalSolver::new();
-        let goals: Vec<TermId> = (0..20)
-            .map(|i| {
-                let c = pool.constant(90 + i, 32);
-                if i % 3 == 0 {
-                    let bound = pool.constant(101, 32);
-                    let over = pool.ugt(x, bound);
-                    let eqc = pool.eq(y, c);
-                    pool.and(over, eqc) // x > 101 ∧ y = 90+i (unsat-ish)
-                } else {
-                    pool.eq(x, c) // x = 90+i (sat)
-                }
-            })
-            .collect();
-        for (i, &goal) in goals.iter().enumerate() {
-            inc.assert_permanent(&pool, permanent);
-            let warm = inc.check_assuming(&pool, &[goal]);
-            let mut cold = Solver::new(&mut pool);
-            cold.assert(permanent);
-            cold.assert(goal);
-            let cold_result = cold.check();
-            assert_eq!(warm.is_sat(), cold_result.is_sat(), "query {i}");
-            if let CheckResult::Sat(model) = warm {
-                // The warm model must actually satisfy the conjunction.
-                let a = model.to_assignment();
-                assert_eq!(eval(&pool, &a, permanent), 1, "query {i} permanent");
-                assert_eq!(eval(&pool, &a, goal), 1, "query {i} goal");
-            }
-        }
-        assert_eq!(inc.queries, 20);
-    }
-
-    #[test]
-    fn incremental_reuses_blasted_cnf() {
-        // The second query over the same expensive subterm (a 64-bit
-        // multiply) must generate far fewer new CNF variables than the
-        // first: the blaster memo and the persistent clause DB carry over.
-        let mut pool = TermPool::new();
-        let x = pool.var("x", 64);
-        let y = pool.var("y", 64);
-        let prod = pool.mul(x, y);
-
-        let mut inc = IncrementalSolver::new();
-        let c1 = pool.constant(21, 64);
-        let g1 = pool.eq(prod, c1);
-        assert!(inc.check_assuming(&pool, &[g1]).is_sat());
-        let first_vars = inc.stats.cnf_vars;
-        let c2 = pool.constant(35, 64);
-        let g2 = pool.eq(prod, c2);
-        assert!(inc.check_assuming(&pool, &[g2]).is_sat());
-        assert!(
-            inc.stats.cnf_vars < first_vars / 4,
-            "second query re-blasted too much: {} vs {}",
-            inc.stats.cnf_vars,
-            first_vars
-        );
-        assert!(inc.clauses_in_db() > 0);
-    }
-
-    #[test]
-    fn incremental_unsat_goal_does_not_poison_later_queries() {
-        let mut pool = TermPool::new();
-        let x = pool.var("x", 16);
-        let five = pool.constant(5, 16);
-        let ten = pool.constant(10, 16);
-        let lt = pool.ult(x, five);
-        let gt = pool.ugt(x, ten);
-        let contradiction = pool.and(lt, gt);
-        let mut inc = IncrementalSolver::new();
-        assert_eq!(
-            inc.check_assuming(&pool, &[contradiction]),
-            CheckResult::Unsat
-        );
-        // The contradiction was query-local: x < 5 alone is satisfiable.
-        let model = inc.check_assuming(&pool, &[lt]).expect_sat();
-        assert!(model.value_or_zero("x") & 0xffff < 5);
     }
 }

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a term inside a [`TermPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -85,7 +86,54 @@ pub struct TermNode {
 #[derive(Debug, Default, Clone)]
 pub struct TermPool {
     nodes: Vec<TermNode>,
-    dedup: HashMap<TermNode, TermId>,
+    dedup: HashMap<TermNode, TermId, BuildHasherDefault<FxHasher>>,
+}
+
+/// The Fx hash (rustc's): one rotate, xor and multiply per word. The
+/// hash-consing table is never iterated, and its keys are the terms of one
+/// encoding of a size-limited program pair, so it needs neither SipHash's
+/// flooding resistance nor a random seed.
+#[derive(Debug, Default, Clone, Copy)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        for &byte in chunks.remainder() {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
 }
 
 fn mask(width: u32) -> u64 {

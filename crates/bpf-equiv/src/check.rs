@@ -5,7 +5,7 @@ use crate::counterexample::input_from_model;
 use crate::encode::{EncodeError, EncodeOptions, Encoder};
 use crate::refute::Refuter;
 use crate::window::{check_window_with, Window, WindowContext};
-use bitsmt::{CheckResult, IncrementalSolver, Solver, TermPool};
+use bitsmt::{CheckResult, Solver, TermPool};
 use bpf_interp::ProgramInput;
 use bpf_isa::Program;
 use k2_telemetry::TelemetryRef;
@@ -34,25 +34,18 @@ pub struct EquivOptions {
     pub window_verification: bool,
     /// Optimization V: cache verdicts keyed by canonicalized candidates.
     pub enable_cache: bool,
-    /// Incremental SAT solving: keep a persistent per-source solver context
-    /// (bit-blasted CNF, learned clauses) warm across queries, deciding each
-    /// candidate's constraints under a fresh activation literal. A pure
-    /// solver-work optimization: a SAT (not-equivalent) incremental verdict
-    /// is re-derived by the cold path so counterexample models — and
-    /// therefore search trajectories — stay bit-identical with it on or off.
+    /// No effect. Escalated queries are always decided by a one-shot solve;
+    /// the field remains so existing struct literals keep compiling.
     pub incremental_solving: bool,
     /// Use the kernel-conformant abstract interpreter
     /// ([`bpf_analysis::absint`]) as a solver-pruning oracle. When the
-    /// analysis accepts the source program, its derived facts are used two
-    /// ways: (1) range/known-bits facts at a window's entry strengthen the
-    /// windowed check's precondition, converting window fallbacks into
-    /// window hits (full-program queries can only decrease); (2) branch
-    /// edges proven dead are encoded under a `false` condition on the
-    /// incremental-solver path, shrinking the source-side formula. Both are
-    /// verdict-preserving — and the cold path (which produces counterexample
-    /// models) is untouched — so search trajectories are bit-identical with
-    /// the knob on or off. The `K2_STATIC_ANALYSIS` environment override is
-    /// resolved by the `k2::api` configuration layering.
+    /// analysis accepts the source program, its range/known-bits facts at a
+    /// window's entry strengthen the windowed check's precondition,
+    /// converting window fallbacks into window hits (full-program queries
+    /// can only decrease). This is verdict-preserving, so search
+    /// trajectories are bit-identical with the knob on or off. The
+    /// `K2_STATIC_ANALYSIS` environment override is resolved by the
+    /// `k2::api` configuration layering.
     pub static_analysis: bool,
 }
 
@@ -64,7 +57,7 @@ impl Default for EquivOptions {
             offset_concretization: true,
             window_verification: true,
             enable_cache: true,
-            incremental_solving: true,
+            incremental_solving: false,
             static_analysis: true,
         }
     }
@@ -136,10 +129,6 @@ pub struct EquivStats {
     /// across windowed checks (range/known-bits bounds on free entry
     /// registers).
     pub static_window_facts: u64,
-    /// Branch edges encoded under a `false` condition because the abstract
-    /// interpreter proved them dead (counted per source encoding on the
-    /// incremental-solver path).
-    pub static_pruned_branches: u64,
     /// Checks refuted by the pre-SMT concrete-execution stage: a divergent
     /// input was found in microseconds, so no solver query was built.
     pub refuted_by_testing: u64,
@@ -170,7 +159,6 @@ impl EquivStats {
         self.window_fallbacks += other.window_fallbacks;
         self.window_time_us += other.window_time_us;
         self.static_window_facts += other.static_window_facts;
-        self.static_pruned_branches += other.static_pruned_branches;
         self.refuted_by_testing += other.refuted_by_testing;
         self.smt_escalations += other.smt_escalations;
         self.refute_time_us += other.refute_time_us;
@@ -225,8 +213,8 @@ fn outcome_of_error(e: EncodeError) -> EquivOutcome {
 }
 
 /// Fingerprint of a source program's instructions, used to key the
-/// per-source caches (window analysis, incremental-solver context, absint
-/// facts) so each is rebuilt exactly when the source changes.
+/// per-source caches (window analysis, absint facts) so each is rebuilt
+/// exactly when the source changes.
 fn fingerprint_of(insns: &[bpf_isa::Insn]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -264,12 +252,6 @@ pub struct EquivChecker {
     /// chain's RNG stream; absent by default so plain checkers behave
     /// exactly as before.
     refuter: Option<Refuter>,
-    /// Persistent incremental-solver context bound to one source program
-    /// (fingerprint-checked and rebuilt on source change, like
-    /// `window_ctx`). Holds the hash-consed term pool — so re-encoding the
-    /// source yields identical terms and zero new CNF — and the warm SAT
-    /// solver with its learned clauses.
-    inc_ctx: Option<IncrementalCtx>,
     /// Lazily computed abstract-interpretation facts for the source program
     /// (fingerprint-checked like `window_ctx`). `Some((_, None))` = the
     /// analysis did not accept that source, so no facts apply. Only
@@ -278,13 +260,6 @@ pub struct EquivChecker {
     /// Statistics accumulated across `check` calls.
     pub stats: EquivStats,
     telemetry: TelemetryRef,
-}
-
-#[derive(Debug)]
-struct IncrementalCtx {
-    fingerprint: u64,
-    pool: TermPool,
-    solver: IncrementalSolver,
 }
 
 impl EquivChecker {
@@ -296,7 +271,6 @@ impl EquivChecker {
             shared: None,
             window_ctx: None,
             refuter: None,
-            inc_ctx: None,
             facts_ctx: None,
             stats: EquivStats::default(),
             telemetry: TelemetryRef::none(),
@@ -326,9 +300,6 @@ impl EquivChecker {
     /// recorder is also threaded into the underlying [`Solver`]. Recording
     /// is write-only — verdicts are identical with or without it.
     pub fn set_telemetry(&mut self, telemetry: TelemetryRef) {
-        if let Some(ctx) = &mut self.inc_ctx {
-            ctx.solver.set_telemetry(telemetry.clone());
-        }
         self.telemetry = telemetry;
     }
 
@@ -409,8 +380,7 @@ impl EquivChecker {
         span.finish();
         // Label the check by how it was resolved (exactly one path fires
         // per check) and by its verdict. The fingerprint is the verdict
-        // cache key: counting distinct values sizes the clause-reuse
-        // opportunity for incremental solving.
+        // cache key: counting distinct values sizes the repeat-query share.
         let path = if self.stats.cache_hits > before.cache_hits {
             "equiv.check.private_hit"
         } else if self.stats.shared_cache_hits > before.shared_cache_hits {
@@ -609,121 +579,11 @@ impl EquivChecker {
         }
     }
 
-    /// Check without consulting the cache (used directly by benchmarks).
-    ///
-    /// With [`EquivOptions::incremental_solving`] on, the query first goes
-    /// to the warm per-source incremental solver; an UNSAT there is final
-    /// (`Equivalent`), while SAT — and anything the incremental path cannot
-    /// express — escalates to the cold solve below, which re-derives the
-    /// verdict and the canonical counterexample model. The cold path is
-    /// byte-for-byte today's behaviour, so incremental-off runs reproduce
-    /// historical verdict streams exactly, and incremental-on runs produce
-    /// the same verdicts *and the same counterexamples*.
+    /// Check without consulting the cache (used directly by benchmarks): a
+    /// one-shot solve over a fresh term pool, whose SAT model is the
+    /// counterexample.
     pub fn check_uncached(&mut self, src: &Program, cand: &Program) -> EquivOutcome {
         let start = Instant::now();
-        if self.options.incremental_solving {
-            if let Some(outcome) = self.check_incremental(src, cand, start) {
-                return outcome;
-            }
-        }
-        self.check_cold(src, cand, start)
-    }
-
-    /// Number of clauses currently held by the persistent incremental-solver
-    /// context, if one is live. Diagnostics: retired queries are
-    /// garbage-collected at database reductions, so this should plateau
-    /// rather than grow with the query count.
-    pub fn inc_clauses_in_db(&self) -> Option<usize> {
-        self.inc_ctx.as_ref().map(|c| c.solver.clauses_in_db())
-    }
-
-    /// Try to discharge the query on the persistent incremental solver.
-    /// Returns `None` to escalate to the cold path: on SAT (the cold solve
-    /// produces the canonical model), on encode failure, and on trivial
-    /// call-log mismatch (both re-derived identically by the cold path).
-    fn check_incremental(
-        &mut self,
-        src: &Program,
-        cand: &Program,
-        start: Instant,
-    ) -> Option<EquivOutcome> {
-        let fingerprint = fingerprint_of(&src.insns);
-        if !matches!(&self.inc_ctx, Some(ctx) if ctx.fingerprint == fingerprint) {
-            let mut solver = IncrementalSolver::new();
-            solver.set_telemetry(self.telemetry.clone());
-            self.inc_ctx = Some(IncrementalCtx {
-                fingerprint,
-                pool: TermPool::new(),
-                solver,
-            });
-        }
-        let encode_options = self.options.encode_options();
-        // Dead-edge pruning is safe here and only here: the incremental
-        // path's decisions are UNSAT-only (SAT escalates to the cold solve,
-        // which re-derives the canonical counterexample model from an
-        // unpruned encoding), and pruning preserves the formula's
-        // satisfying-assignment set exactly (see `Encoder::set_branch_facts`).
-        let facts = self.source_facts(src);
-        let telemetry = self.telemetry.clone();
-        let ctx = self.inc_ctx.as_mut().expect("just ensured");
-
-        // Encode both programs into the persistent hash-consed pool. The
-        // source re-encodes to the exact same terms every query (so its
-        // constraints dedup to zero new work; the facts are deterministic
-        // per source, so pruned encodings dedup the same way); the
-        // candidate's terms are new, but shared subterms hit the blaster
-        // memo.
-        let encode_span = telemetry.span("equiv.encode");
-        let mut encoder = Encoder::new(&mut ctx.pool, encode_options);
-        if let Some(facts) = &facts {
-            encoder.set_branch_facts(0, facts.clone());
-        }
-        let enc_src = encoder.encode_program(src, 0).ok()?;
-        let pruned_edges = encoder.pruned_edges();
-        let n_src = encoder.constraints.len();
-        let enc_cand = encoder.encode_program(cand, 1).ok()?;
-        let call_compat = encoder.call_logs_compatible(&enc_src, &enc_cand)?;
-        let out_diff = encoder.output_difference(&enc_src, &enc_cand);
-        let calls_differ = {
-            let p = encoder.pool();
-            p.not(call_compat)
-        };
-        let differ = {
-            let p = encoder.pool();
-            p.or(out_diff, calls_differ)
-        };
-        let constraints = encoder.constraints.clone();
-        drop(encoder);
-        encode_span.finish();
-
-        // Source-side constraints are facts about every query: assert them
-        // permanently (deduplicated by term identity — only the first query
-        // generates CNF). Candidate-side constraints and the difference
-        // goal are query-local, guarded behind this query's activation
-        // literal inside `check_assuming`.
-        for &c in &constraints[..n_src] {
-            ctx.solver.assert_permanent(&ctx.pool, c);
-        }
-        let mut goals = constraints[n_src..].to_vec();
-        goals.push(differ);
-        let result = ctx.solver.check_assuming(&ctx.pool, &goals);
-        let (cnf_vars, cnf_clauses) = (ctx.solver.stats.cnf_vars, ctx.solver.stats.cnf_clauses);
-        self.stats.static_pruned_branches += pruned_edges;
-        match result {
-            CheckResult::Unsat => {
-                self.stats.last_cnf_vars = cnf_vars;
-                self.stats.last_cnf_clauses = cnf_clauses;
-                Some(self.finish(EquivOutcome::Equivalent, start))
-            }
-            // SAT: the programs differ, but the incremental model is
-            // history-dependent — escalate so the cold solve derives the
-            // canonical counterexample (same one as with incremental off).
-            CheckResult::Sat(_) => None,
-        }
-    }
-
-    /// The cold one-shot check: fresh pool, fresh solver.
-    fn check_cold(&mut self, src: &Program, cand: &Program, start: Instant) -> EquivOutcome {
         let telemetry = self.telemetry.clone();
         let mut pool = TermPool::new();
         let mut encoder = Encoder::new(&mut pool, self.options.encode_options());
@@ -1065,13 +925,9 @@ mod tests {
         assert_eq!(snap.counter("equiv.verdict.equivalent"), 2);
         assert_eq!(snap.counter("equiv.verdict.not_equivalent"), 1);
         assert_eq!(snap.timer("equiv.check").unwrap().count, 3);
-        // Two cache misses reach the solver. The `good` query is settled by
-        // the incremental path (one encode, one solve); the `bad` query is
-        // SAT on the incremental solver and escalates to the cold path for
-        // its canonical counterexample — a second encode+solve pair.
-        assert_eq!(snap.timer("equiv.encode").unwrap().count, 3);
-        assert_eq!(snap.timer("bitsmt.solve").unwrap().count, 3);
-        assert_eq!(snap.counter("bitsmt.inc.queries"), 2);
+        // Two cache misses reach the solver: one encode and one solve each.
+        assert_eq!(snap.timer("equiv.encode").unwrap().count, 2);
+        assert_eq!(snap.timer("bitsmt.solve").unwrap().count, 2);
         assert!(snap.counter("bitsmt.cnf_clauses") > 0);
         assert_eq!(snap.distinct, vec![("equiv.fingerprint".to_string(), 2)]);
 
@@ -1179,37 +1035,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_cold_checks_agree_including_counterexamples() {
-        // Incremental solving must not change outcomes at all: SAT verdicts
-        // escalate to the cold path, so even the counterexample inputs are
-        // identical to an incremental-off checker's.
-        let src = xdp("ldxdw r2, [r1+0]\nldxdw r3, [r1+8]\nmov64 r0, r3\nsub64 r0, r2\nexit");
-        let candidates = [
-            xdp("ldxdw r2, [r1+0]\nldxdw r3, [r1+8]\nmov64 r0, r3\nsub64 r0, r2\nexit"),
-            xdp("mov64 r0, 64\nexit"),
-            xdp("ldxdw r2, [r1+0]\nldxdw r3, [r1+8]\nmov64 r0, r3\nadd64 r0, r2\nexit"),
-            xdp(
-                "ldxdw r2, [r1+0]\nldxdw r3, [r1+8]\nmov64 r0, r3\nsub64 r0, r2\nadd64 r0, 0\nexit",
-            ),
-            xdp("mov64 r0, 0\nexit"),
-        ];
-        let mut inc = EquivChecker::new(EquivOptions {
-            enable_cache: false,
-            ..EquivOptions::default()
-        });
-        let mut cold = EquivChecker::new(EquivOptions {
-            enable_cache: false,
-            incremental_solving: false,
-            ..EquivOptions::default()
-        });
-        for cand in &candidates {
-            let a = inc.check(&src, cand);
-            let b = cold.check(&src, cand);
-            assert_eq!(a, b, "outcome drift on {cand}");
-        }
-    }
-
-    #[test]
     fn free_function_agrees_with_checker() {
         let src = xdp("mov64 r0, 4\nexit");
         let cand = xdp("mov64 r0, 2\nadd64 r0, 2\nexit");
@@ -1248,38 +1073,6 @@ mod tests {
         assert_eq!(without.stats.window_fallbacks, 1);
         assert_eq!(without.stats.queries, 1, "fallback pays a full query");
         assert_eq!(without.stats.static_window_facts, 0);
-    }
-
-    #[test]
-    fn dead_edge_pruning_preserves_verdicts() {
-        // `jgt r6, 10` with r6 == 5 is never taken; the dead code differs
-        // between source and the first candidate, which is therefore
-        // equivalent. The abstract interpreter proves the edge dead and the
-        // incremental encoding replaces its condition with `false` — without
-        // changing any verdict.
-        let src = xdp("mov64 r6, 5\njgt r6, 10, +2\nmov64 r0, 1\nexit\nmov64 r0, 2\nexit");
-        let equiv_cand = xdp("mov64 r6, 5\njgt r6, 10, +2\nmov64 r0, 1\nexit\nmov64 r0, 3\nexit");
-        let diff_cand = xdp("mov64 r6, 5\njgt r6, 10, +2\nmov64 r0, 7\nexit\nmov64 r0, 2\nexit");
-
-        let mut with = EquivChecker::new(EquivOptions {
-            enable_cache: false,
-            ..EquivOptions::default()
-        });
-        let mut without = EquivChecker::new(EquivOptions {
-            enable_cache: false,
-            static_analysis: false,
-            ..EquivOptions::default()
-        });
-        for cand in [&equiv_cand, &diff_cand] {
-            let a = with.check(&src, cand);
-            let b = without.check(&src, cand);
-            assert_eq!(a, b, "outcome drift on {cand}");
-        }
-        assert!(
-            with.stats.static_pruned_branches > 0,
-            "the dead taken edge should be pruned at least once"
-        );
-        assert_eq!(without.stats.static_pruned_branches, 0);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use bitsmt::{TermId, TermPool};
 use bpf_analysis::cfg::Cfg;
-use bpf_analysis::ProgramFacts;
 use bpf_interp::layout::{CTX_BASE, PACKET_BASE, PACKET_HEADROOM, STACK_BASE};
 use bpf_isa::{
     AluOp, ByteOrder, HelperId, Insn, JmpOp, MapDef, MapKind, MemSize, Program, Reg, Src, NUM_REGS,
@@ -17,7 +16,6 @@ use bpf_isa::{
 };
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// The packet `data` pointer used in formulas (headroom already applied).
 pub const DATA_PTR: u64 = PACKET_BASE + PACKET_HEADROOM as u64;
@@ -347,15 +345,6 @@ pub struct Encoder<'p> {
     map_stores_flat: HashMap<usize, Vec<MapValueStore>>,
     map_ops_flat: HashMap<usize, Vec<MapOp>>,
 
-    /// Abstract-interpretation facts for one program tag: branch edges the
-    /// analysis proved dead get their edge condition replaced by `false`
-    /// during encoding. See [`Encoder::set_branch_facts`] for why this is a
-    /// pure simplification.
-    branch_facts: Option<(usize, Arc<ProgramFacts>)>,
-    /// Branch edges whose condition was replaced by `false` (see
-    /// [`Encoder::set_branch_facts`]).
-    pruned_edges: u64,
-
     fresh: usize,
 }
 
@@ -387,8 +376,6 @@ impl<'p> Encoder<'p> {
             stack_stores_flat: HashMap::new(),
             map_stores_flat: HashMap::new(),
             map_ops_flat: HashMap::new(),
-            branch_facts: None,
-            pruned_edges: 0,
             fresh: 0,
         };
         // Constrain the packet length to a sane range so that formulas about
@@ -409,37 +396,6 @@ impl<'p> Encoder<'p> {
     /// values during counterexample extraction).
     pub fn pool_ref(&self) -> &TermPool {
         self.pool
-    }
-
-    /// Install abstract-interpretation facts for the program that will be
-    /// encoded under `tag`: a branch edge the analysis proved infeasible gets
-    /// its edge condition replaced by `false`.
-    ///
-    /// This is a *pure simplification*, not a semantic change: the facts
-    /// over-approximate every concrete execution, so on every assignment of
-    /// the formula's input variables a dead edge's path-condition
-    /// contribution already evaluates to false — replacing the condition term
-    /// with the constant merely lets the hash-consed pool fold the
-    /// reachability structure away. Every block is still encoded (call logs,
-    /// store tables, and fresh-variable order are unchanged), and the
-    /// formula's satisfying-assignment set is untouched. Callers that consume
-    /// SAT *models* should still prefer an unpruned encoding so model
-    /// construction stays bit-identical with facts unavailable.
-    pub fn set_branch_facts(&mut self, tag: usize, facts: Arc<ProgramFacts>) {
-        self.branch_facts = Some((tag, facts));
-    }
-
-    /// Branch edges whose condition was replaced by `false` so far.
-    pub fn pruned_edges(&self) -> u64 {
-        self.pruned_edges
-    }
-
-    /// Whether the given edge of the branch at `pc` in program `tag` is
-    /// proven dead by the installed facts (defaults to feasible).
-    fn edge_dead(&self, tag: usize, pc: usize, taken: bool) -> bool {
-        self.branch_facts
-            .as_ref()
-            .is_some_and(|(t, f)| *t == tag && !f.edge_feasible(pc, taken))
     }
 
     fn fresh_var(&mut self, prefix: &str, width: u32) -> TermId {
@@ -962,29 +918,12 @@ impl<'p> Encoder<'p> {
                     let is32 = matches!(last, Insn::Jmp32 { .. });
                     let cond = self.jump_cond(&state, op, dst, src, is32);
                     let not_cond = self.pool.not(cond);
-                    // Edges proven infeasible by abstract interpretation
-                    // contribute under a `false` condition instead of the
-                    // branch term (see `set_branch_facts`: pure
-                    // simplification — the condition is false on every
-                    // assignment anyway).
-                    let taken_cond = if self.edge_dead(tag, last_idx, true) {
-                        self.pruned_edges += 1;
-                        self.pool.ff()
-                    } else {
-                        cond
-                    };
-                    let fall_cond = if self.edge_dead(tag, last_idx, false) {
-                        self.pruned_edges += 1;
-                        self.pool.ff()
-                    } else {
-                        not_cond
-                    };
                     let taken =
                         cfg.block_of_insn[last.jump_target(last_idx).expect("jmp target") as usize];
-                    self.merge_into(&mut block_in, taken, &state, Some(taken_cond));
+                    self.merge_into(&mut block_in, taken, &state, Some(cond));
                     if block.end < insns.len() {
                         let ft = cfg.block_of_insn[block.end];
-                        self.merge_into(&mut block_in, ft, &state, Some(fall_cond));
+                        self.merge_into(&mut block_in, ft, &state, Some(not_cond));
                     }
                 }
                 _ => {

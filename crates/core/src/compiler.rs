@@ -58,18 +58,11 @@ pub struct CompilerOptions {
     /// have reached. The `K2_REFUTE_INPUTS` environment override is applied
     /// by the `k2::api` layering.
     pub refute_inputs: usize,
-    /// Incremental SAT solving for full-program equivalence queries,
-    /// threaded into every chain's [`crate::cost::CostSettings`]: the source
-    /// CNF and learned clauses stay warm in a per-source solver context. A
-    /// pure solver-work optimization: verdicts and counterexamples are
-    /// bit-identical with it on or off. The `K2_INCREMENTAL_SAT` environment
-    /// override is applied by the `k2::api` layering.
-    pub incremental_sat: bool,
     /// Kernel-conformant abstract interpretation (tnum + range analysis) as
     /// a search constraint and solver-pruning oracle, threaded into every
     /// chain's [`crate::cost::CostSettings`]: candidates are screened before
     /// the safety walk, and source-program facts strengthen window
-    /// preconditions and prune dead branches from incremental encodings.
+    /// preconditions.
     /// Verdict-preserving by construction, so search trajectories are
     /// bit-identical with it on or off. The `K2_STATIC_ANALYSIS` environment
     /// override is applied by the `k2::api` layering.
@@ -106,7 +99,6 @@ impl Default for CompilerOptions {
             backend: BackendKind::Auto,
             window_verification: true,
             refute_inputs: 64,
-            incremental_sat: true,
             static_analysis: true,
             engine: EngineConfig::default(),
             sink: EventSinkRef::none(),

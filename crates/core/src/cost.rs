@@ -85,14 +85,6 @@ pub struct CostSettings {
     /// bit-identical. The `K2_REFUTE_INPUTS` environment override is
     /// resolved by the `k2::api` configuration layering.
     pub refute_inputs: usize,
-    /// Solve full-program equivalence queries incrementally: the source
-    /// program's CNF and the learned clauses stay warm in a persistent
-    /// per-source solver context, and each candidate is checked under an
-    /// activation-literal assumption. Pure optimization: verdicts and
-    /// counterexample models are identical either way. The
-    /// `K2_INCREMENTAL_SAT` environment override is resolved by the
-    /// `k2::api` configuration layering.
-    pub incremental_sat: bool,
     /// Screen candidates with the kernel-conformant abstract interpreter
     /// (tnum + range analysis) before the authoritative safety walk, and
     /// feed its derived facts to the window-based equivalence checker as
@@ -115,7 +107,6 @@ impl Default for CostSettings {
             backend: BackendKind::Auto,
             window_verification: true,
             refute_inputs: 64,
-            incremental_sat: true,
             static_analysis: true,
         }
     }
@@ -236,7 +227,6 @@ impl CostFunction {
         };
         let equiv_options = EquivOptions {
             window_verification: settings.window_verification,
-            incremental_solving: settings.incremental_sat,
             static_analysis: settings.static_analysis,
             ..EquivOptions::default()
         };

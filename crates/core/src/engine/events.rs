@@ -91,9 +91,6 @@ pub enum SearchEvent {
         /// Precondition constraints asserted on windowed checks from
         /// abstract-interpretation facts about the source program.
         static_window_facts: u64,
-        /// Branch edges the abstract interpreter proved dead and the
-        /// incremental encoder replaced with `false`.
-        static_pruned_branches: u64,
     },
     /// An epoch completed and its barrier exchanges ran.
     EpochBarrier {

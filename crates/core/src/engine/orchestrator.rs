@@ -172,7 +172,6 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
             }
             cost_settings.window_verification = opts.window_verification;
             cost_settings.refute_inputs = opts.refute_inputs;
-            cost_settings.incremental_sat = opts.incremental_sat;
             cost_settings.static_analysis = opts.static_analysis;
             let shared = cfg.shared_cache.then(|| Arc::clone(ctx.cache()));
             let mut cost = CostFunction::with_shared_cache(
@@ -301,7 +300,6 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
                 safety_screens: safety.screens,
                 safety_screen_rejects: safety.screen_rejects,
                 static_window_facts: equiv.static_window_facts,
-                static_pruned_branches: equiv.static_pruned_branches,
             });
         }
         sink.emit(SearchEvent::EpochBarrier {

@@ -113,7 +113,6 @@ impl SearchParams {
                     backend: BackendKind::Auto,
                     window_verification: true,
                     refute_inputs: 64,
-                    incremental_sat: true,
                     static_analysis: true,
                 },
                 rules: base_rules(0.2, 0.4, 0.15, 0.2, 0.0, 0.05),
@@ -130,7 +129,6 @@ impl SearchParams {
                     backend: BackendKind::Auto,
                     window_verification: true,
                     refute_inputs: 64,
-                    incremental_sat: true,
                     static_analysis: true,
                 },
                 rules: base_rules(0.17, 0.33, 0.15, 0.17, 0.0, 0.18),
@@ -147,7 +145,6 @@ impl SearchParams {
                     backend: BackendKind::Auto,
                     window_verification: true,
                     refute_inputs: 64,
-                    incremental_sat: true,
                     static_analysis: true,
                 },
                 rules: base_rules(0.2, 0.4, 0.15, 0.2, 0.0, 0.05),
@@ -164,7 +161,6 @@ impl SearchParams {
                     backend: BackendKind::Auto,
                     window_verification: true,
                     refute_inputs: 64,
-                    incremental_sat: true,
                     static_analysis: true,
                 },
                 rules: base_rules(0.17, 0.33, 0.15, 0.0, 0.17, 0.18),
@@ -181,7 +177,6 @@ impl SearchParams {
                     backend: BackendKind::Auto,
                     window_verification: true,
                     refute_inputs: 64,
-                    incremental_sat: true,
                     static_analysis: true,
                 },
                 rules: base_rules(0.17, 0.33, 0.15, 0.0, 0.17, 0.18),
@@ -221,7 +216,6 @@ impl SearchParams {
                                 backend: BackendKind::Auto,
                                 window_verification: true,
                                 refute_inputs: 64,
-                                incremental_sat: true,
                                 static_analysis: true,
                             },
                             rules,

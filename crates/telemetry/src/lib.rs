@@ -22,8 +22,8 @@
 //!   are wall clock and are masked by [`TelemetrySnapshot::counts_only`].
 //!
 //! A fourth, niche kind — **distinct** tallies — counts unique `u64`
-//! observations (e.g. equivalence-query fingerprints), the direct input the
-//! incremental-SAT work needs to size its clause-reuse opportunity.
+//! observations (e.g. equivalence-query fingerprints), which size the share
+//! of repeated queries.
 //!
 //! Determinism contract: telemetry never feeds back into search decisions.
 //! Recording is write-only from the engine's point of view; snapshots are

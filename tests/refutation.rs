@@ -1,13 +1,12 @@
-//! Integration tests of the pre-SMT solver pipeline: concrete-execution
-//! refutation and incremental SAT solving.
+//! Integration tests of the solver pipeline: concrete-execution refutation
+//! and the one-shot SAT path's buffer reuse.
 //!
-//! Both stages share one contract: they are *pure* solver-work
-//! optimizations. A refuter may answer NotEquivalent before a formula is
-//! ever built, and the incremental context may answer Equivalent from a warm
-//! solver, but neither may ever flip a verdict (or change a counterexample)
-//! relative to the cold full-program solve. The tests here enforce that
-//! candidate by candidate, on real benchmark proposal streams and on
-//! randomly generated program pairs.
+//! Both are *pure* solver-work optimizations. A refuter may answer
+//! NotEquivalent before a formula is ever built, and the SAT solver reuses
+//! its buffers across a thread's queries, but neither may ever flip a
+//! verdict (or change a counterexample) relative to a fresh full-program
+//! solve. The tests here enforce that candidate by candidate, on real
+//! benchmark proposal streams and on randomly generated program pairs.
 
 use bpf_equiv::{EquivChecker, EquivOptions, Refuter, Window};
 use bpf_interp::BackendKind;
@@ -81,9 +80,10 @@ fn arb_alu_op() -> impl Strategy<Value = AluOp> {
 }
 
 /// A random straight-line computation over r0, r2..r5 (same shape as the
-/// `differential_smt` sweep), paired with a one-instruction mutation of it —
-/// sometimes equivalent (the mutation lands on dead code), usually not.
-fn arb_pair() -> impl Strategy<Value = (Program, Program)> {
+/// `differential_smt` sweep) with `body` ALU steps, paired with a
+/// one-instruction mutation of it — sometimes equivalent (the mutation lands
+/// on dead code), usually not.
+fn arb_pair(body: std::ops::Range<usize>) -> impl Strategy<Value = (Program, Program)> {
     let regs = [Reg::R0, Reg::R2, Reg::R3, Reg::R4, Reg::R5];
     let step = (
         arb_alu_op(),
@@ -101,7 +101,7 @@ fn arb_pair() -> impl Strategy<Value = (Program, Program)> {
         });
     (
         prop::collection::vec(any::<i32>(), 5),
-        prop::collection::vec(step, 1..12),
+        prop::collection::vec(step, body),
         any::<u8>(),
         0usize..regs.len(),
         any::<i32>(),
@@ -126,30 +126,31 @@ fn arb_pair() -> impl Strategy<Value = (Program, Program)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Incremental SAT verdicts equal cold-solve verdicts — including the
-    /// counterexample, since a SAT incremental query re-derives its model
-    /// through the cold path.
+    /// One checker answers interleaved queries of two sources — the larger
+    /// one first, so the smaller ones run on grown, reused solver buffers —
+    /// and every outcome, counterexample included, equals that of a fresh
+    /// checker on a fresh thread (whose solver has never run).
     #[test]
-    fn incremental_and_cold_solves_agree((prog, cand) in arb_pair()) {
+    fn reused_solver_buffers_match_fresh_threads(
+        big in arb_pair(8..16),
+        small in arb_pair(1..6),
+    ) {
         let opts = EquivOptions {
             enable_cache: false,
             window_verification: false,
             ..EquivOptions::default()
         };
-        let mut incremental = EquivChecker::new(opts);
-        let mut cold = EquivChecker::new(EquivOptions {
-            incremental_solving: false,
-            ..opts
-        });
-        let a = incremental.check(&prog, &cand);
-        let b = cold.check(&prog, &cand);
-        prop_assert_eq!(
-            &a, &b,
-            "incremental/cold divergence on:\n{}\nvs\n{}", prog, cand
-        );
-        // Checking the pair again keeps the incremental context warm and
-        // must not change the verdict either.
-        let again = incremental.check(&prog, &cand);
-        prop_assert_eq!(&again, &b);
+        let mut reused = EquivChecker::new(opts);
+        for (prog, cand) in [&big, &small, &big, &small] {
+            let got = reused.check(prog, cand);
+            let (p, c) = (prog.clone(), cand.clone());
+            let fresh = std::thread::spawn(move || EquivChecker::new(opts).check(&p, &c))
+                .join()
+                .expect("fresh checker");
+            prop_assert_eq!(
+                &got, &fresh,
+                "reused/fresh divergence on:\n{}\nvs\n{}", prog, cand
+            );
+        }
     }
 }
