@@ -91,12 +91,6 @@ pub struct K2Config {
     /// and refuted without a solver query when any output diverges.
     /// Refutation never flips a verdict the solver would have reached.
     pub refute_inputs: usize,
-    /// Kernel-conformant abstract interpretation (tnum + range analysis) as
-    /// a screening pass ahead of the safety walk and a solver-pruning oracle
-    /// for equivalence checking (`K2_STATIC_ANALYSIS`, file key
-    /// `static_analysis`). Verdict-preserving by construction: search
-    /// trajectories are bit-identical either way.
-    pub static_analysis: bool,
     /// Engine knobs: epochs/sharing/convergence/budget/workers
     /// (`K2_EPOCHS`, `K2_SHARED_CACHE`, `K2_EXCHANGE_CEX`,
     /// `K2_RESTART_FROM_BEST`, `K2_STALL_EPOCHS`, `K2_TIME_BUDGET_MS`,
@@ -128,7 +122,6 @@ impl Default for K2Config {
             backend: base.backend,
             window_verification: base.window_verification,
             refute_inputs: base.refute_inputs,
-            static_analysis: base.static_analysis,
             engine: base.engine,
             telemetry: false,
             telemetry_json: None,
@@ -232,12 +225,10 @@ impl K2Config {
                 Some(v) => self.refute_inputs = v as usize,
                 None => return bad("an unsigned integer (0 = off)"),
             },
-            // A removed knob: accepted, so files that still set it load.
-            "incremental_sat" => env::warn_removed(&format!("config key {key:?}")),
-            "static_analysis" => match value.as_bool() {
-                Some(v) => self.static_analysis = v,
-                None => return bad("a boolean"),
-            },
+            // Removed knobs: accepted, so files that still set them load.
+            "incremental_sat" | "static_analysis" => {
+                env::warn_removed(&format!("config key {key:?}"))
+            }
             "epochs" => match value.as_u64() {
                 Some(v) if v > 0 => self.engine.num_epochs = v,
                 _ => return bad("a positive integer"),
@@ -322,9 +313,7 @@ impl K2Config {
             self.refute_inputs = v;
         }
         env::removed("K2_INCREMENTAL_SAT");
-        if let Some(v) = env::flag("K2_STATIC_ANALYSIS") {
-            self.static_analysis = v;
-        }
+        env::removed("K2_STATIC_ANALYSIS");
         if let Some(v) = env::u64("K2_EPOCHS") {
             self.engine.num_epochs = v.max(1);
         }
@@ -385,7 +374,6 @@ impl K2Config {
             backend: self.backend,
             window_verification: self.window_verification,
             refute_inputs: self.refute_inputs,
-            static_analysis: self.static_analysis,
             engine: self.engine,
             ..CompilerOptions::default()
         }
@@ -444,41 +432,50 @@ mod tests {
     fn solver_pipeline_keys_layer() {
         let mut config = K2Config::default();
         assert_eq!(config.refute_inputs, 64);
-        assert!(config.static_analysis);
         config
-            .apply_json(&Json::parse(r#"{"refute_inputs": 0, "static_analysis": false}"#).unwrap())
+            .apply_json(&Json::parse(r#"{"refute_inputs": 0}"#).unwrap())
             .unwrap();
         assert_eq!(config.refute_inputs, 0, "zero must mean off, not clamp");
-        assert!(!config.static_analysis);
-        let opts = config.options();
-        assert_eq!(opts.refute_inputs, 0);
-        assert!(!opts.static_analysis);
+        assert_eq!(config.options().refute_inputs, 0);
 
-        for bad in [
-            r#"{"refute_inputs": true}"#,
-            r#"{"static_analysis": "yes"}"#,
-        ] {
-            let mut c = K2Config::default();
-            assert!(
-                c.apply_json(&Json::parse(bad).unwrap()).is_err(),
-                "should reject {bad}"
-            );
+        let mut c = K2Config::default();
+        assert!(c
+            .apply_json(&Json::parse(r#"{"refute_inputs": true}"#).unwrap())
+            .is_err());
+    }
+
+    #[test]
+    fn removed_keys_are_accepted_and_ignored() {
+        // Config files written for earlier releases may still carry the
+        // keys: each warns instead of failing, whatever its value, and
+        // changes nothing.
+        for key in ["incremental_sat", "static_analysis"] {
+            for value in ["false", "true", "2", r#""yes""#] {
+                let file = format!(r#"{{"{key}": {value}}}"#);
+                let mut config = K2Config::default();
+                config.apply_json(&Json::parse(&file).unwrap()).unwrap();
+                assert_eq!(config, K2Config::default(), "{file}");
+            }
         }
     }
 
     #[test]
-    fn removed_incremental_sat_key_is_accepted_and_ignored() {
-        // Config files written for earlier releases may still carry the
-        // key: it warns instead of failing, whatever its value, and changes
-        // nothing.
-        for file in [
-            r#"{"incremental_sat": false}"#,
-            r#"{"incremental_sat": true}"#,
-            r#"{"incremental_sat": 2}"#,
-        ] {
+    fn removed_static_analysis_variable_warns_and_is_ignored() {
+        let _guard = env::test_lock();
+        let saved = std::env::var("K2_STATIC_ANALYSIS").ok();
+        std::env::remove_var("K2_STATIC_ANALYSIS");
+        let mut unset = K2Config::default();
+        unset.apply_env();
+        for raw in ["0", "1", "maybe"] {
+            std::env::set_var("K2_STATIC_ANALYSIS", raw);
+            assert!(env::removed("K2_STATIC_ANALYSIS"), "raw = {raw:?}");
             let mut config = K2Config::default();
-            config.apply_json(&Json::parse(file).unwrap()).unwrap();
-            assert_eq!(config, K2Config::default(), "{file}");
+            config.apply_env();
+            assert_eq!(config, unset, "raw = {raw:?}");
+        }
+        match saved {
+            Some(v) => std::env::set_var("K2_STATIC_ANALYSIS", v),
+            None => std::env::remove_var("K2_STATIC_ANALYSIS"),
         }
     }
 

@@ -100,23 +100,24 @@ pub fn backend(name: &str) -> Option<BackendKind> {
     }
 }
 
+/// The process environment is global; every test in this crate that
+/// touches it holds this lock so the assertions never race each other.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    use std::sync::{Mutex, OnceLock};
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    // The process environment is global; every test that touches it holds
-    // this lock so the assertions never race each other.
-    fn env_lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn unset_variables_read_as_none() {
-        let _guard = env_lock();
+        let _guard = test_lock();
         std::env::remove_var("K2_TEST_UNSET_KNOB");
         assert_eq!(u64("K2_TEST_UNSET_KNOB"), None);
         assert_eq!(flag("K2_TEST_UNSET_KNOB"), None);
@@ -127,7 +128,7 @@ mod tests {
 
     #[test]
     fn well_formed_values_parse() {
-        let _guard = env_lock();
+        let _guard = test_lock();
         std::env::set_var("K2_TEST_U64_KNOB", "42");
         assert_eq!(u64("K2_TEST_U64_KNOB"), Some(42));
         std::env::remove_var("K2_TEST_U64_KNOB");
@@ -152,7 +153,7 @@ mod tests {
 
     #[test]
     fn malformed_values_fall_back_to_none() {
-        let _guard = env_lock();
+        let _guard = test_lock();
         // The satellite bugfix: `K2_EPOCHS=abc` must not behave like a silent
         // success — it warns on stderr (not capturable here) and reads as
         // unset so the lower layer's value survives.
@@ -167,7 +168,7 @@ mod tests {
 
     #[test]
     fn removed_knobs_are_reported_whatever_their_value() {
-        let _guard = env_lock();
+        let _guard = test_lock();
         for raw in ["0", "1", "", "maybe"] {
             std::env::set_var("K2_TEST_REMOVED_KNOB", raw);
             assert!(removed("K2_TEST_REMOVED_KNOB"), "raw = {raw:?}");

@@ -337,14 +337,6 @@ pub struct ReportSummary {
     pub shared_cache_entries: u64,
     /// Counterexamples pulled from the cross-chain pool into test suites.
     pub counterexamples_exchanged: u64,
-    /// Candidates screened by the abstract interpreter before the safety
-    /// path walk (zero with static analysis off).
-    pub safety_screens: u64,
-    /// Screened candidates rejected without running the path walk.
-    pub safety_screen_rejects: u64,
-    /// Precondition constraints asserted on windowed checks from
-    /// abstract-interpretation facts about the source program.
-    pub static_window_facts: u64,
 }
 
 /// One optimization response (schema `v: 1`).
@@ -420,9 +412,6 @@ impl OptimizeResponse {
                 smt_escalations: 0,
                 shared_cache_entries: 0,
                 counterexamples_exchanged: 0,
-                safety_screens: 0,
-                safety_screen_rejects: 0,
-                static_window_facts: 0,
             },
             duration_ms: None,
             queue_wait_ms: None,
@@ -477,9 +466,6 @@ impl OptimizeResponse {
                 smt_escalations: report.equiv.smt_escalations,
                 shared_cache_entries: report.shared_cache_entries as u64,
                 counterexamples_exchanged: report.counterexamples_exchanged,
-                safety_screens: report.safety.screens,
-                safety_screen_rejects: report.safety.screen_rejects,
-                static_window_facts: report.equiv.static_window_facts,
             },
             duration_ms: None,
             queue_wait_ms: None,
@@ -585,17 +571,12 @@ impl OptimizeResponse {
                     "counterexamples_exchanged".into(),
                     Json::Int(r.counterexamples_exchanged as i64),
                 ),
-                ("safety_screens".into(), Json::Int(r.safety_screens as i64)),
-                (
-                    "safety_screen_rejects".into(),
-                    Json::Int(r.safety_screen_rejects as i64),
-                ),
-                (
-                    "static_window_facts".into(),
-                    Json::Int(r.static_window_facts as i64),
-                ),
-                // Dead-edge pruning is gone; its v:1 key stays, always 0, so
-                // responses keep their byte layout within the version.
+                // The safety screen, window facts and dead-edge pruning are
+                // gone; their v:1 keys stay, always 0, so responses keep
+                // their layout within the version.
+                ("safety_screens".into(), Json::Int(0)),
+                ("safety_screen_rejects".into(), Json::Int(0)),
+                ("static_window_facts".into(), Json::Int(0)),
                 ("static_pruned_branches".into(), Json::Int(0)),
             ]),
         ));
@@ -756,20 +737,6 @@ impl OptimizeResponse {
                     .unwrap_or(0),
                 shared_cache_entries: rfield("shared_cache_entries")?,
                 counterexamples_exchanged: rfield("counterexamples_exchanged")?,
-                // Added within v:1 (static analysis): same zero-defaulting
-                // contract as the window counters.
-                safety_screens: report_json
-                    .get("safety_screens")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                safety_screen_rejects: report_json
-                    .get("safety_screen_rejects")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                static_window_facts: report_json
-                    .get("static_window_facts")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
             },
             // Added within v:1 (telemetry): optional service timing, absent
             // in responses from earlier builds and from untimed calls.
@@ -940,7 +907,14 @@ mod tests {
         (resp.ok, resp.error) = (true, None);
         let json = Json::parse(&resp.to_json_string()).unwrap();
         let report = json.get("report").expect("report object");
-        assert_eq!(report.get("static_pruned_branches"), Some(&Json::Int(0)));
+        for key in [
+            "safety_screens",
+            "safety_screen_rejects",
+            "static_window_facts",
+            "static_pruned_branches",
+        ] {
+            assert_eq!(report.get(key), Some(&Json::Int(0)), "{key}");
+        }
     }
 
     #[test]

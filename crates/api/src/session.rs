@@ -189,7 +189,6 @@ pub struct K2SessionBuilder {
     backend: Option<BackendKind>,
     window_verification: Option<bool>,
     refute_inputs: Option<usize>,
-    static_analysis: Option<bool>,
     epochs: Option<u64>,
     shared_cache: Option<bool>,
     exchange_counterexamples: Option<bool>,
@@ -279,11 +278,10 @@ impl K2SessionBuilder {
         self
     }
 
-    /// Override the kernel-conformant abstract-interpretation pass (safety
-    /// screening plus solver pruning). Verdict-preserving: search
-    /// trajectories are bit-identical either way.
-    pub fn static_analysis(mut self, enabled: bool) -> Self {
-        self.static_analysis = Some(enabled);
+    /// No effect: the safety path walk is the only safety analysis and
+    /// nothing strengthens window preconditions. Kept so existing callers
+    /// keep compiling.
+    pub fn static_analysis(self, _enabled: bool) -> Self {
         self
     }
 
@@ -394,9 +392,6 @@ impl K2SessionBuilder {
         if let Some(inputs) = self.refute_inputs {
             config.refute_inputs = inputs;
         }
-        if let Some(enabled) = self.static_analysis {
-            config.static_analysis = enabled;
-        }
         if let Some(epochs) = self.epochs {
             config.engine.num_epochs = epochs;
         }
@@ -472,7 +467,6 @@ mod tests {
             .time_budget_ms(0)
             .batch_workers(3)
             .refute_inputs(0)
-            .static_analysis(false)
             .build()
             .unwrap();
         let options = session.options();
@@ -484,7 +478,6 @@ mod tests {
         assert_eq!(options.engine.time_budget_ms, None);
         assert_eq!(options.engine.batch_workers, 3);
         assert_eq!(options.refute_inputs, 0);
-        assert!(!options.static_analysis);
     }
 
     #[test]

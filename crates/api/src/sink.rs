@@ -202,9 +202,6 @@ impl EventSink for StderrProgress {
                 window_fallbacks,
                 refuted_by_testing,
                 smt_escalations,
-                safety_screens,
-                safety_screen_rejects,
-                static_window_facts,
                 ..
             } => {
                 let _ = writeln!(
@@ -212,9 +209,7 @@ impl EventSink for StderrProgress {
                     "{p}: epoch {epoch}: {queries} solver queries, cache {cache_hits}+\
                      {shared_cache_hits} hits / {cache_misses} misses, windows \
                      {window_hits} hits / {window_fallbacks} fallbacks, refuted \
-                     {refuted_by_testing} / escalated {smt_escalations}, absint \
-                     {safety_screens} screens / {safety_screen_rejects} rejects, \
-                     {static_window_facts} window facts"
+                     {refuted_by_testing} / escalated {smt_escalations}"
                 );
             }
             SearchEvent::EpochBarrier {

@@ -8,11 +8,10 @@
 //! cache hit rates (including the shared layer's cross-chain hit rate), and
 //! time-to-best. A same-seed re-run of the shared configuration checks
 //! reproducibility, and ablation sweeps isolate each solver-pipeline stage:
-//! windows off (optimization IV), static analysis off (no safety screening
-//! or window facts), and a cold configuration with pre-SMT refutation off —
-//! every cache miss then pays a full-program query. The run asserts that
-//! windows and static analysis change no result bit, that solver queries do
-//! not increase with windows or the analysis on, and — via a per-benchmark
+//! windows off (optimization IV) and a cold configuration with pre-SMT
+//! refutation off — every cache miss then pays a full-program query. The run
+//! asserts that windows change no result bit, that solver queries do not
+//! increase with windows on, and — via a per-benchmark
 //! proposal-stream replay — that concrete-execution refutation never flips a
 //! verdict against the solver-only checker (CI gates on this run). The
 //! numbers — window-hit rate, refutation counts, and the solver-time deltas
@@ -44,7 +43,6 @@ struct ConfigRun {
 struct Pipeline {
     windows: bool,
     refute: bool,
-    static_analysis: bool,
 }
 
 impl Pipeline {
@@ -52,7 +50,6 @@ impl Pipeline {
         Pipeline {
             windows: true,
             refute: true,
-            static_analysis: true,
         }
     }
 }
@@ -75,7 +72,6 @@ fn run_config(
             options.engine = engine;
             options.window_verification = pipeline.windows;
             options.refute_inputs = if pipeline.refute { 64 } else { 0 };
-            options.static_analysis = pipeline.static_analysis;
             // One shared counting sink observes every job of the sweep: the
             // streamed event totals land in the summary below.
             options.sink = EventSinkRef::new(sink.clone());
@@ -185,24 +181,6 @@ fn total_escalations(run: &ConfigRun) -> u64 {
     run.rows
         .iter()
         .map(|r| r.report.equiv.smt_escalations)
-        .sum()
-}
-
-fn total_screens(run: &ConfigRun) -> u64 {
-    run.rows.iter().map(|r| r.report.safety.screens).sum()
-}
-
-fn total_screen_rejects(run: &ConfigRun) -> u64 {
-    run.rows
-        .iter()
-        .map(|r| r.report.safety.screen_rejects)
-        .sum()
-}
-
-fn total_window_facts(run: &ConfigRun) -> u64 {
-    run.rows
-        .iter()
-        .map(|r| r.report.equiv.static_window_facts)
         .sum()
 }
 
@@ -358,22 +336,6 @@ fn main() {
         &events,
         &telemetry,
     );
-    // Static-analysis ablation: abstract interpreter off — no safety
-    // screening, no window-precondition facts. Must be bit-identical to
-    // `shared`: the screen's rejections mirror the path walk's, and window
-    // facts only convert fallbacks into hits.
-    let nostatic = run_config(
-        EngineConfig::default(),
-        Pipeline {
-            static_analysis: false,
-            ..Pipeline::full()
-        },
-        iterations,
-        &benches,
-        &baselines,
-        &events,
-        &telemetry,
-    );
     // Cold configuration: refutation off — the pre-pipeline solver cost,
     // kept in the sweep so BENCH_engine.json tracks the before/after of the
     // pre-SMT stage.
@@ -446,54 +408,6 @@ fn main() {
         total_queries(&shared),
         total_queries(&nowin)
     );
-
-    // Static-analysis purity: same seed, abstract interpreter on vs. off,
-    // bit-identical trajectories — and with the analysis on, full-program
-    // solver queries must not increase (CI gates on this run).
-    for ((bench, s), a) in benches.iter().zip(&shared.rows).zip(&nostatic.rows) {
-        assert_eq!(
-            s.best.insns, a.best.insns,
-            "static analysis changed the result on {}",
-            bench.name
-        );
-        assert_eq!(
-            s.best_cost, a.best_cost,
-            "static analysis changed the cost on {}",
-            bench.name
-        );
-        assert!(
-            s.report.equiv.queries <= a.report.equiv.queries,
-            "static analysis increased solver queries on {}: {} > {}",
-            bench.name,
-            s.report.equiv.queries,
-            a.report.equiv.queries
-        );
-        assert_eq!(
-            s.report.counterexamples_exchanged, a.report.counterexamples_exchanged,
-            "static analysis changed the counterexample flow on {}",
-            bench.name
-        );
-        assert_eq!(
-            (a.report.safety.screens, a.report.equiv.static_window_facts),
-            (0, 0),
-            "the abstract interpreter ran with the knob off on {}",
-            bench.name
-        );
-        assert!(
-            s.report.safety.screens > 0,
-            "the safety screen never ran with the knob on on {}",
-            bench.name
-        );
-        for ((id_s, cost_s, st_s), (id_a, cost_a, st_a)) in s.chains.iter().zip(&a.chains) {
-            assert_eq!(id_s, id_a);
-            assert_eq!(
-                (cost_s, st_s.iterations, st_s.accepted, st_s.best_found_at),
-                (cost_a, st_a.iterations, st_a.accepted, st_a.best_found_at),
-                "static analysis changed chain {id_s}'s trajectory on {}",
-                bench.name
-            );
-        }
-    }
 
     // The cold configuration must not have run either pre-SMT stage.
     for (bench, c) in benches.iter().zip(&cold.rows) {
@@ -631,15 +545,6 @@ fn main() {
         total_refute_time_s(&shared),
     );
     println!(
-        "static analysis: {} screens / {} screen rejects, {} window-fact constraints; \
-         solver queries {} with analysis vs {} without (bit-identical run)",
-        total_screens(&shared),
-        total_screen_rejects(&shared),
-        total_window_facts(&shared),
-        total_queries(&shared),
-        total_queries(&nostatic),
-    );
-    println!(
         "solver pipeline: {:.2}s full-check time vs {:.2}s cold (refutation off)",
         total_solver_time_s(&shared),
         total_solver_time_s(&cold),
@@ -700,8 +605,6 @@ fn main() {
          \"mean_compression_cold_pct\": {:.2},\n  \
          \"refuted_by_testing\": {},\n  \"smt_escalations\": {},\n  \
          \"refute_time_s\": {:.3},\n  \"refute_verdict_parity\": true,\n  \
-         \"total_solver_queries_static_off\": {},\n  \"safety_screens\": {},\n  \
-         \"safety_screen_rejects\": {},\n  \"static_window_facts\": {},\n  \
          \"cache_hit_rate_shared_pct\": {:.2},\n  \"cache_hit_rate_isolated_pct\": {:.2},\n  \
          \"cross_chain_shared_layer_hit_rate_pct\": {:.2},\n  \
          \"mean_time_to_best_shared_s\": {:.3},\n  \"mean_time_to_best_isolated_s\": {:.3},\n  \
@@ -724,10 +627,6 @@ fn main() {
         total_refuted(&shared),
         total_escalations(&shared),
         total_refute_time_s(&shared),
-        total_queries(&nostatic),
-        total_screens(&shared),
-        total_screen_rejects(&shared),
-        total_window_facts(&shared),
         cache_hit_rate(&shared),
         cache_hit_rate(&isolated),
         shared_hit_rate(&shared),
@@ -741,11 +640,11 @@ fn main() {
         Err(e) => eprintln!("could not write BENCH_engine.json: {e}"),
     }
 
-    // Sweep-wide telemetry: every job of all six configurations folded into
+    // Sweep-wide telemetry: every job of all five configurations folded into
     // one snapshot, printed as the standard stats table and optionally
     // dumped as JSON (K2_TELEMETRY_JSON=<path>).
     if let Some(snapshot) = telemetry.snapshot() {
-        println!("\nsweep telemetry (all six configurations):");
+        println!("\nsweep telemetry (all five configurations):");
         println!("{}", snapshot.render_table());
         if let Some(path) = k2_api::env::string("K2_TELEMETRY_JSON") {
             match std::fs::write(&path, snapshot.to_json_string()) {

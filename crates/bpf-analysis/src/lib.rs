@@ -12,35 +12,25 @@
 //! * [`types`] — a forward abstract interpretation tracking, for every
 //!   program point, whether each register holds a scalar, a known constant,
 //!   or a pointer into a specific memory region at a statically known offset.
-//!   This is the engine behind the paper's *memory type / memory offset /
-//!   map concretization* optimizations (§5.I–III) and behind the safety
-//!   checker's bounds and alignment reasoning (§6),
+//!   It supplies the window checker's entry constants, type-sharpened
+//!   liveness and the baseline's constant folding,
 //! * [`dce`] — nop stripping, unreachable-code removal, dead-code
 //!   elimination and program canonicalization (used by the equivalence-cache
-//!   and to clean up synthesized outputs),
-//! * [`tnum`] — the kernel's tristate-number (known-bits) domain with the
-//!   `kernel/bpf/tnum.c` transfer functions,
-//! * [`absint`] — the kernel-conformant abstract interpreter combining
-//!   tnums, signed/unsigned value ranges and pointer provenance with
-//!   bounded offsets; the engine behind the `K2_STATIC_ANALYSIS` screening
-//!   constraint and the solver-pruning facts fed to `bpf-equiv`.
+//!   and to clean up synthesized outputs).
+//!
+//! The safety verdict itself is not computed here: `bpf-safety`'s path
+//! walker is the one safety analysis, and it uses only [`mod@cfg`] from this
+//! crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod absint;
 pub mod cfg;
 pub mod dce;
 pub mod liveness;
-pub mod tnum;
 pub mod types;
 
-pub use absint::{
-    analyze, AbsError, AbsReg, AbsVerdict, AbsintConfig, AbsintResult, AbsintStats, ProgramFacts,
-    ScalarRange,
-};
 pub use cfg::{BasicBlock, Cfg, CfgError};
 pub use dce::{canonicalize, dead_code_elim, strip_nops};
 pub use liveness::{LiveMap, Liveness, RegSet};
-pub use tnum::Tnum;
 pub use types::{AbsVal, MemRegion, TypeState, Types};

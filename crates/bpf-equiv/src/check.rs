@@ -37,15 +37,8 @@ pub struct EquivOptions {
     /// No effect. Escalated queries are always decided by a one-shot solve;
     /// the field remains so existing struct literals keep compiling.
     pub incremental_solving: bool,
-    /// Use the kernel-conformant abstract interpreter
-    /// ([`bpf_analysis::absint`]) as a solver-pruning oracle. When the
-    /// analysis accepts the source program, its range/known-bits facts at a
-    /// window's entry strengthen the windowed check's precondition,
-    /// converting window fallbacks into window hits (full-program queries
-    /// can only decrease). This is verdict-preserving, so search
-    /// trajectories are bit-identical with the knob on or off. The
-    /// `K2_STATIC_ANALYSIS` environment override is resolved by the
-    /// `k2::api` configuration layering.
+    /// No effect: window preconditions come from the type analysis alone.
+    /// The field remains so existing struct literals keep compiling.
     pub static_analysis: bool,
 }
 
@@ -125,10 +118,6 @@ pub struct EquivStats {
     pub window_fallbacks: u64,
     /// Microseconds spent inside window-local checks (hits and fallbacks).
     pub window_time_us: u64,
-    /// Precondition constraints asserted from abstract-interpretation facts
-    /// across windowed checks (range/known-bits bounds on free entry
-    /// registers).
-    pub static_window_facts: u64,
     /// Checks refuted by the pre-SMT concrete-execution stage: a divergent
     /// input was found in microseconds, so no solver query was built.
     pub refuted_by_testing: u64,
@@ -158,7 +147,6 @@ impl EquivStats {
         self.window_hits += other.window_hits;
         self.window_fallbacks += other.window_fallbacks;
         self.window_time_us += other.window_time_us;
-        self.static_window_facts += other.static_window_facts;
         self.refuted_by_testing += other.refuted_by_testing;
         self.smt_escalations += other.smt_escalations;
         self.refute_time_us += other.refute_time_us;
@@ -213,8 +201,8 @@ fn outcome_of_error(e: EncodeError) -> EquivOutcome {
 }
 
 /// Fingerprint of a source program's instructions, used to key the
-/// per-source caches (window analysis, absint facts) so each is rebuilt
-/// exactly when the source changes.
+/// per-source window analysis so it is rebuilt exactly when the source
+/// changes.
 fn fingerprint_of(insns: &[bpf_isa::Insn]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -252,11 +240,6 @@ pub struct EquivChecker {
     /// chain's RNG stream; absent by default so plain checkers behave
     /// exactly as before.
     refuter: Option<Refuter>,
-    /// Lazily computed abstract-interpretation facts for the source program
-    /// (fingerprint-checked like `window_ctx`). `Some((_, None))` = the
-    /// analysis did not accept that source, so no facts apply. Only
-    /// consulted when [`EquivOptions::static_analysis`] is on.
-    facts_ctx: Option<(u64, Option<Arc<bpf_analysis::ProgramFacts>>)>,
     /// Statistics accumulated across `check` calls.
     pub stats: EquivStats,
     telemetry: TelemetryRef,
@@ -271,7 +254,6 @@ impl EquivChecker {
             shared: None,
             window_ctx: None,
             refuter: None,
-            facts_ctx: None,
             stats: EquivStats::default(),
             telemetry: TelemetryRef::none(),
         }
@@ -518,22 +500,19 @@ impl EquivChecker {
         if !matches!(&self.window_ctx, Some((fp, _)) if *fp == fingerprint) {
             self.window_ctx = Some((fingerprint, WindowContext::new(src)));
         }
-        let facts = self.source_facts(src);
         let ctx = self
             .window_ctx
             .as_ref()
             .expect("just inserted")
             .1
             .as_ref()?;
-        let (outcome, us, fact_constraints) = check_window_with(
+        let (outcome, us) = check_window_with(
             ctx,
             src,
             window,
             &cand.insns[window.start..window.end],
             &self.options.encode_options(),
-            facts.as_deref(),
         );
-        self.stats.static_window_facts += fact_constraints;
         self.stats.window_time_us += us;
         self.telemetry.time_us("equiv.window", us);
         match outcome {
@@ -550,25 +529,6 @@ impl EquivChecker {
                 None
             }
         }
-    }
-
-    /// Abstract-interpretation facts for the source program, computed once
-    /// per source (fingerprint-checked) and only when
-    /// [`EquivOptions::static_analysis`] is on. `None` when the knob is off
-    /// or the analysis did not accept the source — facts from a
-    /// non-accepting run would not be sound to assume.
-    fn source_facts(&mut self, src: &Program) -> Option<Arc<bpf_analysis::ProgramFacts>> {
-        if !self.options.static_analysis {
-            return None;
-        }
-        let fingerprint = fingerprint_of(&src.insns);
-        if !matches!(&self.facts_ctx, Some((fp, _)) if *fp == fingerprint) {
-            let result = bpf_analysis::analyze(src, &bpf_analysis::AbsintConfig::default());
-            let facts = matches!(result.verdict, bpf_analysis::AbsVerdict::Accept)
-                .then(|| Arc::new(result.facts));
-            self.facts_ctx = Some((fingerprint, facts));
-        }
-        self.facts_ctx.as_ref().expect("just ensured").1.clone()
     }
 
     fn cached_outcome(verdict: CachedVerdict) -> EquivOutcome {
@@ -1041,68 +1001,5 @@ mod tests {
         let (outcome, us) = check_equivalence(&src, &cand, &EquivOptions::default());
         assert!(outcome.is_equivalent());
         assert!(us > 0);
-    }
-
-    #[test]
-    fn window_facts_convert_fallbacks_into_hits() {
-        // The window entry register r6 is unknown to the type analysis (it
-        // comes from a helper), but the abstract interpreter bounds it to
-        // [0, 7]; under that fact the rewrite `r6 >>= 3` -> `r6 = 0` is
-        // window-provable, so the full-program solver query disappears.
-        let src =
-            xdp("call get_prandom_u32\nmov64 r6, r0\nand64 r6, 7\nrsh64 r6, 3\nmov64 r0, r6\nexit");
-        let mut cand = src.clone();
-        cand.insns[3] = asm::assemble("mov64 r6, 0").unwrap()[0];
-        let region = Some(crate::window::Window { start: 3, end: 4 });
-
-        let mut with = EquivChecker::new(EquivOptions::default());
-        let with_outcome = with.check_in_window(&src, &cand, region);
-        assert!(with_outcome.is_equivalent(), "{with_outcome:?}");
-        assert_eq!(with.stats.window_hits, 1);
-        assert_eq!(with.stats.window_fallbacks, 0);
-        assert_eq!(with.stats.queries, 0, "window hit needs no solver query");
-        assert!(with.stats.static_window_facts > 0);
-
-        let mut without = EquivChecker::new(EquivOptions {
-            static_analysis: false,
-            ..EquivOptions::default()
-        });
-        let without_outcome = without.check_in_window(&src, &cand, region);
-        assert_eq!(with_outcome, without_outcome, "verdicts must not change");
-        assert_eq!(without.stats.window_hits, 0);
-        assert_eq!(without.stats.window_fallbacks, 1);
-        assert_eq!(without.stats.queries, 1, "fallback pays a full query");
-        assert_eq!(without.stats.static_window_facts, 0);
-    }
-
-    #[test]
-    fn static_analysis_is_query_neutral_or_better() {
-        // Across a corpus spanning window hits, fallbacks, and full checks,
-        // the knob must preserve every verdict and never add solver queries.
-        let src =
-            xdp("call get_prandom_u32\nmov64 r6, r0\nand64 r6, 7\nrsh64 r6, 3\nmov64 r0, r6\nexit");
-        let mut shifted = src.clone();
-        shifted.insns[3] = asm::assemble("mov64 r6, 0").unwrap()[0];
-        let mut wrong = src.clone();
-        wrong.insns[3] = asm::assemble("mov64 r6, 1").unwrap()[0];
-        let region = Some(crate::window::Window { start: 3, end: 4 });
-        let cases = [(&shifted, region), (&wrong, region), (&shifted, None)];
-
-        let mut with = EquivChecker::new(EquivOptions::default());
-        let mut without = EquivChecker::new(EquivOptions {
-            static_analysis: false,
-            ..EquivOptions::default()
-        });
-        for (cand, region) in cases {
-            let a = with.check_in_window(&src, cand, region);
-            let b = without.check_in_window(&src, cand, region);
-            assert_eq!(a, b, "outcome drift on {cand}");
-        }
-        assert!(
-            with.stats.queries <= without.stats.queries,
-            "static analysis must not add solver queries ({} > {})",
-            with.stats.queries,
-            without.stats.queries
-        );
     }
 }

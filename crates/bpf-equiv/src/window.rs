@@ -12,7 +12,7 @@
 use crate::check::EquivOutcome;
 use crate::encode::{EncodeOptions, Encoder, STACK_TOP};
 use bitsmt::{CheckResult, Solver, TermId, TermPool};
-use bpf_analysis::{AbsVal, Cfg, LiveMap, Liveness, MemRegion, ProgramFacts, Types};
+use bpf_analysis::{AbsVal, Cfg, LiveMap, Liveness, MemRegion, Types};
 use bpf_isa::{Insn, Program, Reg, NUM_REGS};
 use std::time::Instant;
 
@@ -87,7 +87,7 @@ pub fn check_window(
     let start_time = Instant::now();
     match WindowContext::new(src) {
         Some(ctx) => {
-            let (outcome, _, _) = check_window_with(&ctx, src, window, replacement, options, None);
+            let (outcome, _) = check_window_with(&ctx, src, window, replacement, options);
             (outcome, start_time.elapsed().as_micros() as u64)
         }
         None => (
@@ -98,31 +98,16 @@ pub fn check_window(
 }
 
 /// [`check_window`] with a precomputed [`WindowContext`] for the source
-/// program (which must be the program the context was built from), and
-/// optionally with abstract-interpretation facts for that same source.
+/// program (which must be the program the context was built from).
 ///
-/// When `facts` are given, registers whose entry value the type analysis
-/// could not pin to a constant are additionally constrained to the
-/// range/known-bits fact the abstract interpreter derived for the window's
-/// entry point. The facts hold on *every* concrete execution reaching the
-/// window (they are a join over all paths), so the strengthened precondition
-/// still over-approximates reality: an `Equivalent` verdict remains sound for
-/// the whole program, while some rewrites that are only correct under the
-/// derived ranges become provable. Extra constraints can only turn a
-/// window-local SAT ("fall back to the full check") into UNSAT
-/// ("equivalent"), never the reverse — so full-program solver queries can
-/// only decrease.
-///
-/// Returns the outcome, the wall-clock microseconds spent, and the number of
-/// fact constraints asserted.
+/// Returns the outcome and the wall-clock microseconds spent.
 pub fn check_window_with(
     ctx: &WindowContext,
     src: &Program,
     window: Window,
     replacement: &[Insn],
     options: &EncodeOptions,
-    facts: Option<&ProgramFacts>,
-) -> (EquivOutcome, u64, u64) {
+) -> (EquivOutcome, u64) {
     let start_time = Instant::now();
     let elapsed = |t: Instant| t.elapsed().as_micros() as u64;
 
@@ -130,19 +115,17 @@ pub fn check_window_with(
         return (
             EquivOutcome::Unknown("out-of-range window".into()),
             elapsed(start_time),
-            0,
         );
     }
     if window.is_empty() {
         // A no-op rewrite region: splicing nothing for nothing cannot change
         // behaviour, so there is nothing to ask the solver.
         return if replacement.is_empty() {
-            (EquivOutcome::Equivalent, elapsed(start_time), 0)
+            (EquivOutcome::Equivalent, elapsed(start_time))
         } else {
             (
                 EquivOutcome::Unknown("empty window with a non-empty replacement".into()),
                 elapsed(start_time),
-                0,
             )
         };
     }
@@ -151,7 +134,6 @@ pub fn check_window_with(
         return (
             EquivOutcome::Unknown("windows must be straight-line code".into()),
             elapsed(start_time),
-            0,
         );
     }
 
@@ -177,7 +159,6 @@ pub fn check_window_with(
     // registers are free shared variables.
     let mut start_regs: [TermId; NUM_REGS] = [encoder.packet_len; NUM_REGS];
     let mut prov_hints: [Option<i64>; NUM_REGS] = [None; NUM_REGS];
-    let mut free_reg = [false; NUM_REGS];
     for r in Reg::ALL {
         let abs = if types.reachable[window.start] {
             types.reg_before(window.start, r)
@@ -202,88 +183,23 @@ pub fn check_window_with(
                     .pool()
                     .constant(STACK_TOP.wrapping_add(o as u64), 64)
             }
-            _ => {
-                free_reg[r.index()] = true;
-                encoder.pool().var(format!("win_in_r{}", r.index()), 64)
-            }
+            _ => encoder.pool().var(format!("win_in_r{}", r.index()), 64),
         };
         start_regs[r.index()] = term;
     }
 
-    // Strengthen the precondition with abstract-interpretation facts: a free
-    // entry register whose value the abstract interpreter bounded at the
-    // window's entry point gets its range and known bits asserted. Sound
-    // because the facts are a join over every path reaching `window.start`.
-    let mut fact_constraints = 0u64;
-    if let Some(facts) = facts {
-        for r in Reg::ALL {
-            if !free_reg[r.index()] {
-                continue;
-            }
-            let Some(f) = facts.fact(window.start, r) else {
-                continue;
-            };
-            let var = start_regs[r.index()];
-            let p = encoder.pool();
-            let mut asserted: Vec<TermId> = Vec::new();
-            if f.umin > 0 {
-                let c = p.constant(f.umin, 64);
-                asserted.push(p.uge(var, c));
-            }
-            if f.umax < u64::MAX {
-                let c = p.constant(f.umax, 64);
-                asserted.push(p.ule(var, c));
-            }
-            if f.smin > i64::MIN {
-                let c = p.constant(f.smin as u64, 64);
-                asserted.push(p.sge(var, c));
-            }
-            if f.smax < i64::MAX {
-                let c = p.constant(f.smax as u64, 64);
-                asserted.push(p.sle(var, c));
-            }
-            if f.tnum.mask != u64::MAX {
-                // Known bits: var & ~mask == value.
-                let known = p.constant(!f.tnum.mask, 64);
-                let masked = p.and(var, known);
-                let value = p.constant(f.tnum.value, 64);
-                asserted.push(p.eq(masked, value));
-            }
-            fact_constraints += asserted.len() as u64;
-            encoder.constraints.extend(asserted);
-        }
-    }
-
     let enc_src = match encoder.encode_window(src_window, &src.maps, start_regs, prov_hints, 0) {
         Ok(e) => e,
-        Err(e) => {
-            return (
-                EquivOutcome::Unknown(e.to_string()),
-                elapsed(start_time),
-                fact_constraints,
-            )
-        }
+        Err(e) => return (EquivOutcome::Unknown(e.to_string()), elapsed(start_time)),
     };
     let enc_cand = match encoder.encode_window(replacement, &src.maps, start_regs, prov_hints, 1) {
         Ok(e) => e,
-        Err(e) => {
-            return (
-                EquivOutcome::Unknown(e.to_string()),
-                elapsed(start_time),
-                fact_constraints,
-            )
-        }
+        Err(e) => return (EquivOutcome::Unknown(e.to_string()), elapsed(start_time)),
     };
 
     let call_compat = match encoder.call_logs_compatible(&enc_src, &enc_cand) {
         Some(c) => c,
-        None => {
-            return (
-                EquivOutcome::NotEquivalent(None),
-                elapsed(start_time),
-                fact_constraints,
-            )
-        }
+        None => return (EquivOutcome::NotEquivalent(None), elapsed(start_time)),
     };
     let out_diff =
         encoder.window_output_difference(&enc_src, &enc_cand, &live_out, &live_stack_out);
@@ -306,7 +222,7 @@ pub fn check_window_with(
         CheckResult::Unsat => EquivOutcome::Equivalent,
         CheckResult::Sat(_) => EquivOutcome::NotEquivalent(None),
     };
-    (outcome, elapsed(start_time), fact_constraints)
+    (outcome, elapsed(start_time))
 }
 
 #[cfg(test)]
@@ -409,40 +325,13 @@ mod tests {
         let good = asm::assemble("lsh64 r1, 2").unwrap();
         let bad = asm::assemble("lsh64 r1, 3").unwrap();
         let (fresh_good, _) = check_window(&src, window, &good, &opts());
-        let (ctx_good, _, _) = check_window_with(&ctx, &src, window, &good, &opts(), None);
+        let (ctx_good, _) = check_window_with(&ctx, &src, window, &good, &opts());
         assert_eq!(fresh_good, ctx_good);
         assert!(ctx_good.is_equivalent());
         let (fresh_bad, _) = check_window(&src, window, &bad, &opts());
-        let (ctx_bad, _, _) = check_window_with(&ctx, &src, window, &bad, &opts(), None);
+        let (ctx_bad, _) = check_window_with(&ctx, &src, window, &bad, &opts());
         assert_eq!(fresh_bad, ctx_bad);
         assert!(!ctx_bad.is_equivalent());
-    }
-
-    #[test]
-    fn facts_strengthen_the_window_precondition() {
-        // r6 = prandom() & 7: the type analysis sees only "unknown" (it
-        // tracks constants and pointers), but the abstract interpreter
-        // bounds r6 to [0, 7] at the window entry — making the
-        // fact-dependent rewrite `r6 >>= 3` -> `r6 = 0` provable.
-        let src =
-            xdp("call get_prandom_u32\nmov64 r6, r0\nand64 r6, 7\nrsh64 r6, 3\nmov64 r0, r6\nexit");
-        let window = Window { start: 3, end: 4 };
-        let replacement = asm::assemble("mov64 r6, 0").unwrap();
-        let ctx = WindowContext::new(&src).expect("source has a CFG");
-        let (plain, _, n0) = check_window_with(&ctx, &src, window, &replacement, &opts(), None);
-        assert!(!plain.is_equivalent(), "{plain:?}");
-        assert_eq!(n0, 0);
-        let res = bpf_analysis::analyze(&src, &bpf_analysis::AbsintConfig::default());
-        assert!(matches!(res.verdict, bpf_analysis::AbsVerdict::Accept));
-        let (with, _, n) =
-            check_window_with(&ctx, &src, window, &replacement, &opts(), Some(&res.facts));
-        assert!(with.is_equivalent(), "{with:?}");
-        assert!(n > 0, "expected fact constraints to be asserted");
-        // A genuinely wrong rewrite stays refutable under the facts.
-        let bad = asm::assemble("mov64 r6, 1").unwrap();
-        let (still_bad, _, _) =
-            check_window_with(&ctx, &src, window, &bad, &opts(), Some(&res.facts));
-        assert!(!still_bad.is_equivalent());
     }
 
     #[test]

@@ -17,19 +17,13 @@
 //!   (instructions examined) and a program-size limit, used to reproduce the
 //!   paper's Table 5 ("all K2 outputs pass the kernel checker").
 //!
-//! The engine ([`verifier`]) is a path-sensitive abstract interpreter: it
-//! walks every program path (programs are loop-free and small), tracking for
-//! each register whether it holds a scalar, a bounded scalar, or a pointer
-//! with a known region and offset range, plus which stack bytes have been
-//! initialized, and which packet length has been proven by bounds checks.
-//!
-//! Both entry points can additionally run the kernel-conformant abstract
-//! interpreter ([`bpf_analysis::absint`]: tnums, signed/unsigned ranges,
-//! bounded pointer offsets) as a *screening pass* ahead of the walk
-//! (`static_analysis` knob, on by default). The screen's reject conditions
-//! mirror the walk's, so verdicts are bit-identical with the knob off; a
-//! screen rejection merely short-circuits the walk, and a screen that runs
-//! out of its state budget reports [`ScreenOutcome::Unknown`] and defers.
+//! The engine ([`verifier`]) is a path-sensitive walk and the crate's one
+//! safety analysis: it walks every program path (programs are loop-free and
+//! small), tracking for each register whether it holds a scalar, a known
+//! constant, a map handle, or a pointer with a known region and offset, plus
+//! which stack bytes have been initialized, and which packet length has been
+//! proven by bounds checks. Nothing screens ahead of it; both entry points
+//! call [`verifier::verify`] directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,4 +34,4 @@ pub mod verifier;
 
 pub use linux::{LinuxVerifier, LinuxVerifierConfig};
 pub use safety::{SafetyChecker, SafetyConfig, SafetyStats};
-pub use verifier::{ScreenOutcome, Verdict, VerifierError, VerifierStats};
+pub use verifier::{Verdict, VerifierError, VerifierStats};

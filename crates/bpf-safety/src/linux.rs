@@ -2,7 +2,7 @@
 //! pass: every program K2 wants to emit is "loaded" into this verifier and
 //! dropped if rejected (paper §6, Table 5).
 
-use crate::verifier::{screen, verify, ScreenOutcome, Verdict, VerifierConfig, VerifierStats};
+use crate::verifier::{verify, Verdict, VerifierConfig, VerifierStats};
 use bpf_isa::Program;
 
 /// Configuration mirroring the kernel limits the paper discusses.
@@ -13,12 +13,6 @@ pub struct LinuxVerifierConfig {
     pub max_insns: usize,
     /// The 1-million-instruction complexity limit of kernels ≥ 5.2.
     pub complexity_limit: usize,
-    /// Screen loads with the kernel-conformant abstract interpreter before
-    /// the path walk (verdict-preserving; see
-    /// [`crate::SafetyConfig::static_analysis`]).
-    pub static_analysis: bool,
-    /// State budget of the screening pass.
-    pub state_budget: usize,
 }
 
 impl Default for LinuxVerifierConfig {
@@ -26,8 +20,6 @@ impl Default for LinuxVerifierConfig {
         LinuxVerifierConfig {
             max_insns: 4096,
             complexity_limit: 1_000_000,
-            static_analysis: true,
-            state_budget: 16_384,
         }
     }
 }
@@ -56,21 +48,6 @@ impl LinuxVerifier {
             forbid_pointer_alu: true,
             forbid_unreachable: true,
         };
-        if self.config.static_analysis {
-            if let (ScreenOutcome::Reject(e), abs_stats) =
-                screen(prog, &config, self.config.state_budget)
-            {
-                // The screen's rejections mirror the walk's: the walk would
-                // reject too, so short-circuit it.
-                return (
-                    Verdict::Reject(e),
-                    VerifierStats {
-                        insns_examined: abs_stats.insns_examined,
-                        paths: abs_stats.paths,
-                    },
-                );
-            }
-        }
         verify(prog, &config)
     }
 

@@ -1,8 +1,6 @@
 //! The K2-side safety checker used inside the stochastic search (paper §6).
 
-use crate::verifier::{
-    screen, verify, ScreenOutcome, Verdict, VerifierConfig, VerifierError, VerifierStats,
-};
+use crate::verifier::{verify, Verdict, VerifierConfig, VerifierError, VerifierStats};
 use bpf_isa::Program;
 
 /// Configuration of the K2 safety checker.
@@ -18,17 +16,8 @@ pub struct SafetyConfig {
     pub max_insns: usize,
     /// Enforce size-aligned stack accesses.
     pub enforce_stack_alignment: bool,
-    /// Screen candidates with the kernel-conformant abstract interpreter
-    /// (tnum + range analysis) before the authoritative path walk. The
-    /// screen's rejections mirror the walk's, so verdicts — and therefore
-    /// search trajectories — are bit-identical either way; only where the
-    /// work happens changes. The `K2_STATIC_ANALYSIS` environment override
-    /// is resolved by the `k2::api` configuration layering.
-    pub static_analysis: bool,
-    /// State budget of the screening pass: instructions examined across all
-    /// abstract paths before the screen gives up with a clean
-    /// [`ScreenOutcome::Unknown`] (bounded iteration instead of an
-    /// open-ended walk).
+    /// No effect: the path walk is the only safety analysis. Kept so
+    /// existing callers keep compiling.
     pub state_budget: usize,
 }
 
@@ -38,7 +27,6 @@ impl Default for SafetyConfig {
             complexity_limit: 100_000,
             max_insns: 4096,
             enforce_stack_alignment: true,
-            static_analysis: true,
             state_budget: 16_384,
         }
     }
@@ -68,12 +56,11 @@ pub struct SafetyStats {
     pub unsafe_found: u64,
     /// Total instructions examined by the underlying verifier.
     pub insns_examined: u64,
-    /// Candidates screened by the abstract interpreter.
+    /// Always 0: nothing screens ahead of the path walk any more. Kept so
+    /// existing readers keep compiling.
     pub screens: u64,
-    /// Candidates the screen rejected (the path walk was skipped).
+    /// Always 0, like [`SafetyStats::screens`].
     pub screen_rejects: u64,
-    /// Screens that ran out of state budget (the path walk decided).
-    pub screen_unknowns: u64,
 }
 
 impl SafetyStats {
@@ -84,9 +71,6 @@ impl SafetyStats {
         self.safe += other.safe;
         self.unsafe_found += other.unsafe_found;
         self.insns_examined += other.insns_examined;
-        self.screens += other.screens;
-        self.screen_rejects += other.screen_rejects;
-        self.screen_unknowns += other.screen_unknowns;
     }
 }
 
@@ -110,29 +94,8 @@ impl SafetyChecker {
     /// Check one candidate. `Ok(())` means safe; `Err` carries the first
     /// violated property (which the search turns into the `ERR_MAX` safety
     /// cost of §3.2).
-    ///
-    /// With [`SafetyConfig::static_analysis`] on, the abstract interpreter
-    /// screens the candidate first: a screen rejection short-circuits the
-    /// path walk (the walk would reject too — the screen's reject conditions
-    /// are a mirror of the walk's); a pass or budget-exhausted screen falls
-    /// through to the authoritative walk. The safe/unsafe verdict is
-    /// identical with the knob off.
     pub fn check(&mut self, prog: &Program) -> Result<VerifierStats, VerifierError> {
         self.stats.checked += 1;
-        if self.config.static_analysis {
-            self.stats.screens += 1;
-            let (outcome, abs_stats) = screen(prog, &self.engine_config, self.config.state_budget);
-            self.stats.insns_examined += abs_stats.insns_examined as u64;
-            match outcome {
-                ScreenOutcome::Reject(e) => {
-                    self.stats.screen_rejects += 1;
-                    self.stats.unsafe_found += 1;
-                    return Err(e);
-                }
-                ScreenOutcome::Unknown => self.stats.screen_unknowns += 1,
-                ScreenOutcome::Pass => {}
-            }
-        }
         let (verdict, stats) = verify(prog, &self.engine_config);
         self.stats.insns_examined += stats.insns_examined as u64;
         match verdict {
@@ -173,8 +136,8 @@ mod tests {
         assert_eq!(checker.stats.safe, 1);
         assert_eq!(checker.stats.unsafe_found, 1);
         assert!(checker.stats.insns_examined > 0);
-        assert_eq!(checker.stats.screens, 2);
-        assert_eq!(checker.stats.screen_rejects, 1);
+        assert_eq!(checker.stats.screens, 0);
+        assert_eq!(checker.stats.screen_rejects, 0);
     }
 
     #[test]
@@ -182,53 +145,5 @@ mod tests {
         let cfg = SafetyConfig::default();
         assert_eq!(cfg.max_insns, 4096);
         assert!(cfg.enforce_stack_alignment);
-        assert!(cfg.static_analysis);
-    }
-
-    #[test]
-    fn screening_never_flips_the_verdict() {
-        // Probe corpus spanning accepts and every major rejection family:
-        // the screened checker must agree with the screen-off checker on
-        // every program (the trajectory-preservation contract).
-        let probes = [
-            "mov64 r0, 0\nexit",
-            "ldxdw r0, [r10-8]\nexit",
-            "mov64 r0, r5\nexit",
-            "ldxdw r2, [r1+0]\nldxb r0, [r2+0]\nexit",
-            "stdw [r10-8], 1\nldxdw r0, [r10-8]\nexit",
-            "mov64 r2, r10\nmul64 r2, 4\nmov64 r0, 0\nexit",
-            "mov64 r0, 0\nexit\nmov64 r0, 1\nexit",
-            "stdw [r10-520], 1\nmov64 r0, 0\nexit",
-        ];
-        let mut screened = SafetyChecker::new(SafetyConfig::default());
-        let mut plain = SafetyChecker::new(SafetyConfig {
-            static_analysis: false,
-            ..SafetyConfig::default()
-        });
-        for text in probes {
-            let prog = xdp(text);
-            assert_eq!(
-                screened.is_safe(&prog),
-                plain.is_safe(&prog),
-                "verdict diverged on: {text}"
-            );
-        }
-        assert_eq!(screened.stats.screens, probes.len() as u64);
-        assert_eq!(plain.stats.screens, 0);
-        assert!(screened.stats.screen_rejects > 0);
-    }
-
-    #[test]
-    fn screen_budget_falls_back_to_the_walk() {
-        // A tiny state budget forces ScreenOutcome::Unknown; the path walk
-        // still resolves the verdict.
-        let mut checker = SafetyChecker::new(SafetyConfig {
-            state_budget: 1,
-            ..SafetyConfig::default()
-        });
-        assert!(checker.is_safe(&xdp("mov64 r0, 0\nexit")));
-        assert_eq!(checker.stats.screen_unknowns, 1);
-        assert_eq!(checker.stats.screen_rejects, 0);
-        assert_eq!(checker.stats.safe, 1);
     }
 }

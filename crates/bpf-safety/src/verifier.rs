@@ -1,5 +1,5 @@
-//! The path-sensitive abstract interpreter behind both the K2 safety checker
-//! and the Linux kernel-checker model.
+//! The path walker: the one safety analysis behind both the K2 safety
+//! checker and the Linux kernel-checker model.
 
 use bpf_analysis::cfg::Cfg;
 use bpf_isa::{AluOp, HelperId, Insn, JmpOp, MapId, MemSize, Program, ProgramType, Reg, Src};
@@ -107,6 +107,13 @@ pub enum VerifierError {
         /// Description.
         what: &'static str,
     },
+    /// A `neg` carries a source operand other than the immediate 0: the
+    /// kernel rejects `BPF_NEG` with a register source or a non-zero
+    /// immediate as using reserved fields.
+    NegReservedFields {
+        /// Instruction index.
+        at: usize,
+    },
     /// A helper this model does not know.
     UnknownHelper {
         /// Instruction index.
@@ -174,6 +181,9 @@ impl fmt::Display for VerifierError {
             }
             VerifierError::BadHelperArgument { at, what } => {
                 write!(f, "bad helper argument at {at}: {what}")
+            }
+            VerifierError::NegReservedFields { at } => {
+                write!(f, "BPF_NEG uses reserved fields at {at}")
             }
             VerifierError::UnknownHelper { at } => write!(f, "unknown helper at {at}"),
             VerifierError::TooManyInstructions { len, limit } => {
@@ -247,81 +257,14 @@ impl Default for VerifierConfig {
     }
 }
 
-/// Outcome of the static screening pass: the kernel-conformant abstract
-/// interpreter ([`bpf_analysis::absint`]) run ahead of the authoritative
-/// path walk.
-///
-/// The screen is conservative by construction — every condition it rejects
-/// on mirrors a condition the path walk rejects on — so a [`ScreenOutcome::Reject`]
-/// can short-circuit the walk without changing any safe/unsafe verdict.
-/// [`ScreenOutcome::Unknown`] is the bounded-iteration outcome: the
-/// interpreter's state budget ran out before a fixpoint, so the walk must
-/// decide (the clean alternative to unbounded exploration the kernel solves
-/// with its own `states_equal` pruning).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScreenOutcome {
-    /// The abstract interpreter accepted the program. The path walk remains
-    /// authoritative (the screen is allowed to accept more than the walk).
-    Pass,
-    /// The abstract interpreter proved a safety violation; the path walk
-    /// would reject too.
-    Reject(VerifierError),
-    /// The state budget was exhausted before a verdict.
-    Unknown,
-}
-
-/// Map a screening rejection onto the engine's error type. The two enums
-/// mirror each other variant-for-variant (the screen has no complexity
-/// limit; its budget outcome is [`ScreenOutcome::Unknown`], not an error).
-fn screen_error(e: bpf_analysis::AbsError) -> VerifierError {
-    use bpf_analysis::AbsError as A;
-    match e {
-        A::Loop => VerifierError::Loop,
-        A::JumpOutOfRange { at } => VerifierError::JumpOutOfRange { at },
-        A::UnreachableCode { at } => VerifierError::UnreachableCode { at },
-        A::FallOffEnd => VerifierError::FallOffEnd,
-        A::UninitRegister { reg, at } => VerifierError::UninitRegister { reg, at },
-        A::FramePointerWrite { at } => VerifierError::FramePointerWrite { at },
-        A::StackOutOfBounds { off, at } => VerifierError::StackOutOfBounds { off, at },
-        A::StackReadBeforeWrite { off, at } => VerifierError::StackReadBeforeWrite { off, at },
-        A::Misaligned { off, size, at } => VerifierError::Misaligned { off, size, at },
-        A::PacketOutOfBounds { at } => VerifierError::PacketOutOfBounds { at },
-        A::CtxOutOfBounds { at } => VerifierError::CtxOutOfBounds { at },
-        A::CtxStoreImm { at } => VerifierError::CtxStoreImm { at },
-        A::CtxWrite { at } => VerifierError::CtxWrite { at },
-        A::MapValueOutOfBounds { at } => VerifierError::MapValueOutOfBounds { at },
-        A::PossibleNullDeref { at } => VerifierError::PossibleNullDeref { at },
-        A::PointerArithmetic { at } => VerifierError::PointerArithmetic { at },
-        A::UnknownPointerDeref { at } => VerifierError::UnknownPointerDeref { at },
-        A::BadHelperArgument { at, what } => VerifierError::BadHelperArgument { at, what },
-        A::UnknownHelper { at } => VerifierError::UnknownHelper { at },
-        A::TooManyInstructions { len, limit } => VerifierError::TooManyInstructions { len, limit },
-    }
-}
-
-/// Run the kernel-conformant abstract interpreter as a screening pass under
-/// the engine configuration. Shared by [`crate::SafetyChecker`] and
-/// [`crate::LinuxVerifier`] when their `static_analysis` knob is on.
+/// No-op alias of [`verify`], kept so existing callers keep compiling: the
+/// path walk is the only safety analysis, and `_state_budget` is ignored.
 pub fn screen(
     prog: &Program,
     config: &VerifierConfig,
-    state_budget: usize,
-) -> (ScreenOutcome, bpf_analysis::AbsintStats) {
-    let abs_config = bpf_analysis::AbsintConfig {
-        max_insns: config.max_insns,
-        state_budget,
-        enforce_stack_alignment: config.enforce_stack_alignment,
-        forbid_ctx_store_imm: config.forbid_ctx_store_imm,
-        forbid_pointer_alu: config.forbid_pointer_alu,
-        forbid_unreachable: config.forbid_unreachable,
-    };
-    let result = bpf_analysis::analyze(prog, &abs_config);
-    let outcome = match result.verdict {
-        bpf_analysis::AbsVerdict::Accept => ScreenOutcome::Pass,
-        bpf_analysis::AbsVerdict::Reject(e) => ScreenOutcome::Reject(screen_error(e)),
-        bpf_analysis::AbsVerdict::Unknown => ScreenOutcome::Unknown,
-    };
-    (outcome, result.stats)
+    _state_budget: usize,
+) -> (Verdict, VerifierStats) {
+    verify(prog, config)
 }
 
 /// Abstract value of a register.
@@ -559,6 +502,18 @@ fn step(
     config: &VerifierConfig,
 ) -> Result<(), VerifierError> {
     match *insn {
+        Insn::Alu64 {
+            op: AluOp::Neg,
+            src,
+            ..
+        }
+        | Insn::Alu32 {
+            op: AluOp::Neg,
+            src,
+            ..
+        } if src != Src::Imm(0) => {
+            return Err(VerifierError::NegReservedFields { at });
+        }
         Insn::Alu64 { op, dst, src } => {
             let d = state.regs[dst.index()];
             let s = operand(state, src);
@@ -829,16 +784,7 @@ fn check_mem_access(
         }
         RV::PtrPacket(None) | RV::PtrPacketEnd => Err(VerifierError::PacketOutOfBounds { at }),
         RV::PtrMapValue { map, off: reg_off } => {
-            let def = prog
-                .map(MapId(map))
-                .ok_or(VerifierError::BadHelperArgument {
-                    at,
-                    what: "undeclared map",
-                })?;
-            let start = reg_off + off as i64;
-            if start < 0 || start + nbytes > def.value_size as i64 {
-                return Err(VerifierError::MapValueOutOfBounds { at });
-            }
+            check_map_value_range(prog, map, reg_off + off as i64, nbytes, at)?;
             Ok(RV::Scalar)
         }
         RV::PtrMapValueOrNull { .. } => Err(VerifierError::PossibleNullDeref { at }),
@@ -847,6 +793,26 @@ fn check_mem_access(
             Err(VerifierError::UnknownPointerDeref { at })
         }
     }
+}
+
+/// `len` bytes at offset `start` must lie inside one value of `map`.
+fn check_map_value_range(
+    prog: &Program,
+    map: u32,
+    start: i64,
+    len: i64,
+    at: usize,
+) -> Result<(), VerifierError> {
+    let def = prog
+        .map(MapId(map))
+        .ok_or(VerifierError::BadHelperArgument {
+            at,
+            what: "undeclared map",
+        })?;
+    if start < 0 || start + len > def.value_size as i64 {
+        return Err(VerifierError::MapValueOutOfBounds { at });
+    }
+    Ok(())
 }
 
 fn check_helper_call(
@@ -873,9 +839,9 @@ fn check_helper_call(
                     what: "undeclared map",
                 })?;
             // The key pointer must cover key_size initialized bytes.
-            check_buffer_arg(state, Reg::R2, def.key_size as i64, at)?;
+            check_buffer_arg(state, Reg::R2, def.key_size as i64, at, prog)?;
             if helper == HelperId::MapUpdate {
-                check_buffer_arg(state, Reg::R3, def.value_size as i64, at)?;
+                check_buffer_arg(state, Reg::R3, def.value_size as i64, at, prog)?;
             }
             if helper == HelperId::MapLookup {
                 RV::PtrMapValueOrNull { map, off: 0 }
@@ -925,8 +891,14 @@ fn check_helper_call(
 }
 
 /// A helper buffer argument (key or value pointer) must point to `len`
-/// readable, initialized bytes.
-fn check_buffer_arg(state: &PathState, reg: Reg, len: i64, at: usize) -> Result<(), VerifierError> {
+/// readable, initialized bytes of the stack, the packet or a map value.
+fn check_buffer_arg(
+    state: &PathState,
+    reg: Reg,
+    len: i64,
+    at: usize,
+    prog: &Program,
+) -> Result<(), VerifierError> {
     match state.regs[reg.index()] {
         RV::PtrStack(off) => {
             if off < -512 || off + len > 0 {
@@ -945,7 +917,11 @@ fn check_buffer_arg(state: &PathState, reg: Reg, len: i64, at: usize) -> Result<
             }
             Ok(())
         }
-        RV::PtrMapValue { .. } | RV::PtrCtx(_) => Ok(()),
+        RV::PtrMapValue { map, off } => check_map_value_range(prog, map, off, len, at),
+        RV::PtrCtx(_) => Err(VerifierError::BadHelperArgument {
+            at,
+            what: "buffer argument points into the context",
+        }),
         RV::Uninit => Err(VerifierError::UninitRegister { reg, at }),
         _ => Err(VerifierError::BadHelperArgument {
             at,
@@ -1176,6 +1152,74 @@ mod tests {
             reject_with(&bad),
             VerifierError::StackReadBeforeWrite { .. }
         ));
+    }
+
+    #[test]
+    fn helper_buffers_must_lie_in_the_stack_packet_or_map_value() {
+        let maps = vec![MapDef::array(0, 8, 4)];
+        // The context is no key buffer, whatever the offset.
+        let ctx_key = xdp_maps(
+            "mov64 r2, r1\nadd64 r2, -4\nld_map_fd r1, 0\ncall map_lookup_elem\nmov64 r0, 0\nexit",
+            maps.clone(),
+        );
+        assert!(matches!(
+            reject_with(&ctx_key),
+            VerifierError::BadHelperArgument { at: 3, .. }
+        ));
+        // A map value is a key buffer only within its declared size.
+        let lookup = r"
+            mov64 r1, 0
+            stxw [r10-4], r1
+            ld_map_fd r1, 0
+            mov64 r2, r10
+            add64 r2, -4
+            call map_lookup_elem
+            jeq r0, 0, +4
+            mov64 r2, r0
+            add64 r2, OFF
+            ld_map_fd r1, 0
+            call map_lookup_elem
+            mov64 r0, 0
+            exit
+        ";
+        let at = |off: &str| xdp_maps(&lookup.replace("OFF", off), maps.clone());
+        assert!(accept(&at("4")));
+        assert!(matches!(
+            reject_with(&at("6")),
+            VerifierError::MapValueOutOfBounds { at: 10 }
+        ));
+        assert!(matches!(
+            reject_with(&at("-4")),
+            VerifierError::MapValueOutOfBounds { at: 10 }
+        ));
+    }
+
+    #[test]
+    fn neg_takes_no_source_operand() {
+        assert!(accept(&xdp("mov64 r0, 3\nneg64 r0\nexit")));
+        for src in [Src::Reg(Reg::R5), Src::Reg(Reg::R0), Src::Imm(1)] {
+            for insn in [
+                Insn::Alu64 {
+                    op: AluOp::Neg,
+                    dst: Reg::R0,
+                    src,
+                },
+                Insn::Alu32 {
+                    op: AluOp::Neg,
+                    dst: Reg::R0,
+                    src,
+                },
+            ] {
+                let prog = Program::new(
+                    ProgramType::Xdp,
+                    vec![Insn::mov64_imm(Reg::R0, 3), insn, Insn::Exit],
+                );
+                assert_eq!(
+                    reject_with(&prog),
+                    VerifierError::NegReservedFields { at: 1 }
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The K2 compiler driver: the epoch-based search engine, top-k selection,
 //! and the kernel-checker post-processing pass.
 
-use crate::engine::{run_batch, run_search, BatchJob, EngineReport, EventSinkRef};
+use crate::engine::{run_search, EngineReport, EventSinkRef};
 use crate::params::{EngineConfig, SearchParams};
 use crate::search::ChainStats;
 use bpf_interp::BackendKind;
@@ -58,15 +58,6 @@ pub struct CompilerOptions {
     /// have reached. The `K2_REFUTE_INPUTS` environment override is applied
     /// by the `k2::api` layering.
     pub refute_inputs: usize,
-    /// Kernel-conformant abstract interpretation (tnum + range analysis) as
-    /// a search constraint and solver-pruning oracle, threaded into every
-    /// chain's [`crate::cost::CostSettings`]: candidates are screened before
-    /// the safety walk, and source-program facts strengthen window
-    /// preconditions.
-    /// Verdict-preserving by construction, so search trajectories are
-    /// bit-identical with it on or off. The `K2_STATIC_ANALYSIS` environment
-    /// override is applied by the `k2::api` layering.
-    pub static_analysis: bool,
     /// Engine-level knobs: epochs, cross-chain sharing, convergence, the
     /// wall-clock budget, and the batch worker pool. Values are taken as
     /// given; the `K2_*` environment overrides are resolved by `k2::api`.
@@ -99,7 +90,6 @@ impl Default for CompilerOptions {
             backend: BackendKind::Auto,
             window_verification: true,
             refute_inputs: 64,
-            static_analysis: true,
             engine: EngineConfig::default(),
             sink: EventSinkRef::none(),
             telemetry: TelemetryRef::none(),
@@ -190,54 +180,6 @@ pub fn optimize_with(options: &CompilerOptions, src: &Program) -> K2Result {
     }
 }
 
-/// The pre-session compiler handle: a thin compatibility shim over
-/// [`optimize_with`] and [`run_batch`].
-#[deprecated(
-    since = "0.1.0",
-    note = "drive K2 through `k2::api::K2Session`, which owns configuration \
-            layering (config file, K2_* environment, builder overrides) and \
-            the versioned request/response types"
-)]
-#[derive(Debug, Clone)]
-pub struct K2Compiler {
-    /// Options in effect.
-    pub options: CompilerOptions,
-}
-
-#[allow(deprecated)]
-impl K2Compiler {
-    /// Create a compiler.
-    pub fn new(options: CompilerOptions) -> K2Compiler {
-        K2Compiler { options }
-    }
-
-    /// Optimize one program. See [`optimize_with`].
-    ///
-    /// Unlike the historical behaviour, `K2_*` environment variables are
-    /// *not* consulted here: the options are used exactly as given. Build
-    /// the options through `k2::api::K2Session` to get environment layering.
-    pub fn optimize(&mut self, src: &Program) -> K2Result {
-        optimize_with(&self.options, src)
-    }
-
-    /// Optimize many programs concurrently over a bounded worker pool
-    /// (`EngineConfig::batch_workers`; `0` = one worker per CPU). Every
-    /// program is compiled with this compiler's options and the results come
-    /// back in input order, identical to what per-program
-    /// [`K2Compiler::optimize`] calls would produce.
-    pub fn optimize_batch(&self, programs: &[Program]) -> Vec<K2Result> {
-        let workers = self.options.engine.batch_workers;
-        let jobs = programs
-            .iter()
-            .map(|program| BatchJob {
-                program: program.clone(),
-                options: self.options.clone(),
-            })
-            .collect();
-        run_batch(jobs, workers)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,17 +244,5 @@ mod tests {
         opts.parallel = true;
         let par = optimize_with(&opts, &src);
         assert_eq!(seq.best.insns, par.best.insns);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_compiler_shim_matches_optimize_with() {
-        let src = xdp("mov64 r0, 5\nadd64 r0, 7\nadd64 r0, 0\nexit");
-        let options = small_options(400);
-        let direct = optimize_with(&options, &src);
-        let shimmed = K2Compiler::new(options).optimize(&src);
-        assert_eq!(direct.best.insns, shimmed.best.insns);
-        assert_eq!(direct.best_cost, shimmed.best_cost);
-        assert_eq!(direct.chains.len(), shimmed.chains.len());
     }
 }

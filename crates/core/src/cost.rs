@@ -85,14 +85,6 @@ pub struct CostSettings {
     /// bit-identical. The `K2_REFUTE_INPUTS` environment override is
     /// resolved by the `k2::api` configuration layering.
     pub refute_inputs: usize,
-    /// Screen candidates with the kernel-conformant abstract interpreter
-    /// (tnum + range analysis) before the authoritative safety walk, and
-    /// feed its derived facts to the window-based equivalence checker as
-    /// solver-pruning hints. The screen's rejections mirror the walk's, so
-    /// safety verdicts — and search trajectories — are bit-identical with
-    /// the knob off. The `K2_STATIC_ANALYSIS` environment override is
-    /// resolved by the `k2::api` configuration layering.
-    pub static_analysis: bool,
 }
 
 impl Default for CostSettings {
@@ -107,7 +99,6 @@ impl Default for CostSettings {
             backend: BackendKind::Auto,
             window_verification: true,
             refute_inputs: 64,
-            static_analysis: true,
         }
     }
 }
@@ -227,7 +218,6 @@ impl CostFunction {
         };
         let equiv_options = EquivOptions {
             window_verification: settings.window_verification,
-            static_analysis: settings.static_analysis,
             ..EquivOptions::default()
         };
         let equiv = match shared_cache {
@@ -241,10 +231,7 @@ impl CostFunction {
             tests,
             expected,
             equiv,
-            safety: SafetyChecker::new(SafetyConfig {
-                static_analysis: settings.static_analysis,
-                ..SafetyConfig::default()
-            }),
+            safety: SafetyChecker::new(SafetyConfig::default()),
             cost_model,
             src_perf,
             backend,
@@ -306,8 +293,7 @@ impl CostFunction {
         &self.equiv
     }
 
-    /// Accumulated statistics of the per-chain safety checker (screens,
-    /// screen rejections, budget-exhausted screens).
+    /// Accumulated statistics of the per-chain safety checker.
     pub fn safety_stats(&self) -> bpf_safety::SafetyStats {
         self.safety.stats
     }

@@ -83,14 +83,6 @@ pub enum SearchEvent {
         shared_cache_entries: usize,
         /// Counterexamples in the merged cross-chain pool.
         counterexample_pool: usize,
-        /// Candidates screened by the abstract interpreter before the safety
-        /// path walk so far (zero with `static_analysis` off).
-        safety_screens: u64,
-        /// Screened candidates rejected without running the path walk.
-        safety_screen_rejects: u64,
-        /// Precondition constraints asserted on windowed checks from
-        /// abstract-interpretation facts about the source program.
-        static_window_facts: u64,
     },
     /// An epoch completed and its barrier exchanges ran.
     EpochBarrier {

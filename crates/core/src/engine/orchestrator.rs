@@ -59,7 +59,7 @@ pub struct EngineReport {
     /// hits per layer, solver time).
     pub equiv: EquivStats,
     /// Safety-checker statistics summed over all chains (candidates checked,
-    /// abstract-interpreter screens and screen rejects).
+    /// found safe and unsafe, instructions examined).
     pub safety: bpf_safety::SafetyStats,
     /// Combined verdict-cache statistics: hits through either layer vs.
     /// checks that had to query the solver.
@@ -172,7 +172,6 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
             }
             cost_settings.window_verification = opts.window_verification;
             cost_settings.refute_inputs = opts.refute_inputs;
-            cost_settings.static_analysis = opts.static_analysis;
             let shared = cfg.shared_cache.then(|| Arc::clone(ctx.cache()));
             let mut cost = CostFunction::with_shared_cache(
                 src,
@@ -280,10 +279,8 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
         }
         if sink.is_set() {
             let mut equiv = EquivStats::default();
-            let mut safety = bpf_safety::SafetyStats::default();
             for chain in chains.iter() {
                 equiv.absorb(&chain.cost_function().equiv_stats());
-                safety.absorb(&chain.cost_function().safety_stats());
             }
             sink.emit(SearchEvent::SolverStats {
                 epoch,
@@ -297,9 +294,6 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
                 smt_escalations: equiv.smt_escalations,
                 shared_cache_entries: ctx.cache().len(),
                 counterexample_pool: ctx.pool().len(),
-                safety_screens: safety.screens,
-                safety_screen_rejects: safety.screen_rejects,
-                static_window_facts: equiv.static_window_facts,
             });
         }
         sink.emit(SearchEvent::EpochBarrier {

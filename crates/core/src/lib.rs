@@ -51,8 +51,6 @@ pub mod proposals;
 pub mod search;
 
 pub use bpf_interp::BackendKind;
-#[allow(deprecated)]
-pub use compiler::K2Compiler;
 pub use compiler::{optimize_with, CompilerOptions, K2Result, OptimizationGoal};
 pub use cost::{
     CostFunction, CostSettings, CostValue, DiffMetric, ErrorNormalization, TestCountMode,

@@ -41,7 +41,7 @@ pub struct EngineConfig {
     /// punctuality: how many epochs fit in the budget depends on machine
     /// speed (the best-so-far invariant still holds on early exit).
     pub time_budget_ms: Option<u64>,
-    /// Worker threads for [`crate::K2Compiler::optimize_batch`];
+    /// Worker threads for [`crate::engine::run_batch`];
     /// `0` means one per available CPU (capped by the number of jobs).
     pub batch_workers: usize,
 }
@@ -113,7 +113,6 @@ impl SearchParams {
                     backend: BackendKind::Auto,
                     window_verification: true,
                     refute_inputs: 64,
-                    static_analysis: true,
                 },
                 rules: base_rules(0.2, 0.4, 0.15, 0.2, 0.0, 0.05),
             },
@@ -129,7 +128,6 @@ impl SearchParams {
                     backend: BackendKind::Auto,
                     window_verification: true,
                     refute_inputs: 64,
-                    static_analysis: true,
                 },
                 rules: base_rules(0.17, 0.33, 0.15, 0.17, 0.0, 0.18),
             },
@@ -145,7 +143,6 @@ impl SearchParams {
                     backend: BackendKind::Auto,
                     window_verification: true,
                     refute_inputs: 64,
-                    static_analysis: true,
                 },
                 rules: base_rules(0.2, 0.4, 0.15, 0.2, 0.0, 0.05),
             },
@@ -161,7 +158,6 @@ impl SearchParams {
                     backend: BackendKind::Auto,
                     window_verification: true,
                     refute_inputs: 64,
-                    static_analysis: true,
                 },
                 rules: base_rules(0.17, 0.33, 0.15, 0.0, 0.17, 0.18),
             },
@@ -177,7 +173,6 @@ impl SearchParams {
                     backend: BackendKind::Auto,
                     window_verification: true,
                     refute_inputs: 64,
-                    static_analysis: true,
                 },
                 rules: base_rules(0.17, 0.33, 0.15, 0.0, 0.17, 0.18),
             },
@@ -216,7 +211,6 @@ impl SearchParams {
                                 backend: BackendKind::Auto,
                                 window_verification: true,
                                 refute_inputs: 64,
-                                static_analysis: true,
                             },
                             rules,
                         });

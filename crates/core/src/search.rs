@@ -311,48 +311,4 @@ mod tests {
             bpf_equiv::check_equivalence(&src, &best, &bpf_equiv::EquivOptions::default());
         assert!(outcome.is_equivalent());
     }
-
-    #[test]
-    fn trajectories_identical_with_and_without_static_screening() {
-        // The abstract-interpreter screen is a pure optimization: its reject
-        // conditions mirror the authoritative walk's, so every safety
-        // verdict — and therefore the whole same-seed trajectory — must be
-        // bit-identical with the knob off (the `K2_STATIC_ANALYSIS=0` gate).
-        let src = Program::new(
-            ProgramType::Xdp,
-            asm::assemble("mov64 r0, 5\nadd64 r0, 7\nadd64 r0, 0\nmov64 r3, 9\nexit").unwrap(),
-        );
-        let run_with = |static_analysis: bool| {
-            let settings = CostSettings {
-                static_analysis,
-                ..CostSettings::default()
-            };
-            let cost = CostFunction::new(&src, settings, OptimizationGoal::InstructionCount, 8, 42);
-            let generator = ProposalGenerator::new(&src, RuleProbabilities::default(), 42);
-            let mut chain = MarkovChain::new(cost, generator, 42);
-            let stats = chain.run(600);
-            let best = chain.best().unwrap().clone();
-            (
-                stats.accepted,
-                stats.candidates_found,
-                stats.best_found_at,
-                best,
-                chain.cost_function().safety_stats(),
-            )
-        };
-        let (acc_on, found_on, at_on, best_on, safety_on) = run_with(true);
-        let (acc_off, found_off, at_off, best_off, safety_off) = run_with(false);
-        assert_eq!(acc_on, acc_off);
-        assert_eq!(found_on, found_off);
-        assert_eq!(at_on, at_off);
-        assert_eq!(best_on.0.insns, best_off.0.insns);
-        assert_eq!(best_on.1, best_off.1);
-        // Identical verdicts, different engines: the screened run really did
-        // screen, the unscreened run never touched the abstract interpreter.
-        assert_eq!(safety_on.checked, safety_off.checked);
-        assert_eq!(safety_on.safe, safety_off.safe);
-        assert_eq!(safety_on.unsafe_found, safety_off.unsafe_found);
-        assert_eq!(safety_on.screens, safety_on.checked);
-        assert_eq!(safety_off.screens, 0);
-    }
 }

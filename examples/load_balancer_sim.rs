@@ -7,15 +7,8 @@
 //! cargo run --release --example load_balancer_sim
 //! ```
 
-use k2_core::{CompilerOptions, OptimizationGoal, SearchParams};
+use k2_core::{optimize_with, CompilerOptions, OptimizationGoal, SearchParams};
 use k2_netsim::{find_mlffr, load_sweep, DutConfig, DutModel};
-
-// This example deliberately stays on the deprecated pre-session entry point:
-// it proves the `K2Compiler` compatibility shim keeps working for code that
-// has not migrated to `k2::api::K2Session` yet. New code should use the
-// session builder (see `examples/quickstart.rs`).
-#[allow(deprecated)]
-use k2_core::K2Compiler;
 
 fn main() {
     let bench = bpf_bench_suite::by_name("xdp-balancer").expect("benchmark exists");
@@ -27,8 +20,7 @@ fn main() {
     );
 
     let (_, baseline) = k2_baseline::best_baseline(&bench.prog);
-    #[allow(deprecated)]
-    let mut compiler = K2Compiler::new(CompilerOptions {
+    let options = CompilerOptions {
         goal: OptimizationGoal::Latency,
         iterations: k2::api::env::u64("K2_ITERS").unwrap_or(2_000),
         params: SearchParams::table8().into_iter().take(2).collect(),
@@ -37,8 +29,8 @@ fn main() {
         top_k: 5,
         parallel: true,
         ..CompilerOptions::default()
-    });
-    let k2 = compiler.optimize(&baseline).best;
+    };
+    let k2 = optimize_with(&options, &baseline).best;
     println!(
         "baseline: {} instructions, K2: {} instructions",
         baseline.real_len(),
