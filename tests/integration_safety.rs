@@ -9,6 +9,7 @@
 
 use bpf_interp::{run, InputGenerator};
 use bpf_isa::{asm, AluOp, HelperId, Insn, JmpOp, MapDef, MemSize, Program, ProgramType, Reg, Src};
+use bpf_safety::verifier::{verify, VerifierConfig};
 use bpf_safety::{LinuxVerifier, SafetyChecker, SafetyConfig, Verdict};
 use k2_core::{ProposalGenerator, SearchParams};
 use rand::rngs::StdRng;
@@ -81,6 +82,26 @@ fn programs_accepted_by_the_checker_never_trap_in_the_interpreter() {
         );
         let mut generator = InputGenerator::new(17 + bench.row as u64);
         for input in generator.generate_suite(&bench.prog, 6) {
+            run(&bench.prog, &input)
+                .unwrap_or_else(|e| panic!("{} trapped despite being accepted: {e}", bench.name));
+        }
+    }
+}
+
+#[test]
+fn bench_suite_is_dynamically_sound() {
+    // The path walk itself, without the checker's cache in front of it, on a
+    // corpus ten times the size of the one above.
+    let config = VerifierConfig::default();
+    for bench in bpf_bench_suite::all() {
+        let (verdict, _) = verify(&bench.prog, &config);
+        assert!(
+            verdict.is_accept(),
+            "{}: expected accept, got {verdict:?}",
+            bench.name
+        );
+        let mut generator = InputGenerator::new(17 + bench.row as u64);
+        for input in generator.generate_suite(&bench.prog, 64) {
             run(&bench.prog, &input)
                 .unwrap_or_else(|e| panic!("{} trapped despite being accepted: {e}", bench.name));
         }
