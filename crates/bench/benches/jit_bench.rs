@@ -144,7 +144,7 @@ fn bench_backends(c: &mut Criterion) {
     group.finish();
 
     if !rows.is_empty() {
-        let per_candidate: Vec<String> = ["xdp_pktcntr", "socket/0"]
+        let per_candidate: Vec<String> = ["xdp_pktcntr", "socket/0", "xdp1_kern/xdp1"]
             .into_iter()
             .map(per_candidate_row)
             .collect();

@@ -546,9 +546,28 @@ mod tests {
         let res = run_ok(&prog, &input);
         assert_eq!(res.output.ret, 2);
         assert_eq!(
-            res.output.maps[&(0, 0u32.to_le_bytes().to_vec())],
+            res.output.maps.to_map_state()[&(0, 0u32.to_le_bytes().to_vec())],
             42u64.to_le_bytes().to_vec()
         );
+    }
+
+    #[test]
+    fn map_lookup_returns_stable_cell_address() {
+        // xdp1's counter map: 256 eight-byte cells. A candidate that returns
+        // the looked-up pointer exposes the cell address, so it must stay
+        // `MAP_VALUE_BASE + index * 256`.
+        let text = r"
+            mov64 r1, 255
+            stxw [r10-4], r1
+            ld_map_fd r1, 0
+            mov64 r2, r10
+            add64 r2, -4
+            call map_lookup_elem
+            exit
+        ";
+        let prog = xdp(asm::assemble(text).unwrap(), vec![MapDef::array(0, 8, 256)]);
+        let res = run_ok(&prog, &ProgramInput::default());
+        assert_eq!(res.output.ret, crate::layout::MAP_VALUE_BASE + 255 * 256);
     }
 
     #[test]

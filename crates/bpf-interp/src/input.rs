@@ -5,9 +5,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-/// Map contents keyed by `(map id, key bytes)`. Used both for the initial
-/// contents of maps in a [`ProgramInput`] and for the final snapshot in a
-/// [`ProgramOutput`].
+/// Map contents keyed by `(map id, key bytes)`: the initial contents of maps
+/// in a [`ProgramInput`], and the keyed view of a [`ProgramOutput`]'s final
+/// [`MapContents`] (see [`MapContents::to_map_state`]).
 pub type MapState = BTreeMap<(u32, Vec<u8>), Vec<u8>>;
 
 /// One complete input to a BPF program execution: everything that can
@@ -71,7 +71,7 @@ pub struct ProgramOutput {
     /// Final packet payload (after any rewrites / headroom adjustment).
     pub packet: Vec<u8>,
     /// Final map contents.
-    pub maps: MapState,
+    pub maps: MapContents,
 }
 
 impl ProgramOutput {
@@ -81,7 +81,7 @@ impl ProgramOutput {
     pub fn diff_popcount(&self, other: &ProgramOutput) -> u64 {
         let mut diff = (self.ret ^ other.ret).count_ones() as u64;
         diff += byte_diff_popcount(&self.packet, &other.packet);
-        diff += map_diff(&self.maps, &other.maps, byte_diff_popcount);
+        diff += self.maps.diff(&other.maps, byte_diff_popcount);
         diff
     }
 
@@ -90,10 +90,163 @@ impl ProgramOutput {
     pub fn diff_abs(&self, other: &ProgramOutput) -> u64 {
         let mut diff = self.ret.abs_diff(other.ret);
         diff = diff.saturating_add(byte_diff_abs(&self.packet, &other.packet));
-        diff = diff.saturating_add(map_diff(&self.maps, &other.maps, byte_diff_abs));
+        diff = diff.saturating_add(self.maps.diff(&other.maps, byte_diff_abs));
         diff
     }
 }
+
+/// The final contents of a program's maps, as flat per-map buffers.
+///
+/// This is the map part of a [`ProgramOutput`]. It holds one dump per
+/// declared map, sorted by map id:
+///
+/// * an array-like map (array, per-CPU array, devmap) dumps every cell in
+///   index order, back to back;
+/// * a hash-like map (hash, LPM trie) dumps its live entries sorted by key,
+///   as one flat buffer of keys and one flat buffer of values.
+///
+/// Equality and the distances used by [`ProgramOutput::diff_popcount`] and
+/// [`ProgramOutput::diff_abs`] are defined over the keyed view
+/// [`MapContents::to_map_state`]. When both sides declare the same maps —
+/// always the case when a candidate is compared with its source program —
+/// they are computed straight from the buffers: arrays cell by cell, hash
+/// maps by a merge over the sorted keys.
+#[derive(Debug, Clone, Default)]
+pub struct MapContents {
+    maps: Vec<MapDump>,
+}
+
+/// One map's contents inside a [`MapContents`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct MapDump {
+    /// Map id.
+    pub(crate) id: u32,
+    /// Whether this is an array-like map: entry `i` has key `i` (4 bytes,
+    /// little-endian) and `keys` is empty.
+    pub(crate) array: bool,
+    /// Bytes per key in `keys`.
+    pub(crate) key_size: usize,
+    /// Bytes per value in `values`.
+    pub(crate) value_size: usize,
+    /// Number of entries.
+    pub(crate) len: usize,
+    /// Hash-like maps: the live keys in ascending order, back to back.
+    pub(crate) keys: Vec<u8>,
+    /// Every entry's value, in entry order, back to back.
+    pub(crate) values: Vec<u8>,
+}
+
+impl MapDump {
+    fn key(&self, i: usize) -> &[u8] {
+        &self.keys[i * self.key_size..(i + 1) * self.key_size]
+    }
+
+    fn value(&self, i: usize) -> &[u8] {
+        &self.values[i * self.value_size..(i + 1) * self.value_size]
+    }
+
+    /// Whether two dumps hold the same entry layout: the same map, with the
+    /// same kind and sizes, and for arrays the same number of cells.
+    fn same_shape(&self, other: &MapDump) -> bool {
+        self.id == other.id
+            && self.array == other.array
+            && self.key_size == other.key_size
+            && self.value_size == other.value_size
+            && (!self.array || self.len == other.len)
+    }
+
+    /// `map_diff` restricted to this map, for a same-shaped `other`.
+    fn diff(&self, other: &MapDump, f: fn(&[u8], &[u8]) -> u64) -> u64 {
+        if self.array {
+            // Same cell count and value size: the per-cell distances sum to
+            // the distance between the buffers.
+            return if self.values == other.values {
+                0
+            } else {
+                f(&self.values, &other.values)
+            };
+        }
+        let missing = 8 * self.value_size as u64;
+        let (mut i, mut j, mut diff) = (0, 0, 0u64);
+        while i < self.len && j < other.len {
+            match self.key(i).cmp(other.key(j)) {
+                std::cmp::Ordering::Less => {
+                    diff += missing;
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    diff += missing;
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    diff += f(self.value(i), other.value(j));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        diff + missing * ((self.len - i) + (other.len - j)) as u64
+    }
+}
+
+impl MapContents {
+    /// Wrap per-map dumps, which must be sorted by map id.
+    pub(crate) fn new(maps: Vec<MapDump>) -> MapContents {
+        MapContents { maps }
+    }
+
+    /// The contents keyed by `(map id, key bytes)`, the form a
+    /// [`ProgramInput`] uses. Array entries are keyed by their 4-byte
+    /// little-endian index.
+    pub fn to_map_state(&self) -> MapState {
+        let mut out = MapState::new();
+        for map in &self.maps {
+            for i in 0..map.len {
+                let key = if map.array {
+                    (i as u32).to_le_bytes().to_vec()
+                } else {
+                    map.key(i).to_vec()
+                };
+                out.insert((map.id, key), map.value(i).to_vec());
+            }
+        }
+        out
+    }
+
+    fn same_shape(&self, other: &MapContents) -> bool {
+        self.maps.len() == other.maps.len()
+            && self
+                .maps
+                .iter()
+                .zip(&other.maps)
+                .all(|(a, b)| a.same_shape(b))
+    }
+
+    /// Sum of per-entry distances `f` over entries present on both sides,
+    /// plus 8 per value byte of every entry present on one side only.
+    fn diff(&self, other: &MapContents, f: fn(&[u8], &[u8]) -> u64) -> u64 {
+        if !self.same_shape(other) {
+            return map_diff(&self.to_map_state(), &other.to_map_state(), f);
+        }
+        self.maps
+            .iter()
+            .zip(&other.maps)
+            .map(|(a, b)| a.diff(b, f))
+            .sum()
+    }
+}
+
+impl PartialEq for MapContents {
+    fn eq(&self, other: &MapContents) -> bool {
+        if self.same_shape(other) {
+            self.maps == other.maps
+        } else {
+            self.to_map_state() == other.to_map_state()
+        }
+    }
+}
+
+impl Eq for MapContents {}
 
 fn byte_diff_popcount(a: &[u8], b: &[u8]) -> u64 {
     let common = a.len().min(b.len());
@@ -117,7 +270,7 @@ fn byte_diff_abs(a: &[u8], b: &[u8]) -> u64 {
     diff
 }
 
-fn map_diff<F: Fn(&[u8], &[u8]) -> u64>(a: &MapState, b: &MapState, f: F) -> u64 {
+fn map_diff(a: &MapState, b: &MapState, f: fn(&[u8], &[u8]) -> u64) -> u64 {
     let mut diff = 0u64;
     for (k, va) in a {
         match b.get(k) {
@@ -222,7 +375,9 @@ impl InputGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpf_isa::{Insn, MapDef, ProgramType, Reg};
+    use crate::maps::MapStore;
+    use bpf_isa::{Insn, MapDef, MapId, ProgramType, Reg};
+    use proptest::prelude::*;
 
     fn prog() -> Program {
         Program::with_maps(
@@ -256,7 +411,7 @@ mod tests {
         let out = ProgramOutput {
             ret: 3,
             packet: vec![1, 2, 3],
-            maps: MapState::new(),
+            maps: MapContents::default(),
         };
         assert_eq!(out.diff_popcount(&out), 0);
         assert_eq!(out.diff_abs(&out), 0);
@@ -271,21 +426,99 @@ mod tests {
         let a = ProgramOutput {
             ret: 0,
             packet: vec![0xff, 0x00],
-            maps: MapState::new(),
+            maps: MapContents::default(),
         };
-        let mut bmaps = MapState::new();
-        bmaps.insert((0, vec![0]), vec![0xff]);
+        let mut bmaps = MapStore::from_defs(&[MapDef::array(0, 1, 1)]);
+        bmaps
+            .get_mut(MapId(0))
+            .unwrap()
+            .update(&0u32.to_le_bytes(), &[0xff]);
         let b = ProgramOutput {
             ret: 0,
             packet: vec![0x0f, 0x00],
-            maps: bmaps,
+            maps: bmaps.contents(),
         };
         assert_eq!(a.diff_popcount(&b), 4 + 8);
         let c = ProgramOutput {
             ret: 0,
             packet: vec![0xff],
-            maps: MapState::new(),
+            maps: MapContents::default(),
         };
         assert_eq!(a.diff_popcount(&c), 8); // missing byte
+    }
+
+    /// Map layouts for the equivalence property below. Index 0 and 1 have the
+    /// same shape; every other entry differs from index 0 in one way.
+    fn layouts() -> Vec<Vec<MapDef>> {
+        let base = vec![MapDef::array(0, 4, 6), MapDef::hash(1, 4, 8, 4)];
+        vec![
+            base.clone(),
+            base,
+            vec![MapDef::array(0, 4, 3), MapDef::hash(1, 4, 8, 4)],
+            vec![MapDef::array(0, 2, 6), MapDef::hash(1, 4, 8, 4)],
+            vec![MapDef::hash(0, 4, 4, 6), MapDef::hash(1, 4, 8, 4)],
+            vec![MapDef::array(0, 4, 6), MapDef::hash(2, 4, 8, 4)],
+            vec![MapDef::array(0, 4, 6), MapDef::hash(1, 4, 0, 4)],
+            vec![MapDef::array(0, 4, 6)],
+            vec![],
+        ]
+    }
+
+    /// Final contents after applying `ops` (delete when `op % 4 == 0`,
+    /// update otherwise) to fresh maps. Keys come from a six-key space so
+    /// both sides of a pair overlap.
+    fn contents_after(defs: &[MapDef], ops: &[(u8, u8, u8, u8)]) -> MapContents {
+        let mut store = MapStore::from_defs(defs);
+        for &(op, which, key, seed) in ops {
+            let Some(def) = defs.get(which as usize % defs.len().max(1)) else {
+                break;
+            };
+            let inst = store.get_mut(def.id).unwrap();
+            let mut k = vec![0u8; def.key_size as usize];
+            if let Some(first) = k.first_mut() {
+                *first = key % 6;
+            }
+            let v: Vec<u8> = (0..def.value_size as u8)
+                .map(|i| seed.wrapping_mul(i + 1))
+                .collect();
+            if op % 4 == 0 {
+                inst.delete(&k);
+            } else {
+                inst.update(&k, &v);
+            }
+        }
+        store.contents()
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<(u8, u8, u8, u8)>> {
+        prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..24)
+    }
+
+    proptest! {
+        #[test]
+        fn map_contents_match_keyed_semantics(
+            same in any::<bool>(),
+            other in 1usize..9,
+            ops_a in arb_ops(),
+            ops_b in arb_ops(),
+        ) {
+            let layouts = layouts();
+            let b_layout = if same { 1 } else { other };
+            let a = contents_after(&layouts[0], &ops_a);
+            let b = contents_after(&layouts[b_layout], &ops_b);
+            prop_assert_eq!(a.same_shape(&b), b_layout == 1);
+            let (sa, sb) = (a.to_map_state(), b.to_map_state());
+            let output = |maps: MapContents| ProgramOutput {
+                ret: 0,
+                packet: Vec::new(),
+                maps,
+            };
+            let (oa, ob) = (output(a), output(b));
+            prop_assert_eq!(oa.diff_abs(&ob), map_diff(&sa, &sb, byte_diff_abs));
+            prop_assert_eq!(oa.diff_popcount(&ob), map_diff(&sa, &sb, byte_diff_popcount));
+            prop_assert_eq!(ob.diff_abs(&oa), map_diff(&sb, &sa, byte_diff_abs));
+            prop_assert_eq!(oa == ob, sa == sb);
+            prop_assert_eq!(oa.diff_abs(&oa.clone()), 0);
+        }
     }
 }

@@ -39,7 +39,7 @@ pub use backend::{BackendKind, ExecBackend, InterpBackend};
 pub use cost::{static_latency, CostModel};
 pub use error::Trap;
 pub use exec::{call_helper, run, run_with_limit, ExecResult, DEFAULT_STEP_LIMIT};
-pub use input::{InputGenerator, MapState, ProgramInput, ProgramOutput};
+pub use input::{InputGenerator, MapContents, MapState, ProgramInput, ProgramOutput};
 pub use layout::{MemKind, CTX_BASE, MAP_HANDLE_BASE, PACKET_BASE, PACKET_HEADROOM, STACK_BASE};
 pub use machine::{MachineState, MemoryView};
 pub use maps::MapStore;

@@ -8,6 +8,10 @@ use crate::layout::{
 use crate::maps::MapStore;
 use bpf_isa::{MemSize, Program, ProgramType, Reg, STACK_SIZE};
 
+/// Capacity of the inline context buffer: the largest context any program
+/// type has (the tracepoint argument record).
+const CTX_MAX: usize = 64;
+
 /// Complete state of one BPF program execution.
 #[derive(Debug, Clone)]
 pub struct MachineState {
@@ -16,17 +20,20 @@ pub struct MachineState {
     /// Which registers currently hold defined values.
     reg_init: [bool; 11],
     /// The 512-byte program stack.
-    stack: Vec<u8>,
+    stack: [u8; STACK_SIZE],
     /// Which stack bytes have been written (read-before-write is a trap).
-    stack_init: Vec<bool>,
+    stack_init: [bool; STACK_SIZE],
     /// The packet buffer: `PACKET_HEADROOM` bytes of headroom followed by the
     /// payload.
     packet: Vec<u8>,
     /// Offset of the current packet start (`data`) inside `packet`; moved by
     /// `bpf_xdp_adjust_head`.
     data_off: usize,
-    /// The program context bytes (located at [`CTX_BASE`]).
-    ctx: Vec<u8>,
+    /// The program context bytes (located at [`CTX_BASE`]); only the first
+    /// `ctx_len` are part of the context.
+    ctx: [u8; CTX_MAX],
+    /// Size of the context structure for this program type.
+    ctx_len: usize,
     /// Map runtime state.
     pub maps: MapStore,
     /// Program type, which fixes the context layout.
@@ -61,11 +68,12 @@ impl MachineState {
         let mut state = MachineState {
             regs: [0; 11],
             reg_init: [false; 11],
-            stack: vec![0u8; STACK_SIZE],
-            stack_init: vec![false; STACK_SIZE],
+            stack: [0u8; STACK_SIZE],
+            stack_init: [false; STACK_SIZE],
             packet,
             data_off: PACKET_HEADROOM,
-            ctx: vec![0u8; prog.prog_type.ctx_size().max(32)],
+            ctx: [0u8; CTX_MAX],
+            ctx_len: prog.prog_type.ctx_size().max(32),
             maps,
             prog_type: prog.prog_type,
             prandom_state: input.random_seed | 1,
@@ -242,7 +250,7 @@ impl MachineState {
             }
             MemKind::Context => {
                 let off = (addr - CTX_BASE) as usize;
-                if off + len > self.ctx.len() {
+                if off + len > self.ctx_len {
                     return Err(Trap::OutOfBounds {
                         addr,
                         size: len,
@@ -351,8 +359,9 @@ impl MachineState {
     /// covered `stack_init` byte to be true, stack writes set them, and
     /// packet accesses stay within `[data_off, packet_len)`. `data_off`
     /// changes across `bpf_xdp_adjust_head`, so backends must refresh the
-    /// view after helper calls; the buffers themselves are never
-    /// reallocated during a run.
+    /// view after helper calls. The packet buffer is never reallocated
+    /// during a run, and the stack lives inline in the machine state, so
+    /// the state must not move while a view of it is in use.
     pub fn memory_view(&mut self) -> MemoryView {
         MemoryView {
             stack: self.stack.as_mut_ptr(),
@@ -384,7 +393,7 @@ impl MachineState {
         ProgramOutput {
             ret,
             packet: self.packet[self.data_off..].to_vec(),
-            maps: self.maps.snapshot(),
+            maps: self.maps.contents(),
         }
     }
 }
@@ -500,6 +509,28 @@ mod tests {
     }
 
     #[test]
+    fn every_context_fits_the_inline_buffer() {
+        for ty in [
+            ProgramType::Xdp,
+            ProgramType::SocketFilter,
+            ProgramType::SchedCls,
+            ProgramType::Tracepoint,
+        ] {
+            assert!(ty.ctx_size() <= CTX_MAX, "{ty:?}");
+        }
+        let tp = Program::new(ProgramType::Tracepoint, vec![Insn::Exit]);
+        let m = MachineState::new(&tp, &ProgramInput::default());
+        assert!(m.read_mem(CTX_BASE + 56, MemSize::Dword, 0).is_ok());
+        assert!(m.read_mem(CTX_BASE + 64, MemSize::Byte, 0).is_err());
+        let xdp = machine();
+        assert!(xdp.read_mem(CTX_BASE + 28, MemSize::Word, 0).is_ok());
+        assert!(matches!(
+            xdp.read_mem(CTX_BASE + 32, MemSize::Byte, 0),
+            Err(Trap::OutOfBounds { .. })
+        ));
+    }
+
+    #[test]
     fn ctx_is_read_only() {
         let mut m = machine();
         assert!(m.write_mem(CTX_BASE, MemSize::Word, 7, 0).is_err());
@@ -535,7 +566,7 @@ mod tests {
         // ... but not beyond it.
         assert!(m.read_mem(addr + 4, MemSize::Dword, 0).is_err());
         assert!(m.read_mem(addr + 8, MemSize::Byte, 0).is_err());
-        let snap = m.output(0).maps;
+        let snap = m.output(0).maps.to_map_state();
         assert_eq!(
             snap[&(0, 0u32.to_le_bytes().to_vec())],
             77u64.to_le_bytes().to_vec()

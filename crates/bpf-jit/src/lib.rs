@@ -157,7 +157,9 @@ impl ExecBackend for JitProgram {
         let mut machine = bpf_interp::MachineState::new(&self.prog, input);
         let mut env = env::JitEnv::new(&mut machine, &self.prog, limit);
         // Safety: the page holds a complete function emitted by `translate`
-        // for exactly this env layout; `env` and `machine` outlive the call.
+        // for exactly this env layout; `env` and `machine` outlive the call,
+        // and `machine` does not move while `env` holds pointers into its
+        // inline stack.
         let status = unsafe {
             let entry: unsafe extern "C" fn(*mut env::JitEnv) -> u64 =
                 core::mem::transmute(self.page.entry());

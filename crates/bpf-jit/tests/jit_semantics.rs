@@ -493,7 +493,7 @@ fn map_lookup_update_flow() {
     let res = differential(&prog, &input).unwrap();
     assert_eq!(res.output.ret, 2);
     assert_eq!(
-        res.output.maps[&(0, 0u32.to_le_bytes().to_vec())],
+        res.output.maps.to_map_state()[&(0, 0u32.to_le_bytes().to_vec())],
         42u64.to_le_bytes().to_vec()
     );
 }

@@ -75,7 +75,7 @@ fn benchmarks_store_results_in_their_maps() {
             .iter()
             .any(|input| {
                 run(&bench.prog, input)
-                    .map(|r| r.output.maps != input.maps)
+                    .map(|r| r.output.maps.to_map_state() != input.maps)
                     .unwrap_or(false)
             });
         assert!(touched, "{name} never updated its maps");
