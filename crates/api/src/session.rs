@@ -89,8 +89,8 @@ impl K2Session {
     /// Serve many requests over the bounded batch worker pool
     /// ([`k2_core::EngineConfig::batch_workers`]). Responses come back in
     /// request order and are identical to per-request [`K2Session::optimize`]
-    /// calls; requests that fail to parse produce `ok: false` responses
-    /// without disturbing their neighbours.
+    /// calls; requests that fail to parse, and compilations that panic,
+    /// produce `ok: false` responses without disturbing their neighbours.
     pub fn optimize_batch(&self, requests: &[OptimizeRequest]) -> Vec<OptimizeResponse> {
         self.optimize_batch_inner(requests, false)
     }
@@ -150,12 +150,18 @@ impl K2Session {
         }
         let results = run_batch(jobs, self.config.engine.batch_workers);
         for ((index, src), result) in job_sources.into_iter().zip(results) {
-            let mut response =
-                OptimizeResponse::from_result(requests[index].id.clone(), &src, &result);
-            if timed {
-                response.duration_ms = Some(result.report.wall_time_us / 1000);
-                response.queue_wait_ms = Some(result.report.queue_wait_us / 1000);
-            }
+            let id = requests[index].id.clone();
+            let response = match result {
+                Ok(result) => {
+                    let mut response = OptimizeResponse::from_result(id, &src, &result);
+                    if timed {
+                        response.duration_ms = Some(result.report.wall_time_us / 1000);
+                        response.queue_wait_ms = Some(result.report.queue_wait_us / 1000);
+                    }
+                    response
+                }
+                Err(panic) => OptimizeResponse::from_error(id, panic.to_string()),
+            };
             slots[index] = Some(response);
         }
         slots

@@ -87,7 +87,10 @@ fn run_config(
         })
         .collect();
     ConfigRun {
-        rows: run_batch(jobs, batch_workers()),
+        rows: run_batch(jobs, batch_workers())
+            .into_iter()
+            .map(|result| result.expect("benchmark compilation panicked"))
+            .collect(),
     }
 }
 
@@ -465,7 +468,8 @@ fn main() {
 
     // Solver-time attribution per benchmark (shared configuration), from
     // the per-compilation telemetry snapshot: where the solver seconds went
-    // (encoding vs. SAT solving), tail query latency, and which proposal
+    // (encoding vs. SAT solving), tail query latency, how many queries the
+    // solve memo answered and the CNF bytes it retained, and which proposal
     // rules cost the most evaluation time.
     let mut attribution = Vec::new();
     for (bench, s) in benches.iter().zip(&shared.rows) {
@@ -474,6 +478,8 @@ fn main() {
             format!("{:.3}", timer_s(&s.report, "equiv.encode")),
             format!("{:.3}", timer_s(&s.report, "bitsmt.solve")),
             p99_query_us(&s.report).to_string(),
+            s.report.equiv.memo_hits.to_string(),
+            format!("{:.1}", s.report.solve_memo_bytes as f64 / 1e6),
             top_rules(&s.report),
         ]);
     }
@@ -485,6 +491,8 @@ fn main() {
                 "encode s",
                 "solve s",
                 "p99 query us",
+                "memo hits",
+                "memo MB",
                 "top rules by eval time"
             ],
             &attribution
@@ -549,6 +557,23 @@ fn main() {
         total_solver_time_s(&shared),
         total_solver_time_s(&cold),
     );
+    println!(
+        "solve memo: {} of {} solver queries answered from an identical formula, \
+         {:.1} MB of CNF retained at most (one compilation)",
+        shared
+            .rows
+            .iter()
+            .map(|r| r.report.equiv.memo_hits)
+            .sum::<u64>(),
+        total_queries(&shared),
+        shared
+            .rows
+            .iter()
+            .map(|r| r.report.solve_memo_bytes)
+            .max()
+            .unwrap_or(0) as f64
+            / 1e6,
+    );
     let counts = events.counts();
     println!(
         "streamed events: {} runs, {} epoch barriers, {} new global bests, {} solver-stat frames",
@@ -570,7 +595,7 @@ fn main() {
              \"refuted_by_testing\": {}, \"smt_escalations\": {}, \
              \"shared_layer_hits\": {}, \"cex_exchanged\": {}, \"time_to_best_s\": {:.3}, \
              \"encode_s\": {:.3}, \"solve_s\": {:.3}, \"p99_query_us\": {}, \
-             \"top_rules\": \"{}\"}}",
+             \"solve_memo_hits\": {}, \"solve_memo_bytes\": {}, \"top_rules\": \"{}\"}}",
             bench.name,
             s.best.real_len(),
             i.best.real_len(),
@@ -588,6 +613,8 @@ fn main() {
             timer_s(&s.report, "equiv.encode"),
             timer_s(&s.report, "bitsmt.solve"),
             p99_query_us(&s.report),
+            s.report.equiv.memo_hits,
+            s.report.solve_memo_bytes,
             top_rules(&s.report),
         ));
     }

@@ -205,7 +205,10 @@ pub fn compress_benchmarks_observed(
             }
         })
         .collect();
-    let results = run_batch(jobs, batch_workers());
+    let results: Vec<K2Result> = run_batch(jobs, batch_workers())
+        .into_iter()
+        .map(|result| result.expect("benchmark compilation panicked"))
+        .collect();
     benches
         .iter()
         .zip(&baselines)

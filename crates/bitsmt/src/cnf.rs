@@ -6,7 +6,11 @@ pub type Lit = i32;
 
 /// A CNF formula under construction. The clauses' literals are stored back
 /// to back in one buffer.
-#[derive(Debug, Default, Clone)]
+///
+/// Equality and hashing cover the whole formula (variable count, every
+/// literal, every clause boundary), so a CNF can key a
+/// [`SolveMemo`](crate::SolveMemo) exactly.
+#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 pub struct CnfBuilder {
     /// Number of variables allocated so far (variables are `1..=num_vars`).
     pub num_vars: u32,
@@ -44,6 +48,18 @@ impl CnfBuilder {
     /// Number of clauses so far.
     pub fn num_clauses(&self) -> usize {
         self.ends.len()
+    }
+
+    /// Bytes held by the literal buffer and the clause ends.
+    pub(crate) fn bytes(&self) -> u64 {
+        (self.lits.len() * std::mem::size_of::<Lit>()
+            + self.ends.len() * std::mem::size_of::<usize>()) as u64
+    }
+
+    /// Release spare buffer capacity (before the formula is retained).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.lits.shrink_to_fit();
+        self.ends.shrink_to_fit();
     }
 
     /// The clauses, in the order they were added.

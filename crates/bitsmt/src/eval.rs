@@ -48,8 +48,44 @@ fn mask(width: u32) -> u64 {
 /// Evaluate a term under an assignment. The result is masked to the term's
 /// width.
 pub fn eval(pool: &TermPool, assignment: &Assignment, root: TermId) -> u64 {
+    Evaluator::new(pool, assignment).eval(root)
+}
+
+/// Evaluates terms of one pool under one assignment, computing each term at
+/// most once across calls: the many reads of one model share most of their
+/// subterms.
+#[derive(Debug)]
+pub struct Evaluator<'a> {
+    pool: &'a TermPool,
+    assignment: &'a Assignment,
+    memo: HashMap<TermId, u64>,
+}
+
+impl<'a> Evaluator<'a> {
+    /// An evaluator with nothing computed yet.
+    pub fn new(pool: &'a TermPool, assignment: &'a Assignment) -> Evaluator<'a> {
+        Evaluator {
+            pool,
+            assignment,
+            memo: HashMap::new(),
+        }
+    }
+
+    /// Evaluate a term. The result is masked to the term's width.
+    pub fn eval(&mut self, root: TermId) -> u64 {
+        eval_into(self.pool, self.assignment, &mut self.memo, root)
+    }
+}
+
+/// Evaluate `root`, reusing and extending `memo` (values of already
+/// evaluated terms, masked to their widths).
+fn eval_into(
+    pool: &TermPool,
+    assignment: &Assignment,
+    memo: &mut HashMap<TermId, u64>,
+    root: TermId,
+) -> u64 {
     // Memoized post-order evaluation (iterative to survive deep terms).
-    let mut memo: HashMap<TermId, u64> = HashMap::new();
     let mut stack: Vec<(TermId, bool)> = vec![(root, false)];
     while let Some((id, ready)) = stack.pop() {
         if memo.contains_key(&id) {
@@ -252,6 +288,26 @@ mod tests {
         assert_eq!(eval(&p, &a, shl), 0x81);
         assert_eq!(eval(&p, &a, lshr), 0x81);
         assert_eq!(eval(&p, &a, ashr), 0x81);
+    }
+
+    #[test]
+    fn one_evaluator_agrees_with_fresh_evaluations_across_roots() {
+        let mut p = TermPool::new();
+        let x = p.var("x", 32);
+        let y = p.var("y", 32);
+        let sum = p.add(x, y);
+        let prod = p.mul(sum, x);
+        let lt = p.ult(prod, sum);
+        let pick = p.ite(lt, prod, sum);
+        let byte = p.extract(pick, 7, 0);
+        let mut a = Assignment::new();
+        a.set("x", 0x1234_5678).set("y", 0x9abc_def0);
+        let mut shared = Evaluator::new(&p, &a);
+        // Outer terms first, then their subterms, then again: every answer
+        // must match an evaluation from scratch.
+        for t in [byte, pick, lt, prod, sum, x, y, byte, prod] {
+            assert_eq!(shared.eval(t), eval(&p, &a, t), "{t:?}");
+        }
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //! 5. [`solver`] — the user-facing façade: assert 1-bit terms, call
 //!    `check()`, and extract a [`Model`] mapping variables to `u64` values.
 //!    Every check is one-shot; only the SAT solver's buffers are reused.
+//! 6. [`memo`] — a [`SolveMemo`] of SAT results keyed by the exact CNF, so
+//!    the checks of one compilation decide each distinct formula once.
 //!
 //! ```
 //! use bitsmt::{Solver, TermPool};
@@ -55,11 +57,13 @@
 pub mod bitblast;
 pub mod cnf;
 pub mod eval;
+pub mod memo;
 pub mod sat;
 pub mod solver;
 pub mod term;
 
 pub use eval::Assignment;
+pub use memo::SolveMemo;
 pub use sat::{SatResult, SatSolver};
 pub use solver::{CheckResult, Model, Solver, SolverStats};
 pub use term::{Op, TermId, TermPool};

@@ -4,15 +4,18 @@
 //! Every [`Solver::check`] is one-shot: the assertions are bit-blasted into a
 //! fresh CNF and decided from scratch, so a query's result (its model
 //! included) depends on nothing but its own assertions. The SAT solver's
-//! buffers are reused across the checks of one thread.
+//! buffers are reused across the checks of one thread, and a solver given a
+//! [`SolveMemo`] decides a CNF the memo already holds without solving it.
 
 use crate::bitblast::BitBlaster;
 use crate::eval::Assignment;
+use crate::memo::{SolveMemo, Solved};
 use crate::sat::{SatResult, SatSolver};
 use crate::term::{TermId, TermPool};
 use k2_telemetry::TelemetryRef;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 thread_local! {
@@ -92,6 +95,9 @@ pub struct SolverStats {
     pub propagations: u64,
     /// Total wall-clock time of the check, in microseconds.
     pub time_us: u64,
+    /// Whether the result came from the [`SolveMemo`] rather than a solve;
+    /// the SAT counts are then those of the solve that filled the entry.
+    pub memo_hit: bool,
 }
 
 /// The solver: collects assertions over a [`TermPool`] and decides them.
@@ -105,6 +111,7 @@ pub struct Solver<'p> {
     /// Statistics from the most recent `check()`.
     pub stats: SolverStats,
     telemetry: TelemetryRef,
+    memo: Option<Arc<SolveMemo>>,
 }
 
 impl<'p> Solver<'p> {
@@ -115,7 +122,16 @@ impl<'p> Solver<'p> {
             assertions: Vec::new(),
             stats: SolverStats::default(),
             telemetry: TelemetryRef::none(),
+            memo: None,
         }
+    }
+
+    /// Decide through a memo of earlier solves: `check()` then returns the
+    /// stored result of an identical CNF instead of solving it, and stores
+    /// the result of every CNF it does solve. Results, models, SAT counts
+    /// and telemetry are identical with or without a memo.
+    pub fn set_memo(&mut self, memo: Arc<SolveMemo>) {
+        self.memo = Some(memo);
     }
 
     /// Attach a telemetry recorder. `check()` then records the bit-blast
@@ -150,15 +166,28 @@ impl<'p> Solver<'p> {
         blast_span.finish();
 
         let solve_span = self.telemetry.span("bitsmt.solve");
-        let result = SAT.with(|sat| {
-            let mut sat = sat.borrow_mut();
-            sat.load(&blaster.cnf);
-            let result = sat.solve();
-            self.stats.conflicts = sat.conflicts;
-            self.stats.decisions = sat.decisions;
-            self.stats.propagations = sat.propagations;
-            result
+        let memoized = self.memo.as_ref().and_then(|memo| memo.get(&blaster.cnf));
+        self.stats.memo_hit = memoized.is_some();
+        let solved = memoized.unwrap_or_else(|| {
+            let solved = Arc::new(SAT.with(|sat| {
+                let mut sat = sat.borrow_mut();
+                sat.load(&blaster.cnf);
+                let result = sat.solve();
+                Solved {
+                    result,
+                    conflicts: sat.conflicts,
+                    decisions: sat.decisions,
+                    propagations: sat.propagations,
+                }
+            }));
+            if let Some(memo) = &self.memo {
+                memo.insert(std::mem::take(&mut blaster.cnf), Arc::clone(&solved));
+            }
+            solved
         });
+        self.stats.conflicts = solved.conflicts;
+        self.stats.decisions = solved.decisions;
+        self.stats.propagations = solved.propagations;
         solve_span.finish();
         self.stats.time_us = start.elapsed().as_micros() as u64;
         if self.telemetry.is_enabled() {
@@ -174,7 +203,7 @@ impl<'p> Solver<'p> {
                 .count("bitsmt.propagations", self.stats.propagations);
         }
 
-        match result {
+        match &solved.result {
             SatResult::Unsat => CheckResult::Unsat,
             SatResult::Sat(assignment) => {
                 let mut model = Model::default();
@@ -306,6 +335,123 @@ mod tests {
             snap.counter("bitsmt.propagations"),
             solver.stats.propagations
         );
+    }
+
+    /// `x * k == y`, `y < 100`, `x != 0` over 32-bit variables named `x`
+    /// and `y`: SAT, with a model the solver has to search for.
+    fn scaled(pool: &mut TermPool, x: &str, y: &str, k: u64) -> Vec<TermId> {
+        let x = pool.var(x, 32);
+        let y = pool.var(y, 32);
+        let k = pool.constant(k, 32);
+        let hundred = pool.constant(100, 32);
+        let zero = pool.constant(0, 32);
+        let xk = pool.mul(x, k);
+        vec![pool.eq(xk, y), pool.ult(y, hundred), pool.ne(x, zero)]
+    }
+
+    /// `x * 4 != x << 2` over a 32-bit `x`: UNSAT.
+    fn shift_identity(pool: &mut TermPool) -> Vec<TermId> {
+        let x = pool.var("x", 32);
+        let four = pool.constant(4, 32);
+        let two = pool.constant(2, 32);
+        let lhs = pool.mul(x, four);
+        let rhs = pool.shl(x, two);
+        vec![pool.ne(lhs, rhs)]
+    }
+
+    /// Check the assertions `build` makes, through `memo` when given.
+    fn check_with(
+        memo: Option<&Arc<SolveMemo>>,
+        build: impl FnOnce(&mut TermPool) -> Vec<TermId>,
+    ) -> (CheckResult, SolverStats) {
+        let mut pool = TermPool::new();
+        let assertions = build(&mut pool);
+        let mut solver = Solver::new(&mut pool);
+        if let Some(memo) = memo {
+            solver.set_memo(Arc::clone(memo));
+        }
+        for a in assertions {
+            solver.assert(a);
+        }
+        let result = solver.check();
+        (result, solver.stats)
+    }
+
+    /// The fields of [`SolverStats`] that describe the formula and its
+    /// solve (everything but the time and the memo flag).
+    fn work(stats: &SolverStats) -> [u64; 5] {
+        [
+            stats.cnf_vars,
+            stats.cnf_clauses,
+            stats.conflicts,
+            stats.decisions,
+            stats.propagations,
+        ]
+    }
+
+    #[test]
+    fn memo_hits_return_the_fresh_solve_result_and_counts() {
+        let sat = |pool: &mut TermPool| scaled(pool, "x", "y", 3);
+        for build in [
+            &sat as &dyn Fn(&mut TermPool) -> Vec<TermId>,
+            &shift_identity,
+        ] {
+            let (fresh, fresh_stats) = check_with(None, build);
+            let memo = Arc::new(SolveMemo::new());
+            let (miss, miss_stats) = check_with(Some(&memo), build);
+            let (hit, hit_stats) = check_with(Some(&memo), build);
+            assert!(!miss_stats.memo_hit);
+            assert!(hit_stats.memo_hit);
+            assert_eq!(memo.len(), 1);
+            assert!(memo.bytes() > 0);
+            assert_eq!(miss, fresh);
+            assert_eq!(hit, fresh);
+            assert_eq!(work(&miss_stats), work(&fresh_stats));
+            assert_eq!(work(&hit_stats), work(&fresh_stats));
+        }
+        assert!(check_with(None, sat).0.is_sat());
+        assert_eq!(check_with(None, shift_identity).0, CheckResult::Unsat);
+    }
+
+    #[test]
+    fn renamed_variables_hit_the_memo_and_get_their_own_model() {
+        let memo = Arc::new(SolveMemo::new());
+        let (first, _) = check_with(Some(&memo), |pool| scaled(pool, "x", "y", 3));
+        let (renamed, stats) = check_with(Some(&memo), |pool| scaled(pool, "a", "b", 3));
+        let (fresh, _) = check_with(None, |pool| scaled(pool, "a", "b", 3));
+        assert!(stats.memo_hit, "a renamed copy must hit the memo");
+        assert_eq!(renamed, fresh);
+        let (first, renamed) = (first.expect_sat(), renamed.expect_sat());
+        assert_eq!(renamed.value("a"), first.value("x"));
+        assert_eq!(renamed.value("b"), first.value("y"));
+        assert_eq!(renamed.value("x"), None);
+    }
+
+    #[test]
+    fn formulas_differing_in_one_constant_never_share_an_entry() {
+        let memo = Arc::new(SolveMemo::new());
+        let (three, _) = check_with(Some(&memo), |pool| scaled(pool, "x", "y", 3));
+        let (five, stats) = check_with(Some(&memo), |pool| scaled(pool, "x", "y", 5));
+        assert!(!stats.memo_hit);
+        assert_eq!(memo.len(), 2);
+        assert_eq!(five, check_with(None, |pool| scaled(pool, "x", "y", 5)).0);
+        for (result, k) in [(three, 3), (five, 5)] {
+            let model = result.expect_sat();
+            let (x, y) = (model.value_or_zero("x"), model.value_or_zero("y"));
+            assert_eq!(x.wrapping_mul(k) & 0xffff_ffff, y, "model of x * {k} == y");
+        }
+        // An UNSAT formula one constant away from a SAT one stays UNSAT.
+        let range = |lo: u64| {
+            move |pool: &mut TermPool| {
+                let x = pool.var("x", 32);
+                let lo = pool.constant(lo, 32);
+                let five = pool.constant(5, 32);
+                vec![pool.ult(x, five), pool.ugt(x, lo)]
+            }
+        };
+        assert!(check_with(Some(&memo), range(3)).0.is_sat());
+        assert_eq!(check_with(Some(&memo), range(10)).0, CheckResult::Unsat);
+        assert_eq!(memo.len(), 4);
     }
 
     #[test]

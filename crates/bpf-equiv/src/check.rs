@@ -5,7 +5,7 @@ use crate::counterexample::input_from_model;
 use crate::encode::{EncodeError, EncodeOptions, Encoder};
 use crate::refute::Refuter;
 use crate::window::{check_window_with, Window, WindowContext};
-use bitsmt::{CheckResult, Solver, TermPool};
+use bitsmt::{CheckResult, SolveMemo, Solver, TermPool};
 use bpf_interp::ProgramInput;
 use bpf_isa::Program;
 use k2_telemetry::TelemetryRef;
@@ -128,6 +128,10 @@ pub struct EquivStats {
     pub refute_time_us: u64,
     /// Total time spent building formulas and solving, in microseconds.
     pub total_time_us: u64,
+    /// Solver queries answered by the compilation's [`SolveMemo`] because
+    /// an identical formula had been solved before. Like the times, this
+    /// depends on scheduling: two chains can race on the same formula.
+    pub memo_hits: u64,
     /// Microseconds spent in the most recent query.
     pub last_time_us: u64,
     /// CNF variables in the most recent query.
@@ -151,6 +155,7 @@ impl EquivStats {
         self.smt_escalations += other.smt_escalations;
         self.refute_time_us += other.refute_time_us;
         self.total_time_us += other.total_time_us;
+        self.memo_hits += other.memo_hits;
         self.last_time_us = 0;
         self.last_cnf_vars = 0;
         self.last_cnf_clauses = 0;
@@ -240,6 +245,9 @@ pub struct EquivChecker {
     /// chain's RNG stream; absent by default so plain checkers behave
     /// exactly as before.
     refuter: Option<Refuter>,
+    /// The compilation's memo of solved formulas (see
+    /// [`EquivChecker::set_solve_memo`]); absent by default.
+    memo: Option<Arc<SolveMemo>>,
     /// Statistics accumulated across `check` calls.
     pub stats: EquivStats,
     telemetry: TelemetryRef,
@@ -254,6 +262,7 @@ impl EquivChecker {
             shared: None,
             window_ctx: None,
             refuter: None,
+            memo: None,
             stats: EquivStats::default(),
             telemetry: TelemetryRef::none(),
         }
@@ -283,6 +292,15 @@ impl EquivChecker {
     /// is write-only — verdicts are identical with or without it.
     pub fn set_telemetry(&mut self, telemetry: TelemetryRef) {
         self.telemetry = telemetry;
+    }
+
+    /// Decide full-program queries through `memo`, shared with the other
+    /// checkers of the same compilation: a query whose CNF equals one
+    /// already solved takes the stored result. Verdicts, counterexamples
+    /// and every count except [`EquivStats::memo_hits`] are identical with
+    /// or without it; window checks never use it.
+    pub fn set_solve_memo(&mut self, memo: Arc<SolveMemo>) {
+        self.memo = Some(memo);
     }
 
     /// Create a checker that additionally reads verdicts from a shared
@@ -579,18 +597,21 @@ impl EquivChecker {
         // Solve. The solver needs the pool mutably, so run it in a scope that
         // does not touch the encoder, then use the model with the encoder's
         // read-only metadata for counterexample extraction.
-        let (result, cnf_vars, cnf_clauses) = {
+        let (result, solver_stats) = {
             let mut solver = Solver::new(encoder.pool());
             solver.set_telemetry(telemetry.clone());
+            if let Some(memo) = &self.memo {
+                solver.set_memo(Arc::clone(memo));
+            }
             for c in &constraints {
                 solver.assert(*c);
             }
             solver.assert(differ);
-            let r = solver.check();
-            (r, solver.stats.cnf_vars, solver.stats.cnf_clauses)
+            (solver.check(), solver.stats)
         };
-        self.stats.last_cnf_vars = cnf_vars;
-        self.stats.last_cnf_clauses = cnf_clauses;
+        self.stats.memo_hits += u64::from(solver_stats.memo_hit);
+        self.stats.last_cnf_vars = solver_stats.cnf_vars;
+        self.stats.last_cnf_clauses = solver_stats.cnf_clauses;
 
         let outcome = match result {
             CheckResult::Unsat => EquivOutcome::Equivalent,

@@ -4,9 +4,10 @@
 //! by the interpreter instead of the solver (paper §3, Fig. 1).
 
 use crate::encode::{Encoder, DATA_PTR};
-use bitsmt::{eval::eval, Model};
+use bitsmt::{eval::Evaluator, Model, TermId};
 use bpf_interp::ProgramInput;
 use bpf_isa::Program;
+use std::cell::RefCell;
 
 /// Reconstruct a program input from a model.
 ///
@@ -17,7 +18,9 @@ use bpf_isa::Program;
 pub fn input_from_model(encoder: &Encoder<'_>, model: &Model, prog: &Program) -> ProgramInput {
     let pool = encoder.pool_ref();
     let assignment = model.to_assignment();
-    let value_of = |t| eval(pool, &assignment, t);
+    // One evaluator for every read: the reads share most of their subterms.
+    let evaluator = RefCell::new(Evaluator::new(pool, &assignment));
+    let value_of = |t: TermId| evaluator.borrow_mut().eval(t);
 
     let mut input = ProgramInput::default();
     let mut packet_len = 0u64;

@@ -60,6 +60,7 @@ pub mod encode;
 pub mod refute;
 pub mod window;
 
+pub use bitsmt::SolveMemo;
 pub use cache::{CacheStats, CachedVerdict, EquivCache};
 pub use check::{check_equivalence, EquivChecker, EquivOptions, EquivOutcome, EquivStats};
 pub use encode::{EncodeError, Encoder, ProgramEncoding};

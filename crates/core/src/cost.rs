@@ -5,6 +5,7 @@
 use crate::compiler::OptimizationGoal;
 use bpf_equiv::{
     CacheStats, EquivCache, EquivChecker, EquivOptions, EquivOutcome, EquivStats, Refuter,
+    SolveMemo,
 };
 use bpf_interp::{
     BackendKind, CostModel, ExecBackend, InputGenerator, ProgramInput, ProgramOutput,
@@ -248,6 +249,14 @@ impl CostFunction {
     pub fn set_telemetry(&mut self, telemetry: TelemetryRef) {
         self.equiv.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
+    }
+
+    /// Decide the equivalence checker's solver queries through the
+    /// compilation's memo of solved formulas
+    /// ([`EquivChecker::set_solve_memo`]). Costs and verdicts are identical
+    /// with or without it.
+    pub fn set_solve_memo(&mut self, memo: Arc<SolveMemo>) {
+        self.equiv.set_solve_memo(memo);
     }
 
     /// The telemetry handle in effect (the no-op handle by default).

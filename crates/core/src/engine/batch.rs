@@ -5,23 +5,41 @@
 
 use crate::compiler::{optimize_with, CompilerOptions, K2Result};
 use bpf_isa::Program;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+/// A batch job that panicked instead of producing a result. The panic is
+/// confined to its job: every other job of the batch still completes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobPanic {
+    /// The panic message (or a placeholder for a non-string payload).
+    pub message: String,
+}
+
+impl std::fmt::Display for JobPanic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "compilation panicked: {}", self.message)
+    }
+}
+
+impl std::error::Error for JobPanic {}
 
 /// Compile one claimed job, recording service-level telemetry on the job's
 /// recorder: how long it sat in the queue before a worker claimed it
 /// (`service.queue_wait`, also surfaced as `EngineReport::queue_wait_us`),
 /// the end-to-end request duration (`service.request`), and the queue-depth
 /// and in-flight gauges at claim time. Telemetry never influences the
-/// compilation itself.
+/// compilation itself. A panic anywhere in the compilation becomes the
+/// job's [`JobPanic`].
 fn run_job(
     job: &BatchJob,
     options: &CompilerOptions,
     queued_at: Instant,
     queue_depth: usize,
     in_flight: usize,
-) -> K2Result {
+) -> Result<K2Result, JobPanic> {
     let telemetry = &options.telemetry;
     let queue_wait_us = queued_at.elapsed().as_micros() as u64;
     if telemetry.is_enabled() {
@@ -30,10 +48,17 @@ fn run_job(
         telemetry.gauge("service.in_flight", in_flight as u64);
     }
     let request_span = telemetry.span("service.request");
-    let mut result = optimize_with(options, &job.program);
+    let result = catch_unwind(AssertUnwindSafe(|| optimize_with(options, &job.program)));
     request_span.finish();
+    let mut result = result.map_err(|payload| JobPanic {
+        message: payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string()),
+    })?;
     result.report.queue_wait_us = queue_wait_us;
-    result
+    Ok(result)
 }
 
 /// One unit of batch work: a program and the options to compile it with.
@@ -64,8 +89,9 @@ fn effective_workers(requested: usize, jobs: usize) -> usize {
 /// regardless of the worker count. When more than one worker runs, each
 /// job's chains are run sequentially inside its worker — chain parallelism
 /// and job parallelism produce bit-identical results, and this keeps the
-/// total thread count at `workers`.
-pub fn run_batch(jobs: Vec<BatchJob>, workers: usize) -> Vec<K2Result> {
+/// total thread count at `workers`. A job that panics yields a [`JobPanic`]
+/// in its slot; the other jobs are unaffected.
+pub fn run_batch(jobs: Vec<BatchJob>, workers: usize) -> Vec<Result<K2Result, JobPanic>> {
     let workers = effective_workers(workers, jobs.len());
     let queued_at = Instant::now();
     if workers <= 1 || jobs.len() <= 1 {
@@ -79,7 +105,8 @@ pub fn run_batch(jobs: Vec<BatchJob>, workers: usize) -> Vec<K2Result> {
 
     let next = AtomicUsize::new(0);
     let in_flight = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<K2Result>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<K2Result, JobPanic>>>> =
+        jobs.iter().map(|_| Mutex::new(None)).collect();
     let jobs = &jobs;
     let slots_ref = &slots;
     let next_ref = &next;
@@ -157,10 +184,45 @@ mod tests {
         let batched = run_batch(jobs.clone(), 2);
         assert_eq!(batched.len(), programs.len());
         for (job, batch_result) in jobs.into_iter().zip(&batched) {
+            let batch_result = batch_result.as_ref().expect("no job panics");
             let solo = optimize_with(&job.options, &job.program);
             assert_eq!(solo.best.insns, batch_result.best.insns);
             assert_eq!(solo.best_cost, batch_result.best_cost);
             assert_eq!(solo.top.len(), batch_result.top.len());
+        }
+    }
+
+    /// An event sink that panics on the first event it sees.
+    struct PanickingSink;
+
+    impl crate::engine::EventSink for PanickingSink {
+        fn on_event(&self, _event: &crate::engine::SearchEvent) {
+            panic!("sink exploded");
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone() {
+        let program = xdp("mov64 r0, 5\nadd64 r0, 7\nadd64 r0, 0\nexit");
+        let mut jobs: Vec<BatchJob> = (0..3)
+            .map(|i| BatchJob {
+                program: program.clone(),
+                options: small_options(200 + i),
+            })
+            .collect();
+        jobs[1].options.sink = crate::engine::EventSinkRef::new(std::sync::Arc::new(PanickingSink));
+        for workers in [1, 2] {
+            let results = run_batch(jobs.clone(), workers);
+            assert_eq!(results.len(), 3);
+            let err = results[1].as_ref().expect_err("the sink panicked");
+            assert_eq!(err.message, "sink exploded");
+            assert!(err.to_string().contains("sink exploded"));
+            for i in [0, 2] {
+                let solo = optimize_with(&jobs[i].options, &program);
+                let batched = results[i].as_ref().expect("neighbours complete");
+                assert_eq!(batched.best.insns, solo.best.insns, "job {i}");
+                assert_eq!(batched.best_cost, solo.best_cost, "job {i}");
+            }
         }
     }
 }

@@ -1,23 +1,27 @@
 //! The shared state chains exchange at epoch barriers.
 
-use bpf_equiv::EquivCache;
+use bpf_equiv::{EquivCache, SolveMemo};
 use bpf_interp::ProgramInput;
 use bpf_isa::Program;
 use std::sync::Arc;
 
 /// State shared by every chain of one compilation: the cross-chain
-/// equivalence-verdict cache, the merged counterexample pool, and the global
-/// best program.
+/// equivalence-verdict cache, the memo of solved formulas, the merged
+/// counterexample pool, and the global best program.
 ///
 /// The cache is read concurrently by all chains during an epoch but written
 /// only at barriers (each chain publishes its private delta there), so
-/// lookups are schedule-independent. The pool and the global best are owned
+/// lookups are schedule-independent. The solve memo is read and written live
+/// by every chain; it changes who pays for a solve, never a result, because
+/// a solve is a pure function of its CNF. The pool and the global best are owned
 /// exclusively by the orchestrator and touched only between epochs, in chain
 /// order — no locking, no nondeterminism.
 #[derive(Debug, Default)]
 pub struct SearchContext {
     /// The cross-chain verdict cache (frozen during epochs).
     cache: Arc<EquivCache>,
+    /// Every formula any chain's solver has decided, with its result.
+    solve_memo: Arc<SolveMemo>,
     /// All counterexamples discovered so far, sorted and deduplicated.
     pool: Vec<ProgramInput>,
     /// The best equivalent-and-safe program any chain has found, with its
@@ -34,6 +38,11 @@ impl SearchContext {
     /// Handle to the shared verdict cache.
     pub fn cache(&self) -> &Arc<EquivCache> {
         &self.cache
+    }
+
+    /// Handle to the compilation's memo of solved formulas.
+    pub fn solve_memo(&self) -> &Arc<SolveMemo> {
+        &self.solve_memo
     }
 
     /// Merge freshly discovered counterexamples into the pool. The pool is

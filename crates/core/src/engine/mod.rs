@@ -7,8 +7,9 @@
 //! the formerly independent chains into one cooperating search:
 //!
 //! * [`context::SearchContext`] holds the state chains share — the
-//!   cross-chain [`bpf_equiv::EquivCache`], the merged counterexample pool,
-//!   and the global best program;
+//!   cross-chain [`bpf_equiv::EquivCache`], the [`bpf_equiv::SolveMemo`] of
+//!   solved formulas, the merged counterexample pool, and the global best
+//!   program;
 //! * [`orchestrator::run_search`] runs the chains in epochs with
 //!   deterministic exchange barriers between them (publish cache deltas,
 //!   merge and redistribute counterexamples, track the global best, restart
@@ -21,6 +22,8 @@
 //! the shared cache is frozen (read-only) while chains are running. A
 //! sequential run, a parallel run, and a re-run with the same seed are
 //! therefore bit-identical — the property `tests/engine.rs` locks in. The
+//! memo of solved formulas is shared live rather than at barriers; it decides
+//! which chain pays for a solve, never what the solve returns. The
 //! only intentional exception is the wall-clock budget
 //! ([`crate::EngineConfig::time_budget_ms`]), which trades determinism for
 //! punctuality.
@@ -30,7 +33,7 @@ pub mod context;
 pub mod events;
 pub mod orchestrator;
 
-pub use batch::{run_batch, BatchJob};
+pub use batch::{run_batch, BatchJob, JobPanic};
 pub use context::SearchContext;
 pub use events::{EventSink, EventSinkRef, SearchEvent, StopReason};
 pub use orchestrator::{run_search, ChainOutcome, EngineOutcome, EngineReport};

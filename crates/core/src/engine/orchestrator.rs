@@ -70,6 +70,10 @@ pub struct EngineReport {
     pub shared_cache: CacheStats,
     /// Entries in the shared cache at the end of the run.
     pub shared_cache_entries: usize,
+    /// CNF bytes the compilation's solve memo retained at the end of the
+    /// run. Each distinct formula is stored once, so this is deterministic
+    /// for a fixed seed (unlike [`EquivStats::memo_hits`]).
+    pub solve_memo_bytes: u64,
     /// Counterexamples in the merged cross-chain pool.
     pub counterexample_pool: usize,
     /// Test cases chains imported from other chains' counterexamples.
@@ -182,6 +186,7 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
                 shared,
             );
             cost.set_telemetry(telemetry.clone());
+            cost.set_solve_memo(Arc::clone(ctx.solve_memo()));
             let generator = ProposalGenerator::new(src, params.rules, seed);
             param_ids.push(params.id);
             MarkovChain::new(cost, generator, seed)
@@ -381,6 +386,7 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
     };
     report.shared_cache = ctx.cache().stats();
     report.shared_cache_entries = ctx.cache().len();
+    report.solve_memo_bytes = ctx.solve_memo().bytes();
     report.counterexample_pool = ctx.pool().len();
     report.wall_time_us = start.elapsed().as_micros() as u64;
 

@@ -56,8 +56,8 @@ pub use cost::{
     CostFunction, CostSettings, CostValue, DiffMetric, ErrorNormalization, TestCountMode,
 };
 pub use engine::{
-    BatchJob, ChainOutcome, EngineOutcome, EngineReport, EventSink, EventSinkRef, SearchContext,
-    SearchEvent, StopReason,
+    BatchJob, ChainOutcome, EngineOutcome, EngineReport, EventSink, EventSinkRef, JobPanic,
+    SearchContext, SearchEvent, StopReason,
 };
 pub use k2_telemetry::{Recorder, Telemetry, TelemetryRef, TelemetrySnapshot};
 pub use params::{EngineConfig, SearchParams};

@@ -49,6 +49,13 @@ fn main() {
     let result = session.optimize_program(&baseline);
     let k2_len = result.best.real_len().min(baseline.real_len());
     println!("  K2:          {} instructions", k2_len);
+    let report = &result.report;
+    println!(
+        "  solver:      {} queries, {} answered by the solve memo ({:.1} MB retained)",
+        report.equiv.queries,
+        report.equiv.memo_hits,
+        report.solve_memo_bytes as f64 / 1e6
+    );
     println!(
         "  compression over best baseline: {:.2}%",
         100.0 * (baseline.real_len() as f64 - k2_len as f64) / baseline.real_len() as f64

@@ -672,3 +672,44 @@ fn telemetry_on_off_and_dumping_never_change_results() {
     );
     std::fs::remove_file(written).ok();
 }
+
+/// Panics when a search with exactly `iterations` iterations starts.
+struct PanicOnIterations(u64);
+
+impl k2::api::EventSink for PanicOnIterations {
+    fn on_event(&self, event: &SearchEvent) {
+        if let SearchEvent::Started { iterations, .. } = event {
+            assert_ne!(*iterations, self.0, "sink rejects this request");
+        }
+    }
+}
+
+#[test]
+fn a_panicking_compilation_becomes_its_own_error_response() {
+    let _lock = env_lock();
+    let session = K2Session::builder()
+        .iterations(200)
+        .batch_workers(2)
+        .sink(std::sync::Arc::new(PanicOnIterations(13)))
+        .build()
+        .unwrap();
+    let mut requests: Vec<OptimizeRequest> = (0..3)
+        .map(|i| {
+            let mut request = OptimizeRequest::from_asm("mov64 r0, 5\nadd64 r0, 7\nexit");
+            request.id = Some(format!("r{i}"));
+            request.seed = Some(i);
+            request
+        })
+        .collect();
+    requests[1].iterations = Some(13);
+    let responses = session.optimize_batch(&requests);
+    assert_eq!(responses.len(), 3);
+    assert!(!responses[1].ok);
+    assert_eq!(responses[1].id.as_deref(), Some("r1"));
+    let error = responses[1].error.as_deref().unwrap();
+    assert!(error.contains("panicked"), "got: {error}");
+    for i in [0, 2] {
+        assert!(responses[i].ok, "neighbour {i} must still be served");
+        assert_eq!(responses[i], session.optimize(&requests[i]));
+    }
+}

@@ -216,9 +216,62 @@ fn batch_api_matches_individual_compilations() {
     let batched = k2_core::engine::run_batch(jobs, options.engine.batch_workers);
     assert_eq!(batched.len(), programs.len());
     for (program, from_batch) in programs.iter().zip(&batched) {
+        let from_batch = from_batch.as_ref().expect("no job panics");
         let solo = optimize_with(&options, program);
         assert_eq!(solo.best.insns, from_batch.best.insns);
         assert_eq!(solo.best_cost, from_batch.best_cost);
         assert_eq!(solo.report.equiv.queries, from_batch.report.equiv.queries);
     }
+}
+
+/// `EquivStats` minus what depends on the clock or on scheduling: times,
+/// and which chain's solve filled a memo entry first.
+fn logical_equiv(stats: &bpf_equiv::EquivStats) -> bpf_equiv::EquivStats {
+    bpf_equiv::EquivStats {
+        window_time_us: 0,
+        refute_time_us: 0,
+        total_time_us: 0,
+        memo_hits: 0,
+        ..*stats
+    }
+}
+
+#[test]
+fn solve_memo_keeps_parallel_and_sequential_runs_identical() {
+    // Chains of one compilation share the solve memo live, not at barriers,
+    // so a parallel run decides different queries from the memo than a
+    // sequential one. Nothing else may differ.
+    let bench = bpf_bench_suite::by_name("xdp_devmap_xmit").expect("suite program");
+    let run = |parallel| {
+        let options = CompilerOptions {
+            iterations: if cfg!(debug_assertions) { 120 } else { 400 },
+            num_tests: 16,
+            seed: 7,
+            parallel,
+            telemetry: k2_core::TelemetryRef::collector(),
+            ..CompilerOptions::default()
+        };
+        optimize_with(&options, &bench.prog)
+    };
+    let sequential = run(false);
+    let parallel = run(true);
+    assert!(
+        sequential.report.equiv.memo_hits > 0,
+        "no formula repeated: {:?}",
+        sequential.report.equiv
+    );
+    assert_identical(&sequential, &parallel);
+    assert_eq!(
+        logical_equiv(&sequential.report.equiv),
+        logical_equiv(&parallel.report.equiv)
+    );
+    assert_eq!(
+        sequential.report.telemetry.counts_only(),
+        parallel.report.telemetry.counts_only()
+    );
+    assert_eq!(
+        sequential.report.solve_memo_bytes,
+        parallel.report.solve_memo_bytes
+    );
+    assert!(sequential.report.solve_memo_bytes > 0);
 }
