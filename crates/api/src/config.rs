@@ -36,6 +36,14 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Largest accepted test-suite size (`num_tests`). Every test input is
+/// generated, run on the source and kept for the whole compilation, and
+/// candidates are graded against it, so a size far past this is not a
+/// search setting but an allocation that can abort the process. Larger
+/// values are rejected wherever they enter: config file, environment,
+/// builder, and request lines.
+pub const MAX_NUM_TESTS: usize = 4096;
+
 /// Parse an optimization-goal name (`insns` / `latency`).
 pub fn parse_goal(s: &str) -> Option<OptimizationGoal> {
     match s.trim().to_ascii_lowercase().as_str() {
@@ -69,7 +77,8 @@ pub struct K2Config {
     pub goal: OptimizationGoal,
     /// Iterations per Markov chain (`K2_ITERS`, file key `iterations`).
     pub iterations: u64,
-    /// Test cases generated up front (`K2_NUM_TESTS`, file key `num_tests`).
+    /// Test cases generated up front (`K2_NUM_TESTS`, file key `num_tests`),
+    /// from 1 to [`MAX_NUM_TESTS`].
     pub num_tests: usize,
     /// Base RNG seed (`K2_SEED`, file key `seed`).
     pub seed: u64,
@@ -198,8 +207,8 @@ impl K2Config {
                 _ => return bad("a positive integer"),
             },
             "num_tests" => match value.as_u64() {
-                Some(v) if v > 0 => self.num_tests = v as usize,
-                _ => return bad("a positive integer"),
+                Some(v) if v > 0 && v <= MAX_NUM_TESTS as u64 => self.num_tests = v as usize,
+                _ => return bad(&format!("a positive integer up to {MAX_NUM_TESTS}")),
             },
             "seed" => match value.as_u64() {
                 Some(v) => self.seed = v,
@@ -290,7 +299,15 @@ impl K2Config {
             self.iterations = v.max(1);
         }
         if let Some(v) = env::usize("K2_NUM_TESTS") {
-            self.num_tests = v.max(1);
+            if v <= MAX_NUM_TESTS {
+                self.num_tests = v.max(1);
+            } else {
+                env::warn_malformed(
+                    "K2_NUM_TESTS",
+                    &v.to_string(),
+                    &format!("at most {MAX_NUM_TESTS}"),
+                );
+            }
         }
         if let Some(v) = env::u64("K2_SEED") {
             self.seed = v;
@@ -442,6 +459,32 @@ mod tests {
         assert!(c
             .apply_json(&Json::parse(r#"{"refute_inputs": true}"#).unwrap())
             .is_err());
+    }
+
+    #[test]
+    fn num_tests_is_bounded_in_the_file_and_environment_layers() {
+        let mut config = K2Config::default();
+        let at_bound = format!(r#"{{"num_tests": {MAX_NUM_TESTS}}}"#);
+        config.apply_json(&Json::parse(&at_bound).unwrap()).unwrap();
+        assert_eq!(config.num_tests, MAX_NUM_TESTS);
+        for bad in [r#"{"num_tests": 0}"#, r#"{"num_tests": 100000000}"#] {
+            let mut c = K2Config::default();
+            assert!(c.apply_json(&Json::parse(bad).unwrap()).is_err(), "{bad}");
+        }
+
+        let _guard = env::test_lock();
+        let saved = std::env::var("K2_NUM_TESTS").ok();
+        std::env::set_var("K2_NUM_TESTS", "100000000");
+        let mut config = K2Config::default();
+        config.apply_env();
+        assert_eq!(config.num_tests, K2Config::default().num_tests);
+        std::env::set_var("K2_NUM_TESTS", MAX_NUM_TESTS.to_string());
+        config.apply_env();
+        assert_eq!(config.num_tests, MAX_NUM_TESTS);
+        match saved {
+            Some(v) => std::env::set_var("K2_NUM_TESTS", v),
+            None => std::env::remove_var("K2_NUM_TESTS"),
+        }
     }
 
     #[test]

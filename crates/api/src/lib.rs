@@ -48,7 +48,7 @@ pub mod proto;
 pub mod session;
 pub mod sink;
 
-pub use config::{goal_name, parse_goal, ConfigError, K2Config};
+pub use config::{goal_name, parse_goal, ConfigError, K2Config, MAX_NUM_TESTS};
 pub use json::{Json, JsonError};
 pub use proto::{
     ChainSummary, OptimizeRequest, OptimizeResponse, ProgramSource, ProtoError, RankedProgram,

@@ -14,7 +14,7 @@
 //! [`k2_core::EngineReport`], available in-process via
 //! [`crate::K2Session::optimize_program`].
 
-use crate::config::{goal_name, parse_goal};
+use crate::config::{goal_name, parse_goal, MAX_NUM_TESTS};
 use crate::json::Json;
 use bpf_isa::{asm, wire, Program, ProgramType};
 use k2_core::{K2Result, OptimizationGoal};
@@ -156,6 +156,18 @@ impl OptimizeRequest {
         }
     }
 
+    /// Check the per-request overrides against the service's limits: a
+    /// `num_tests` above [`MAX_NUM_TESTS`] is refused, because the whole
+    /// suite is allocated up front.
+    pub fn validate(&self) -> Result<(), ProtoError> {
+        match self.num_tests {
+            Some(n) if n > MAX_NUM_TESTS as u64 => Err(ProtoError::new(format!(
+                "field \"num_tests\" must be at most {MAX_NUM_TESTS}, got {n}"
+            ))),
+            _ => Ok(()),
+        }
+    }
+
     /// Materialize the program carried by this request.
     pub fn program(&self) -> Result<Program, ProtoError> {
         let insns = match &self.program {
@@ -262,7 +274,7 @@ impl OptimizeRequest {
                 ProtoError::new("field \"goal\" must be \"insns\" or \"latency\"")
             })?),
         };
-        Ok(OptimizeRequest {
+        let request = OptimizeRequest {
             id,
             prog_type,
             program,
@@ -271,7 +283,9 @@ impl OptimizeRequest {
             seed: opt_u64(json, "seed")?,
             num_tests: opt_u64(json, "num_tests")?,
             top_k: opt_u64(json, "top_k")?,
-        })
+        };
+        request.validate()?;
+        Ok(request)
     }
 
     /// Parse one JSON line.
@@ -757,6 +771,20 @@ mod tests {
     use super::*;
 
     const ASM: &str = "mov64 r0, 2\nexit";
+
+    #[test]
+    fn oversized_num_tests_is_refused_at_parse_time() {
+        let line = r#"{"v":1,"asm":"mov64 r0, 1\nexit","num_tests":100000000}"#;
+        let err = OptimizeRequest::from_json_str(line).unwrap_err();
+        assert!(err.to_string().contains("num_tests"), "{err}");
+        let at_bound = format!(r#"{{"v":1,"asm":"exit","num_tests":{MAX_NUM_TESTS}}}"#);
+        let request = OptimizeRequest::from_json_str(&at_bound).unwrap();
+        assert_eq!(request.num_tests, Some(MAX_NUM_TESTS as u64));
+        // A request built in code is held to the same bound.
+        let mut built = OptimizeRequest::from_asm(ASM);
+        built.num_tests = Some(MAX_NUM_TESTS as u64 + 1);
+        assert!(built.validate().is_err());
+    }
 
     #[test]
     fn request_round_trips_through_json() {

@@ -7,7 +7,7 @@
 //! protocol ([`K2Session::optimize`], [`K2Session::optimize_batch`]), and
 //! standalone equivalence checks ([`K2Session::verify_equivalence`]).
 
-use crate::config::{ConfigError, K2Config};
+use crate::config::{ConfigError, K2Config, MAX_NUM_TESTS};
 use crate::proto::{OptimizeRequest, OptimizeResponse};
 use bpf_equiv::{check_equivalence, EquivOptions, EquivOutcome};
 use bpf_interp::BackendKind;
@@ -115,7 +115,7 @@ impl K2Session {
         let mut jobs: Vec<BatchJob> = Vec::new();
         let mut job_sources: Vec<(usize, bpf_isa::Program)> = Vec::new();
         for (index, request) in requests.iter().enumerate() {
-            match request.program() {
+            match request.validate().and_then(|()| request.program()) {
                 Ok(program) => {
                     let mut options = self.options();
                     if let Some(goal) = request.goal {
@@ -378,6 +378,11 @@ impl K2SessionBuilder {
             config.iterations = iterations;
         }
         if let Some(num_tests) = self.num_tests {
+            if num_tests > MAX_NUM_TESTS {
+                return Err(ConfigError::new(format!(
+                    "num_tests: expected at most {MAX_NUM_TESTS}, got {num_tests}"
+                )));
+            }
             config.num_tests = num_tests;
         }
         if let Some(seed) = self.seed {
@@ -460,6 +465,19 @@ mod tests {
 
     fn xdp(text: &str) -> Program {
         Program::new(ProgramType::Xdp, asm::assemble(text).unwrap())
+    }
+
+    #[test]
+    fn oversized_num_tests_fails_the_build_and_the_request() {
+        assert!(K2Session::builder()
+            .num_tests(MAX_NUM_TESTS + 1)
+            .build()
+            .is_err());
+        let mut request = OptimizeRequest::from_asm("mov64 r0, 1\nexit");
+        request.num_tests = Some(100_000_000);
+        let response = small_session().optimize(&request);
+        assert!(!response.ok);
+        assert!(response.error.unwrap().contains("num_tests"));
     }
 
     #[test]

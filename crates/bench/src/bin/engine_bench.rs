@@ -16,7 +16,9 @@
 //! verdict against the solver-only checker (CI gates on this run). The
 //! numbers — window-hit rate, refutation counts, and the solver-time deltas
 //! of each stage — land in `BENCH_engine.json` at the repository root so the
-//! gains are tracked in-tree.
+//! gains are tracked in-tree, together with each benchmark's candidate
+//! grading (evaluations, test runs, evaluation-memo hits, early rejections,
+//! the memo's peak bytes) and its compilation wall time.
 
 use bpf_bench_suite::Benchmark;
 use bpf_equiv::{CacheStats, EquivChecker, EquivOptions, Refuter, Window};
@@ -29,7 +31,7 @@ use k2_bench::{
 use k2_core::engine::{run_batch, BatchJob};
 use k2_core::proposals::RuleProbabilities;
 use k2_core::{
-    EngineConfig, EngineReport, EventSinkRef, K2Result, ProposalGenerator, SearchParams,
+    CostStats, EngineConfig, EngineReport, EventSinkRef, K2Result, ProposalGenerator, SearchParams,
     TelemetryRef,
 };
 use std::sync::Arc;
@@ -499,6 +501,38 @@ fn main() {
         )
     );
 
+    // Candidate grading per benchmark (shared configuration): evaluations,
+    // the test runs they cost, how many reused the evaluation memo or
+    // stopped early, the memo's peak size, and the compilation's wall time.
+    let mut grading = Vec::new();
+    for (bench, s) in benches.iter().zip(&shared.rows) {
+        let cost = &s.report.cost;
+        grading.push(vec![
+            bench.name.to_string(),
+            cost.evaluations.to_string(),
+            cost.test_runs.to_string(),
+            cost.eval_memo_hits.to_string(),
+            cost.early_rejects.to_string(),
+            format!("{:.1}", s.report.eval_memo_peak_bytes as f64 / 1e6),
+            format!("{:.3}", s.report.wall_time_us as f64 / 1e6),
+        ]);
+    }
+    println!(
+        "{}",
+        render_table(
+            &[
+                "benchmark",
+                "evaluations",
+                "test runs",
+                "memo hits",
+                "early rejects",
+                "eval memo MB",
+                "wall s"
+            ],
+            &grading
+        )
+    );
+
     let summary = [
         (
             "mean compression %",
@@ -574,6 +608,15 @@ fn main() {
             .unwrap_or(0) as f64
             / 1e6,
     );
+    let grading: CostStats = shared.rows.iter().fold(CostStats::default(), |mut acc, r| {
+        acc.absorb(&r.report.cost);
+        acc
+    });
+    println!(
+        "candidate grading: {} test runs for {} evaluations; {} reused the evaluation memo, \
+         {} stopped before the last test",
+        grading.test_runs, grading.evaluations, grading.eval_memo_hits, grading.early_rejects,
+    );
     let counts = events.counts();
     println!(
         "streamed events: {} runs, {} epoch barriers, {} new global bests, {} solver-stat frames",
@@ -595,7 +638,9 @@ fn main() {
              \"refuted_by_testing\": {}, \"smt_escalations\": {}, \
              \"shared_layer_hits\": {}, \"cex_exchanged\": {}, \"time_to_best_s\": {:.3}, \
              \"encode_s\": {:.3}, \"solve_s\": {:.3}, \"p99_query_us\": {}, \
-             \"solve_memo_hits\": {}, \"solve_memo_bytes\": {}, \"top_rules\": \"{}\"}}",
+             \"solve_memo_hits\": {}, \"solve_memo_bytes\": {}, \"top_rules\": \"{}\", \
+             \"evaluations\": {}, \"test_runs\": {}, \"eval_memo_hits\": {}, \
+             \"early_rejects\": {}, \"eval_memo_peak_bytes\": {}, \"wall_s\": {:.3}}}",
             bench.name,
             s.best.real_len(),
             i.best.real_len(),
@@ -616,6 +661,12 @@ fn main() {
             s.report.equiv.memo_hits,
             s.report.solve_memo_bytes,
             top_rules(&s.report),
+            s.report.cost.evaluations,
+            s.report.cost.test_runs,
+            s.report.cost.eval_memo_hits,
+            s.report.cost.early_rejects,
+            s.report.eval_memo_peak_bytes,
+            s.report.wall_time_us as f64 / 1e6,
         ));
     }
     let json = format!(
@@ -635,7 +686,10 @@ fn main() {
          \"cache_hit_rate_shared_pct\": {:.2},\n  \"cache_hit_rate_isolated_pct\": {:.2},\n  \
          \"cross_chain_shared_layer_hit_rate_pct\": {:.2},\n  \
          \"mean_time_to_best_shared_s\": {:.3},\n  \"mean_time_to_best_isolated_s\": {:.3},\n  \
-         \"same_seed_reproducible\": {reproducible},\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"same_seed_reproducible\": {reproducible},\n  \
+         \"evaluations_shared\": {},\n  \"test_runs_shared\": {},\n  \
+         \"eval_memo_hits_shared\": {},\n  \"early_rejects_shared\": {},\n  \
+         \"results\": [\n{}\n  ]\n}}\n",
         mean_compression(&shared, &baselines),
         mean_compression(&isolated, &baselines),
         mean_compression(&nowin, &baselines),
@@ -659,6 +713,10 @@ fn main() {
         shared_hit_rate(&shared),
         mean_time_to_best_s(&shared),
         mean_time_to_best_s(&isolated),
+        grading.evaluations,
+        grading.test_runs,
+        grading.eval_memo_hits,
+        grading.early_rejects,
         rows_json.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");

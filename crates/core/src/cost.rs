@@ -10,10 +10,11 @@ use bpf_equiv::{
 use bpf_interp::{
     BackendKind, CostModel, ExecBackend, InputGenerator, ProgramInput, ProgramOutput,
 };
-use bpf_isa::Program;
+use bpf_isa::{Insn, Program};
 use bpf_safety::{SafetyChecker, SafetyConfig};
 use k2_telemetry::TelemetryRef;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Safety cost assigned to unsafe candidates (`ERR_MAX` in the paper): large
@@ -140,6 +141,84 @@ pub struct CostStats {
     /// Regression guard for an easy-to-reintroduce inefficiency: re-running
     /// the unchanged source per candidate inside `evaluate`.
     pub src_executions: u64,
+    /// Candidate executions on test inputs. Each (candidate, test) pair runs
+    /// at most once while the candidate stays in the evaluation memo.
+    pub test_runs: u64,
+    /// Evaluations whose candidate was already in the evaluation memo: its
+    /// safety verdict and stored test outcomes were reused.
+    pub eval_memo_hits: u64,
+    /// Evaluations stopped before the last test because the acceptance
+    /// test they were graded for had to reject the candidate.
+    pub early_rejects: u64,
+}
+
+impl CostStats {
+    /// Fold another cost function's counters into this one (used when
+    /// aggregating per-chain statistics into an engine-level report).
+    pub fn absorb(&mut self, other: &CostStats) {
+        self.evaluations += other.evaluations;
+        self.failed_tests += other.failed_tests;
+        self.equivalence_checks += other.equivalence_checks;
+        self.counterexamples += other.counterexamples;
+        self.unsafe_candidates += other.unsafe_candidates;
+        self.src_executions += other.src_executions;
+        self.test_runs += other.test_runs;
+        self.eval_memo_hits += other.eval_memo_hits;
+        self.early_rejects += other.early_rejects;
+    }
+}
+
+/// The Metropolis–Hastings acceptance test a cost is computed for: a
+/// candidate whose total cost exceeds `current` by `delta > 0` is accepted
+/// iff `u < exp(-beta * delta)`, where `u` is the step's uniform draw.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AcceptanceTest {
+    /// Total cost of the chain's current program.
+    pub current: f64,
+    /// The chain's inverse temperature.
+    pub beta: f64,
+    /// The uniform draw in `[0, 1)` the step will compare against.
+    pub u: f64,
+}
+
+impl AcceptanceTest {
+    /// Whether a candidate whose total cost is at least `lower` must be
+    /// rejected. A larger cost only lowers the acceptance probability, so
+    /// this holds for the candidate's exact cost too; the `1e-9` margin
+    /// absorbs the rounding of `exp`, which need not be monotone to the ulp.
+    pub(crate) fn must_reject(&self, lower: f64) -> bool {
+        let delta = lower - self.current;
+        delta > 0.0 && (-self.beta * delta).exp() <= self.u * (1.0 - 1e-9)
+    }
+}
+
+/// Bytes one chain's evaluation memo may hold before it is cleared. Chains
+/// revisit a neighbourhood of recent programs, so a bounded memo keeps
+/// nearly all of its hits. The bound is on bytes, not entries, because an
+/// entry grows with the program: 16 MiB is ~20,000 candidates of a
+/// 20-instruction socket filter but only ~1,000 of a 1,000-instruction one.
+const EVAL_MEMO_BYTES: u64 = 16 << 20;
+
+/// One test's outcome for one candidate, in the test loop's terms.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum TestOutcome {
+    /// Same output as the source.
+    Pass,
+    /// Different output, at this (positive) distance.
+    Fail(f64),
+    /// The candidate trapped.
+    Trap,
+    /// The source traps on this input, so the test is not graded.
+    Skipped,
+}
+
+/// What the evaluation memo keeps for one candidate: its safety verdict
+/// and the outcomes of a prefix of the test suite, in suite order. The suite
+/// only ever grows at its end, so a stored prefix stays valid.
+#[derive(Debug)]
+struct Graded {
+    safe: bool,
+    outcomes: Vec<TestOutcome>,
 }
 
 /// The cost function: owns the test suite, the equivalence checker, the
@@ -166,6 +245,12 @@ pub struct CostFunction {
     /// Counterexamples discovered since the last [`Self::take_counterexamples`]
     /// call, in discovery order — the outbox of the cross-chain exchange.
     pending_cex: Vec<ProgramInput>,
+    /// Per-candidate safety verdicts and test outcomes, keyed by the
+    /// candidate's instructions.
+    memo: HashMap<Vec<Insn>, Graded>,
+    /// Bytes the memo holds now, and the most it held.
+    memo_bytes: u64,
+    memo_peak_bytes: u64,
     /// Statistics.
     pub stats: CostStats,
     /// Telemetry recorder handle (no-op by default); also threaded into the
@@ -238,6 +323,9 @@ impl CostFunction {
             backend,
             src_exec,
             pending_cex: Vec::new(),
+            memo: HashMap::new(),
+            memo_bytes: 0,
+            memo_peak_bytes: 0,
             stats,
             telemetry: TelemetryRef::none(),
         }
@@ -375,6 +463,12 @@ impl CostFunction {
     }
 
     /// Evaluate the full cost of a candidate.
+    ///
+    /// A candidate is the source program with other instructions
+    /// ([`Program::with_insns`] on [`CostFunction::source`]): its safety
+    /// verdict and test outcomes are memoized by instruction sequence, so a
+    /// repeated candidate runs only the tests added to the suite since it
+    /// was last graded. Costs are bit-identical to a fresh evaluation.
     pub fn evaluate(&mut self, cand: &Program) -> CostValue {
         self.evaluate_with_region(cand, None)
     }
@@ -387,6 +481,245 @@ impl CostFunction {
     /// back to the full program pair when that is inconclusive. Costs are
     /// identical to [`CostFunction::evaluate`] — only solver work differs.
     pub fn evaluate_with_region(
+        &mut self,
+        cand: &Program,
+        region: Option<crate::proposals::RewriteRegion>,
+    ) -> CostValue {
+        self.grade(cand, region, None)
+            .expect("grading without an acceptance test never rejects")
+    }
+
+    /// [`CostFunction::evaluate_with_region`] for a Metropolis–Hastings
+    /// step that will apply `test` to the cost. Returns `None` as soon as
+    /// the tests graded so far make rejection certain; the remaining tests
+    /// are not run. That happens only after a failed test, so a candidate
+    /// that would reach the equivalence check is always graded in full, and
+    /// every counter moves exactly as under a full evaluation.
+    pub(crate) fn evaluate_or_reject(
+        &mut self,
+        cand: &Program,
+        region: Option<crate::proposals::RewriteRegion>,
+        test: &AcceptanceTest,
+    ) -> Option<CostValue> {
+        self.grade(cand, region, Some(test))
+    }
+
+    /// The error component: `c` weighs the summed distance, `unequal` is 1
+    /// unless the candidate is proven equivalent. Nondecreasing in every
+    /// argument, which the early-rejection bound relies on.
+    fn error_cost(c: f64, total_diff: f64, unequal: f64, count_term: f64) -> f64 {
+        c * total_diff + unequal * count_term + unequal
+    }
+
+    /// The weighted total of the three components.
+    fn total_cost(settings: &CostSettings, error: f64, perf: f64, safety: f64) -> f64 {
+        settings.alpha * error + settings.beta * perf + settings.gamma * safety
+    }
+
+    fn grade(
+        &mut self,
+        cand: &Program,
+        region: Option<crate::proposals::RewriteRegion>,
+        test: Option<&AcceptanceTest>,
+    ) -> Option<CostValue> {
+        debug_assert!(
+            cand.prog_type == self.src.prog_type && cand.maps == self.src.maps,
+            "candidates share the source's type and maps"
+        );
+        self.stats.evaluations += 1;
+        let perf = self.perf_cost(cand);
+
+        // Safety first: unsafe candidates get the ERR_MAX safety cost but we
+        // still compute an error estimate from the test cases so the chain
+        // has a gradient to follow. A memoized candidate keeps its verdict.
+        let safe = match self.memo.get(&cand.insns) {
+            Some(graded) => {
+                self.stats.eval_memo_hits += 1;
+                graded.safe
+            }
+            None => {
+                let safe = self.safety.is_safe(cand);
+                if self.memo_bytes >= EVAL_MEMO_BYTES {
+                    self.memo.clear();
+                    self.memo_bytes = 0;
+                }
+                self.memo_bytes += (std::mem::size_of::<(Vec<Insn>, Graded)>()
+                    + cand.insns.len() * std::mem::size_of::<Insn>())
+                    as u64;
+                self.memo.insert(
+                    cand.insns.clone(),
+                    Graded {
+                        safe,
+                        outcomes: Vec::new(),
+                    },
+                );
+                safe
+            }
+        };
+        if !safe {
+            self.stats.unsafe_candidates += 1;
+        }
+        let safety = if safe { 0.0 } else { ERR_MAX };
+        let c = match self.settings.normalization {
+            ErrorNormalization::Full => 1.0,
+            ErrorNormalization::Average => 1.0 / self.tests.len().max(1) as f64,
+        };
+        // Early rejection needs every term of the total to grow with the
+        // error, i.e. a nonnegative error weight.
+        let test = test.filter(|_| self.settings.alpha >= 0.0);
+
+        // Test-case execution, in suite order: stored outcomes first, then
+        // the tests this candidate has not run yet. The candidate's executor
+        // is prepared only when a test must run, once for the rest of the
+        // corpus, so under the JIT backend the translation cost amortizes
+        // across those inputs.
+        let graded = self
+            .memo
+            .get_mut(&cand.insns)
+            .expect("the candidate was memoized above");
+        let mut cand_exec: Option<Box<dyn ExecBackend>> = None;
+        let mut eval_span = None;
+        let mut total_diff = 0.0f64;
+        let mut failed = 0usize;
+        let mut passed = 0usize;
+        let mut rejected = false;
+        for (i, (input, expected)) in self.tests.iter().zip(&self.expected).enumerate() {
+            let outcome = match graded.outcomes.get(i) {
+                Some(&outcome) => outcome,
+                None => {
+                    let outcome = match expected {
+                        None => TestOutcome::Skipped,
+                        Some(expected) => {
+                            let exec = cand_exec.get_or_insert_with(|| {
+                                eval_span = Some(self.telemetry.span(match self.src_exec.name() {
+                                    "jit" => "core.eval.jit",
+                                    _ => "core.eval.interp",
+                                }));
+                                bpf_jit::backend_for(cand, self.backend)
+                            });
+                            self.stats.test_runs += 1;
+                            match exec.run(input) {
+                                Ok(result) => {
+                                    let diff = match self.settings.diff {
+                                        DiffMetric::Popcount => {
+                                            result.output.diff_popcount(expected) as f64
+                                        }
+                                        DiffMetric::Abs => result.output.diff_abs(expected) as f64,
+                                    };
+                                    if diff == 0.0 {
+                                        TestOutcome::Pass
+                                    } else {
+                                        TestOutcome::Fail(diff)
+                                    }
+                                }
+                                Err(_) => TestOutcome::Trap,
+                            }
+                        }
+                    };
+                    graded.outcomes.push(outcome);
+                    self.memo_bytes += std::mem::size_of::<TestOutcome>() as u64;
+                    outcome
+                }
+            };
+            let diff = match outcome {
+                TestOutcome::Pass => {
+                    passed += 1;
+                    continue;
+                }
+                TestOutcome::Skipped => continue,
+                TestOutcome::Fail(diff) => diff,
+                TestOutcome::Trap => 64.0,
+            };
+            failed += 1;
+            total_diff += diff;
+            // Once a test has failed the candidate is not equivalent, and
+            // the cost of the partial sums is a lower bound on its total:
+            // further tests only add to the distance and the count.
+            if let Some(test) = test {
+                let count_term = match self.settings.test_count {
+                    TestCountMode::Failed => failed as f64,
+                    TestCountMode::Passed => passed as f64,
+                };
+                let error = Self::error_cost(c, total_diff, 1.0, count_term);
+                if test.must_reject(Self::total_cost(&self.settings, error, perf, safety)) {
+                    rejected = true;
+                    break;
+                }
+            }
+        }
+        if let Some(span) = eval_span {
+            span.finish();
+        }
+        self.memo_peak_bytes = self.memo_peak_bytes.max(self.memo_bytes);
+        if rejected {
+            self.stats.failed_tests += 1;
+            self.stats.early_rejects += 1;
+            return None;
+        }
+
+        // Formal equivalence only when every test passes (it is expensive).
+        let mut equivalent = false;
+        let unequal = if failed == 0 {
+            self.stats.equivalence_checks += 1;
+            let window = region.map(bpf_equiv::Window::from);
+            match self.equiv.check_in_window(&self.src, cand, window) {
+                EquivOutcome::Equivalent => {
+                    equivalent = true;
+                    0.0
+                }
+                EquivOutcome::NotEquivalent(Some(counterexample)) => {
+                    // Feed the counterexample back into the test suite,
+                    // grading it with the cached source executor (the only
+                    // post-construction source execution).
+                    self.stats.src_executions += 1;
+                    if let Ok(expected) = self.src_exec.run(&counterexample) {
+                        self.pending_cex.push((*counterexample).clone());
+                        self.tests.push(*counterexample);
+                        self.expected.push(Some(expected.output));
+                        self.stats.counterexamples += 1;
+                    }
+                    1.0
+                }
+                EquivOutcome::NotEquivalent(None) | EquivOutcome::Unknown(_) => 1.0,
+            }
+        } else {
+            self.stats.failed_tests += 1;
+            1.0
+        };
+
+        let count_term = match self.settings.test_count {
+            TestCountMode::Failed => failed as f64,
+            TestCountMode::Passed => {
+                if equivalent {
+                    0.0
+                } else {
+                    passed as f64
+                }
+            }
+        };
+        let error = Self::error_cost(c, total_diff, unequal, count_term);
+        let total = Self::total_cost(&self.settings, error, perf, safety);
+        Some(CostValue {
+            error,
+            perf,
+            safety,
+            total,
+            equivalent,
+            safe,
+        })
+    }
+
+    /// Most bytes the evaluation memo held at once: instructions and test
+    /// outcomes plus a fixed per-entry overhead.
+    pub fn eval_memo_peak_bytes(&self) -> u64 {
+        self.memo_peak_bytes
+    }
+
+    /// The test loop as it was before evaluations were memoized and could
+    /// stop early: every test on every evaluation, and a fresh safety walk.
+    /// The exactness tests hold the memoized, lazy grading to it.
+    #[cfg(test)]
+    pub(crate) fn evaluate_reference(
         &mut self,
         cand: &Program,
         region: Option<crate::proposals::RewriteRegion>,
@@ -416,6 +749,7 @@ impl CostFunction {
         let mut passed = 0usize;
         for (input, expected) in self.tests.iter().zip(&self.expected) {
             let Some(expected) = expected else { continue };
+            self.stats.test_runs += 1;
             match cand_exec.run(input) {
                 Ok(result) => {
                     let diff = match self.settings.diff {
@@ -672,6 +1006,117 @@ mod tests {
         let f = cost_fn(&xdp("mov64 r0, 5\nexit"));
         assert_eq!(f.backend(), BackendKind::Auto);
         assert_eq!(f.backend_name(), "interp");
+    }
+
+    #[test]
+    fn the_reject_predicate_matches_the_acceptance_draw() {
+        let test = |current, beta, u| AcceptanceTest { current, beta, u };
+        // A cost that is not higher is always accepted, whatever the draw
+        // and the sign of the inverse temperature.
+        for u in [0.0, 0.5, 1.0 - f64::EPSILON] {
+            for beta in [1.0, -1.0] {
+                assert!(!test(10.0, beta, u).must_reject(10.0));
+                assert!(!test(10.0, beta, u).must_reject(3.0));
+            }
+        }
+        // u = 0 is accepted while exp(-beta * delta) is positive, and the
+        // full test rejects it once the probability underflows to zero.
+        assert!(!test(0.0, 1.0, 0.0).must_reject(1.0));
+        assert!(!test(0.0, 1.0, 0.0).must_reject(700.0));
+        assert!(test(0.0, 1.0, 0.0).must_reject(1e6));
+        // A huge difference rejects any positive draw.
+        assert!(test(0.0, 1.0, 1e-300).must_reject(1e6));
+        assert!(test(0.0, 1.0, 0.5).must_reject(f64::MAX));
+        // A zero or negative inverse temperature accepts everything.
+        assert!(!test(0.0, 0.0, 0.999).must_reject(1e6));
+        assert!(!test(0.0, -1.0, 0.999).must_reject(1e6));
+        // Around the acceptance probability p: the full test accepts
+        // u < p. One ulp above p the margin still holds the bound back;
+        // a draw clear of p by more than the margin rejects.
+        let delta = 2.5f64;
+        let p = (-delta).exp();
+        let next_up = f64::from_bits(p.to_bits() + 1);
+        let next_down = f64::from_bits(p.to_bits() - 1);
+        assert!(!test(0.0, 1.0, next_down).must_reject(delta));
+        assert!(!test(0.0, 1.0, p).must_reject(delta));
+        assert!(!test(0.0, 1.0, next_up).must_reject(delta));
+        assert!(test(0.0, 1.0, p * (1.0 + 1e-8)).must_reject(delta));
+        // Never rejects a draw the full test would accept.
+        for u in [next_down, p, next_up, p * (1.0 + 1e-8)] {
+            if test(0.0, 1.0, u).must_reject(delta) {
+                assert!(u >= p);
+            }
+        }
+    }
+
+    /// Lazy grading stops only where the step would reject: `cost` was
+    /// graded in full under the same suite, and the step compares it to
+    /// `test.current` with draw `test.u`.
+    fn step_rejects(test: &AcceptanceTest, cost: &CostValue) -> bool {
+        let delta = cost.total - test.current;
+        !(delta <= 0.0 || test.u < (-test.beta * delta).exp())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+        #[test]
+        fn memoized_costs_equal_a_fresh_cost_functions(
+            setting in 0usize..5,
+            socket in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..4, proptest::prelude::any::<u64>()),
+                1..48,
+            ),
+        ) {
+            // Candidates come from a short proposal walk, so the pool holds
+            // near-copies of the source that pass some tests and fail others,
+            // and the ops revisit them: plain evaluations, evaluations for
+            // a step (which may stop early), and suite growth in between.
+            let name = if socket { "socket/0" } else { "xdp_pktcntr" };
+            let src = bpf_bench_suite::by_name(name).unwrap().prog;
+            let params = crate::params::SearchParams::table8()[setting];
+            let goal = OptimizationGoal::InstructionCount;
+            let mut proposals = crate::ProposalGenerator::new(&src, params.rules, 3);
+            let mut pool = vec![src.clone()];
+            for i in 0..12 {
+                // Alternate between one and two rewrites of the source.
+                let base = if i % 2 == 0 { &src } else { pool.last().unwrap() };
+                let cand = src.with_insns(proposals.propose(&base.insns).0);
+                pool.push(cand);
+            }
+            let mut f = CostFunction::new(&src, params.cost, goal, 8, 5);
+            for (op, x) in ops {
+                if op == 3 {
+                    let extra = InputGenerator::new(x).generate_suite(&src, 1 + (x % 3) as usize);
+                    f.add_tests(&extra);
+                    continue;
+                }
+                // A fresh cost function over the same suite.
+                let mut fresh = CostFunction::new(&src, params.cost, goal, 8, 5);
+                let base = fresh.num_tests();
+                fresh.add_tests(&f.tests[base..]);
+                assert_eq!(fresh.tests, f.tests);
+                let cand = &pool[(x % pool.len() as u64) as usize];
+                let want = fresh.evaluate(cand);
+                if op == 2 {
+                    // The current cost sits below or above the candidate's
+                    // by a gap between 2^-3 and 2^36.
+                    let gap = ((x >> 8) % 40) as f64;
+                    let gap = if x & 1 == 0 { gap.exp2() / 8.0 } else { -gap.exp2() / 8.0 };
+                    let test = AcceptanceTest {
+                        current: want.total - gap,
+                        beta: 1.0,
+                        u: (x >> 11) as f64 / (1u64 << 53) as f64,
+                    };
+                    match f.evaluate_or_reject(cand, None, &test) {
+                        Some(got) => assert_eq!(got, want),
+                        None => assert!(step_rejects(&test, &want), "{test:?} {want:?}"),
+                    }
+                } else {
+                    assert_eq!(f.evaluate(cand), want);
+                }
+            }
+        }
     }
 
     #[test]

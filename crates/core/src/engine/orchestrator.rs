@@ -10,7 +10,7 @@
 //! and a re-run with the same seed all walk identical trajectories.
 
 use crate::compiler::CompilerOptions;
-use crate::cost::CostFunction;
+use crate::cost::{CostFunction, CostStats};
 use crate::params::EngineConfig;
 use crate::proposals::ProposalGenerator;
 use crate::search::{ChainStats, MarkovChain};
@@ -58,8 +58,9 @@ pub struct EngineReport {
     /// Equivalence statistics summed over all chains (solver queries, cache
     /// hits per layer, solver time).
     pub equiv: EquivStats,
-    /// Safety-checker statistics summed over all chains (candidates checked,
-    /// found safe and unsafe, instructions examined).
+    /// Safety-checker statistics summed over all chains (candidates walked,
+    /// found safe and unsafe, instructions examined). A candidate still in
+    /// its chain's evaluation memo keeps its verdict and is not walked again.
     pub safety: bpf_safety::SafetyStats,
     /// Combined verdict-cache statistics: hits through either layer vs.
     /// checks that had to query the solver.
@@ -68,6 +69,13 @@ pub struct EngineReport {
     /// the number of solver queries some chain saved because *another* chain
     /// (or an earlier epoch) had already proved the verdict.
     pub shared_cache: CacheStats,
+    /// Cost-function statistics summed over all chains: evaluations, test
+    /// runs, evaluation-memo hits and early rejections.
+    pub cost: CostStats,
+    /// Sum over chains of the most bytes each chain's evaluation memo held
+    /// ([`CostFunction::eval_memo_peak_bytes`]). Deterministic for a fixed
+    /// seed.
+    pub eval_memo_peak_bytes: u64,
     /// Entries in the shared cache at the end of the run.
     pub shared_cache_entries: usize,
     /// CNF bytes the compilation's solve memo retained at the end of the
@@ -371,6 +379,8 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
             let equiv = chain.cost_function().equiv_stats();
             report.equiv.absorb(&equiv);
             report.safety.absorb(&chain.cost_function().safety_stats());
+            report.cost.absorb(&chain.cost_function().stats);
+            report.eval_memo_peak_bytes += chain.cost_function().eval_memo_peak_bytes();
             ChainOutcome {
                 param_id,
                 best: chain.best().cloned(),

@@ -53,7 +53,7 @@ pub mod search;
 pub use bpf_interp::BackendKind;
 pub use compiler::{optimize_with, CompilerOptions, K2Result, OptimizationGoal};
 pub use cost::{
-    CostFunction, CostSettings, CostValue, DiffMetric, ErrorNormalization, TestCountMode,
+    CostFunction, CostSettings, CostStats, CostValue, DiffMetric, ErrorNormalization, TestCountMode,
 };
 pub use engine::{
     BatchJob, ChainOutcome, EngineOutcome, EngineReport, EventSink, EventSinkRef, JobPanic,

@@ -1,6 +1,6 @@
 //! The Metropolis–Hastings search loop (§3.3).
 
-use crate::cost::{CostFunction, CostValue};
+use crate::cost::{AcceptanceTest, CostFunction, CostValue};
 use crate::proposals::{ProposalGenerator, RewriteRule};
 use bpf_analysis::canonicalize;
 use bpf_isa::{Insn, Program};
@@ -158,15 +158,34 @@ impl MarkovChain {
     }
 
     /// One Metropolis–Hastings step.
+    ///
+    /// The candidate is graded against the acceptance test this step will
+    /// apply: the uniform draw is peeked from a clone of the chain's RNG
+    /// (grading never touches it), so the cost function can stop running
+    /// tests once rejection is certain. The draw is then consumed exactly
+    /// as a full grading would, so decisions and the RNG stream are
+    /// unchanged.
     pub fn step(&mut self) {
         self.stats.iterations += 1;
         let telemetry = self.cost.telemetry().clone();
         let (proposal, rule, region) = self.generator.propose(&self.current);
         let (eval_key, accepted_key, rejected_key) = rule_keys(rule);
         let cand = self.cost.source().with_insns(proposal.clone());
+        let test = AcceptanceTest {
+            current: self.current_cost.total,
+            beta: self.temperature_beta,
+            u: self.rng.clone().gen::<f64>(),
+        };
         let eval_span = telemetry.span(eval_key);
-        let cand_cost = self.cost.evaluate_with_region(&cand, Some(region));
+        let cand_cost = self.cost.evaluate_or_reject(&cand, Some(region), &test);
         eval_span.finish();
+        let Some(cand_cost) = cand_cost else {
+            // Rejected at a positive cost difference: the full grading would
+            // have drawn `u` and lost.
+            self.rng.gen::<f64>();
+            telemetry.count(rejected_key, 1);
+            return;
+        };
 
         // Track the best equivalent & safe program (by performance cost).
         if cand_cost.equivalent && cand_cost.safe {
@@ -223,6 +242,178 @@ mod tests {
         );
         let generator = ProposalGenerator::new(src, RuleProbabilities::default(), seed);
         MarkovChain::new(cost, generator, seed)
+    }
+
+    impl MarkovChain {
+        /// The step as it was before grading could stop early: the
+        /// reference test loop grades every candidate in full, then the
+        /// acceptance test runs.
+        fn reference_step(&mut self) {
+            self.stats.iterations += 1;
+            let (proposal, _rule, region) = self.generator.propose(&self.current);
+            let cand = self.cost.source().with_insns(proposal.clone());
+            let cand_cost = self.cost.evaluate_reference(&cand, Some(region));
+            if cand_cost.equivalent && cand_cost.safe {
+                let perf = self.cost.perf_cost(&cand);
+                let improved = match &self.best {
+                    Some((_, best_perf)) => perf < *best_perf,
+                    None => true,
+                };
+                if improved {
+                    let cleaned = self.cost.source().with_insns(canonicalize(&cand.insns));
+                    let cleaned_perf = self.cost.perf_cost(&cleaned);
+                    self.best = Some((cleaned, cleaned_perf.min(perf)));
+                    self.stats.candidates_found += 1;
+                    self.stats.best_found_at = self.stats.iterations;
+                }
+            }
+            let delta = cand_cost.total - self.current_cost.total;
+            let accept = if delta <= 0.0 {
+                true
+            } else {
+                let p = (-self.temperature_beta * delta).exp();
+                self.rng.gen::<f64>() < p
+            };
+            if accept {
+                self.current = proposal;
+                self.current_cost = cand_cost;
+                self.stats.accepted += 1;
+            }
+        }
+    }
+
+    /// The bits of every field of a cost value.
+    fn cost_bits(v: &CostValue) -> (u64, u64, u64, u64, bool, bool) {
+        (
+            v.error.to_bits(),
+            v.perf.to_bits(),
+            v.safety.to_bits(),
+            v.total.to_bits(),
+            v.equivalent,
+            v.safe,
+        )
+    }
+
+    /// The counters a full grading moves; the memo and early-rejection
+    /// counters are zeroed.
+    fn graded_counts(stats: &crate::cost::CostStats) -> crate::cost::CostStats {
+        crate::cost::CostStats {
+            test_runs: 0,
+            eval_memo_hits: 0,
+            early_rejects: 0,
+            ..*stats
+        }
+    }
+
+    /// Step a memoized, early-rejecting chain and a reference twin with the
+    /// same seed through `STEPS` steps of every program in `benches` under
+    /// every Table-8 setting, and require identical decisions, current cost
+    /// bits, RNG streams, best programs and grading counters. Both twins
+    /// share one solve memo, so the reference side's solver queries cost no
+    /// second solve. Returns (test runs, reference test runs, early
+    /// rejections) over the sweep.
+    fn assert_lazy_steps_match_reference(
+        benches: &[bpf_bench_suite::Benchmark],
+    ) -> (u64, u64, u64) {
+        const STEPS: u64 = 1500;
+        let settings = crate::params::SearchParams::table8();
+        let totals: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = settings
+                .iter()
+                .map(|params| {
+                    scope.spawn(move || {
+                        let mut totals = (0, 0, 0);
+                        for bench in benches {
+                            let src = &bench.prog;
+                            let seed = 0x6b32 ^ (bench.row as u64) << 8 ^ params.id as u64;
+                            let memo = std::sync::Arc::new(bpf_equiv::SolveMemo::default());
+                            let chain = || {
+                                let mut cost = CostFunction::new(
+                                    src,
+                                    params.cost,
+                                    OptimizationGoal::InstructionCount,
+                                    16,
+                                    seed,
+                                );
+                                cost.set_solve_memo(memo.clone());
+                                let generator = ProposalGenerator::new(src, params.rules, seed);
+                                MarkovChain::new(cost, generator, seed)
+                            };
+                            let (mut lazy, mut reference) = (chain(), chain());
+                            for step in 0..STEPS {
+                                lazy.step();
+                                reference.reference_step();
+                                let at =
+                                    || format!("{} setting {} step {step}", bench.name, params.id);
+                                assert_eq!(lazy.stats, reference.stats, "{}", at());
+                                assert_eq!(
+                                    cost_bits(&lazy.current_cost),
+                                    cost_bits(&reference.current_cost),
+                                    "{}",
+                                    at()
+                                );
+                                assert_eq!(lazy.current, reference.current, "{}", at());
+                                assert_eq!(
+                                    lazy.rng.clone().gen::<u64>(),
+                                    reference.rng.clone().gen::<u64>(),
+                                    "{}",
+                                    at()
+                                );
+                            }
+                            let at = format!("{} setting {}", bench.name, params.id);
+                            assert_eq!(
+                                lazy.best.as_ref().map(|(p, c)| (&p.insns, c.to_bits())),
+                                reference
+                                    .best
+                                    .as_ref()
+                                    .map(|(p, c)| (&p.insns, c.to_bits())),
+                                "{at}"
+                            );
+                            let (a, b) = (&lazy.cost.stats, &reference.cost.stats);
+                            assert_eq!(graded_counts(a), graded_counts(b), "{at}");
+                            assert!(a.test_runs <= b.test_runs, "{at}");
+                            totals.0 += a.test_runs;
+                            totals.1 += b.test_runs;
+                            totals.2 += a.early_rejects;
+                        }
+                        totals
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        totals
+            .iter()
+            .fold((0, 0, 0), |acc, t| (acc.0 + t.0, acc.1 + t.1, acc.2 + t.2))
+    }
+
+    #[test]
+    fn lazy_memoized_steps_match_the_reference_steps_bit_for_bit() {
+        // The whole suite in an optimized build (CI runs this test with
+        // `--release`); an unoptimized build, where the largest programs'
+        // solver queries take minutes, sweeps the programs with cheap ones.
+        let benches: Vec<_> = bpf_bench_suite::all()
+            .into_iter()
+            .filter(|b| {
+                !cfg!(debug_assertions)
+                    || [
+                        "socket/0",
+                        "socket/1",
+                        "xdp_fw",
+                        "xdp_pktcntr",
+                        "xdp_exception",
+                    ]
+                    .contains(&b.name)
+            })
+            .collect();
+        let (runs, reference_runs, rejects) = assert_lazy_steps_match_reference(&benches);
+        // Not vacuous: steps stop early, and memo hits and early stops
+        // together run well under half the reference's tests.
+        assert!(rejects > 0, "no step stopped early");
+        assert!(
+            2 * runs < reference_runs,
+            "{runs} test runs vs {reference_runs}"
+        );
     }
 
     #[test]

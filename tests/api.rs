@@ -390,6 +390,51 @@ fn k2c_reports_malformed_lines_in_place() {
 }
 
 #[test]
+fn k2c_answers_oversized_and_malformed_lines_in_place() {
+    // A `num_tests` of 10^8 used to allocate the whole suite up front and
+    // abort the process, losing every other line of the batch.
+    let _lock = env_lock();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_k2c"))
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .env_remove("K2_CONFIG")
+        .spawn()
+        .expect("spawn k2c");
+    {
+        let mut stdin = child.stdin.take().unwrap();
+        for line in [
+            r#"{"v":1,"id":"big","asm":"mov64 r0, 1\nexit","num_tests":100000000}"#,
+            r#"{"v":1,"id":"ok","asm":"mov64 r0, 2\nexit","iterations":50}"#,
+            r#"{"v":1,"id":"hex","insns_hex":"b7zz"}"#,
+            r#"{"v":1,"#,
+        ] {
+            writeln!(stdin, "{line}").unwrap();
+        }
+    }
+    let output = child.wait_with_output().expect("k2c runs");
+    assert!(output.status.success(), "k2c failed: {output:?}");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let responses: Vec<OptimizeResponse> = stdout
+        .lines()
+        .map(|l| OptimizeResponse::from_json_str(l).expect("valid response JSON"))
+        .collect();
+    let summary: Vec<(Option<&str>, bool)> =
+        responses.iter().map(|r| (r.id.as_deref(), r.ok)).collect();
+    assert_eq!(
+        summary,
+        [
+            (Some("big"), false),
+            (Some("ok"), true),
+            (Some("hex"), false),
+            (None, false)
+        ]
+    );
+    let error = responses[0].error.as_deref().unwrap();
+    assert!(error.contains("num_tests"), "got: {error}");
+}
+
+#[test]
 fn k2c_request_lines_handle_astral_ids_and_reject_lone_surrogates() {
     let _lock = env_lock();
     // An astral-plane id survives the full trip: JSONL request line →
