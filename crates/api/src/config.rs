@@ -44,6 +44,13 @@ impl std::error::Error for ConfigError {}
 /// builder, and request lines.
 pub const MAX_NUM_TESTS: usize = 4096;
 
+/// Largest accepted iteration budget per Markov chain (`iterations`). A
+/// compilation runs its chains to the end of the budget, so a budget far
+/// past this (the largest the documentation uses is 100,000) would hold a
+/// worker for hours or for good. Larger values are rejected wherever they
+/// enter: config file, environment, builder, and request lines.
+pub const MAX_ITERATIONS: u64 = 10_000_000;
+
 /// Parse an optimization-goal name (`insns` / `latency`).
 pub fn parse_goal(s: &str) -> Option<OptimizationGoal> {
     match s.trim().to_ascii_lowercase().as_str() {
@@ -75,7 +82,8 @@ pub fn goal_name(goal: OptimizationGoal) -> &'static str {
 pub struct K2Config {
     /// What the search minimizes (`K2_GOAL`, file key `goal`).
     pub goal: OptimizationGoal,
-    /// Iterations per Markov chain (`K2_ITERS`, file key `iterations`).
+    /// Iterations per Markov chain (`K2_ITERS`, file key `iterations`),
+    /// from 1 to [`MAX_ITERATIONS`].
     pub iterations: u64,
     /// Test cases generated up front (`K2_NUM_TESTS`, file key `num_tests`),
     /// from 1 to [`MAX_NUM_TESTS`].
@@ -203,8 +211,8 @@ impl K2Config {
                 None => return bad("\"insns\" or \"latency\""),
             },
             "iterations" => match value.as_u64() {
-                Some(v) if v > 0 => self.iterations = v,
-                _ => return bad("a positive integer"),
+                Some(v) if v > 0 && v <= MAX_ITERATIONS => self.iterations = v,
+                _ => return bad(&format!("a positive integer up to {MAX_ITERATIONS}")),
             },
             "num_tests" => match value.as_u64() {
                 Some(v) if v > 0 && v <= MAX_NUM_TESTS as u64 => self.num_tests = v as usize,
@@ -296,7 +304,15 @@ impl K2Config {
             }
         }
         if let Some(v) = env::u64("K2_ITERS") {
-            self.iterations = v.max(1);
+            if v <= MAX_ITERATIONS {
+                self.iterations = v.max(1);
+            } else {
+                env::warn_malformed(
+                    "K2_ITERS",
+                    &v.to_string(),
+                    &format!("at most {MAX_ITERATIONS}"),
+                );
+            }
         }
         if let Some(v) = env::usize("K2_NUM_TESTS") {
             if v <= MAX_NUM_TESTS {
@@ -459,6 +475,36 @@ mod tests {
         assert!(c
             .apply_json(&Json::parse(r#"{"refute_inputs": true}"#).unwrap())
             .is_err());
+    }
+
+    #[test]
+    fn iterations_is_bounded_in_the_file_and_environment_layers() {
+        let mut config = K2Config::default();
+        let at_bound = format!(r#"{{"iterations": {MAX_ITERATIONS}}}"#);
+        config.apply_json(&Json::parse(&at_bound).unwrap()).unwrap();
+        assert_eq!(config.iterations, MAX_ITERATIONS);
+        for bad in [
+            r#"{"iterations": 0}"#,
+            r#"{"iterations": 10000001}"#,
+            r#"{"iterations": 9223372036854775807}"#,
+        ] {
+            let mut c = K2Config::default();
+            assert!(c.apply_json(&Json::parse(bad).unwrap()).is_err(), "{bad}");
+        }
+
+        let _guard = env::test_lock();
+        let saved = std::env::var("K2_ITERS").ok();
+        std::env::set_var("K2_ITERS", "9223372036854775807");
+        let mut config = K2Config::default();
+        config.apply_env();
+        assert_eq!(config.iterations, K2Config::default().iterations);
+        std::env::set_var("K2_ITERS", MAX_ITERATIONS.to_string());
+        config.apply_env();
+        assert_eq!(config.iterations, MAX_ITERATIONS);
+        match saved {
+            Some(v) => std::env::set_var("K2_ITERS", v),
+            None => std::env::remove_var("K2_ITERS"),
+        }
     }
 
     #[test]

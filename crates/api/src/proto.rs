@@ -14,7 +14,7 @@
 //! [`k2_core::EngineReport`], available in-process via
 //! [`crate::K2Session::optimize_program`].
 
-use crate::config::{goal_name, parse_goal, MAX_NUM_TESTS};
+use crate::config::{goal_name, parse_goal, MAX_ITERATIONS, MAX_NUM_TESTS};
 use crate::json::Json;
 use bpf_isa::{asm, wire, Program, ProgramType};
 use k2_core::{K2Result, OptimizationGoal};
@@ -158,11 +158,15 @@ impl OptimizeRequest {
 
     /// Check the per-request overrides against the service's limits: a
     /// `num_tests` above [`MAX_NUM_TESTS`] is refused, because the whole
-    /// suite is allocated up front.
+    /// suite is allocated up front, and `iterations` above
+    /// [`MAX_ITERATIONS`], because the chains run the whole budget.
     pub fn validate(&self) -> Result<(), ProtoError> {
-        match self.num_tests {
-            Some(n) if n > MAX_NUM_TESTS as u64 => Err(ProtoError::new(format!(
+        match (self.num_tests, self.iterations) {
+            (Some(n), _) if n > MAX_NUM_TESTS as u64 => Err(ProtoError::new(format!(
                 "field \"num_tests\" must be at most {MAX_NUM_TESTS}, got {n}"
+            ))),
+            (_, Some(n)) if n > MAX_ITERATIONS => Err(ProtoError::new(format!(
+                "field \"iterations\" must be at most {MAX_ITERATIONS}, got {n}"
             ))),
             _ => Ok(()),
         }
@@ -783,6 +787,20 @@ mod tests {
         // A request built in code is held to the same bound.
         let mut built = OptimizeRequest::from_asm(ASM);
         built.num_tests = Some(MAX_NUM_TESTS as u64 + 1);
+        assert!(built.validate().is_err());
+    }
+
+    #[test]
+    fn oversized_iterations_is_refused_at_parse_time() {
+        let line = r#"{"v":1,"asm":"mov64 r0, 1\nexit","iterations":9223372036854775807}"#;
+        let err = OptimizeRequest::from_json_str(line).unwrap_err();
+        assert!(err.to_string().contains("iterations"), "{err}");
+        let at_bound = format!(r#"{{"v":1,"asm":"exit","iterations":{MAX_ITERATIONS}}}"#);
+        let request = OptimizeRequest::from_json_str(&at_bound).unwrap();
+        assert_eq!(request.iterations, Some(MAX_ITERATIONS));
+        // A request built in code is held to the same bound.
+        let mut built = OptimizeRequest::from_asm(ASM);
+        built.iterations = Some(MAX_ITERATIONS + 1);
         assert!(built.validate().is_err());
     }
 

@@ -7,7 +7,7 @@
 //! protocol ([`K2Session::optimize`], [`K2Session::optimize_batch`]), and
 //! standalone equivalence checks ([`K2Session::verify_equivalence`]).
 
-use crate::config::{ConfigError, K2Config, MAX_NUM_TESTS};
+use crate::config::{ConfigError, K2Config, MAX_ITERATIONS, MAX_NUM_TESTS};
 use crate::proto::{OptimizeRequest, OptimizeResponse};
 use bpf_equiv::{check_equivalence, EquivOptions, EquivOutcome};
 use bpf_interp::BackendKind;
@@ -375,6 +375,11 @@ impl K2SessionBuilder {
             config.goal = goal;
         }
         if let Some(iterations) = self.iterations {
+            if iterations > MAX_ITERATIONS {
+                return Err(ConfigError::new(format!(
+                    "iterations: expected at most {MAX_ITERATIONS}, got {iterations}"
+                )));
+            }
             config.iterations = iterations;
         }
         if let Some(num_tests) = self.num_tests {
@@ -478,6 +483,19 @@ mod tests {
         let response = small_session().optimize(&request);
         assert!(!response.ok);
         assert!(response.error.unwrap().contains("num_tests"));
+    }
+
+    #[test]
+    fn oversized_iterations_fails_the_build_and_the_request() {
+        assert!(K2Session::builder()
+            .iterations(MAX_ITERATIONS + 1)
+            .build()
+            .is_err());
+        let mut request = OptimizeRequest::from_asm("mov64 r0, 1\nexit");
+        request.iterations = Some(i64::MAX as u64);
+        let response = small_session().optimize(&request);
+        assert!(!response.ok);
+        assert!(response.error.unwrap().contains("iterations"));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks of the bit-vector solver: equality and
 //! multiplication identities at different widths (the workload behind
-//! equivalence queries).
+//! equivalence queries), and the slow-query corpus of real full-program
+//! queries (`crates/bench/data/slow_queries.tsv`) replayed cold.
 
 use bitsmt::{CheckResult, Solver, TermPool};
+use bpf_equiv::{check_equivalence, EquivOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -51,5 +53,23 @@ fn bench_solver(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solver);
+/// Each corpus query through the full-program checker with no window and
+/// no cache: encoding, bit-blasting and one SAT solve.
+fn bench_slow_queries(c: &mut Criterion) {
+    let mut group = c.benchmark_group("slow_queries");
+    group.sample_size(10);
+    for (i, query) in k2_bench::slow_queries().into_iter().enumerate() {
+        let id = format!("{i}_{}_{}", query.benchmark, query.equivalent);
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let (outcome, _) =
+                    check_equivalence(&query.source, &query.candidate, &EquivOptions::default());
+                assert_eq!(outcome.is_equivalent(), query.equivalent);
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_solver, bench_slow_queries);
 criterion_main!(benches);

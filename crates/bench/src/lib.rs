@@ -266,6 +266,54 @@ pub fn engine_summary(rows: &[CompressionRow]) -> String {
     )
 }
 
+/// One recorded slow full-program equivalence query: a benchmark's
+/// [`best_baseline`] as the source, a candidate the search proposed, and the
+/// verdict the solver reached (`data/slow_queries.tsv`).
+#[derive(Debug, Clone)]
+pub struct SlowQuery {
+    /// The benchmark the query came from.
+    pub benchmark: String,
+    /// The source program: the benchmark's best baseline.
+    pub source: Program,
+    /// The candidate program.
+    pub candidate: Program,
+    /// Whether the candidate is equivalent to the source.
+    pub equivalent: bool,
+}
+
+/// The slow-query corpus: the slowest distinct full-program queries of an
+/// engine_bench sweep, for replaying through the solver cold.
+pub fn slow_queries() -> Vec<SlowQuery> {
+    include_str!("../data/slow_queries.tsv")
+        .lines()
+        .filter(|line| !line.starts_with('#') && !line.trim().is_empty())
+        .map(|line| {
+            let fields: Vec<&str> = line.split('\t').collect();
+            let [benchmark, verdict, hex] = fields[..] else {
+                panic!("slow-query line without three fields: {line}");
+            };
+            let bench = bpf_bench_suite::by_name(benchmark)
+                .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
+            let source = best_baseline(&bench.prog).1;
+            let bytes: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex byte"))
+                .collect();
+            let insns = bpf_isa::wire::decode_bytes(&bytes).expect("well-formed instructions");
+            SlowQuery {
+                benchmark: benchmark.to_string(),
+                candidate: source.with_insns(insns),
+                source,
+                equivalent: match verdict {
+                    "equivalent" => true,
+                    "not_equivalent" => false,
+                    _ => panic!("unknown verdict {verdict}"),
+                },
+            }
+        })
+        .collect()
+}
+
 /// Render a simple aligned text table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

@@ -1,13 +1,26 @@
 //! Bit-blasting: lowering bit-vector terms to CNF via Tseitin encoding.
 //!
-//! Every term is translated to a vector of [`Bit`]s (LSB first). Constant
-//! bits stay symbolic-free; only genuinely unknown bits allocate CNF
-//! variables, which keeps the formulas small after the term-level
-//! simplifications have run.
+//! Every term is translated to a run of [`Bit`]s (LSB first) in one flat
+//! arena. Constant bits stay symbolic-free; only genuinely unknown bits
+//! allocate CNF variables, which keeps the formulas small after the
+//! term-level simplifications have run.
+//!
+//! Gates over literals are structurally hashed (Kuehlmann et al., "Robust
+//! Boolean Reasoning for Equivalence Checking and Functional Property
+//! Verification", TCAD 2002): every AND, XOR and multiplexer is looked up in
+//! one table before it is built, so a gate that two terms compute alike gets
+//! one variable and one set of clauses. An AND is keyed by its sorted
+//! literals. An XOR is keyed by its inputs' variables, and a multiplexer by
+//! a positive select and a positive then-arm; the inputs' signs go into the
+//! output's polarity. An if-then-else bit whose select and arms are distinct
+//! literals is one multiplexer variable with the six-clause encoding, and
+//! `ite(c, t, ¬t)` is `xnor(c, t)`.
 
 use crate::cnf::{CnfBuilder, Lit};
-use crate::term::{Op, TermId, TermPool};
+use crate::term::{FxHasher, Op, TermId, TermPool};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// One bit of a blasted term: either a known constant or a CNF literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,19 +32,38 @@ pub enum Bit {
 }
 
 /// The bit-blaster: owns the CNF being built and the memoized translations.
+///
+/// Resetting it empties it for the next formula but keeps its buffers, so
+/// one blaster serves every query of a thread.
 #[derive(Debug, Default)]
 pub struct BitBlaster {
     /// The CNF formula being produced.
     pub cnf: CnfBuilder,
-    /// The bits of each blasted term, indexed by [`TermId`]; empty until
-    /// the term is blasted (every term is at least one bit wide).
-    memo: Vec<Vec<Bit>>,
+    /// The bits of every blasted term, back to back.
+    bits: Vec<Bit>,
+    /// Where each term's bits start in `bits` and how many there are,
+    /// indexed by [`TermId`]; zero bits until the term is blasted (every
+    /// term is at least one bit wide).
+    spans: Vec<(u32, u32)>,
+    /// The output literal of every gate built so far.
+    gates: HashMap<Gate, Lit, BuildHasherDefault<FxHasher>>,
     /// CNF variables backing each named bit-vector variable (LSB first).
     pub var_bits: HashMap<String, Vec<Lit>>,
 }
 
-/// A copy of a blasted term's bits on the stack (terms are at most 64 bits
-/// wide), so operands can be read while gates are added.
+/// A gate over literals, in the normal form that keys the gate table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Gate {
+    /// `x ∧ y` with `x < y`.
+    And(Lit, Lit),
+    /// `x ⊕ y` over positive literals with `x < y`.
+    Xor(Lit, Lit),
+    /// `c ? t : e` with `c` and `t` positive.
+    Mux(Lit, Lit, Lit),
+}
+
+/// A term's bits on the stack (terms are at most 64 bits wide), so operands
+/// can be read while gates are added.
 #[derive(Clone, Copy)]
 struct Word {
     bits: [Bit; 64],
@@ -46,10 +78,39 @@ impl std::ops::Deref for Word {
     }
 }
 
+impl FromIterator<Bit> for Word {
+    fn from_iter<I: IntoIterator<Item = Bit>>(iter: I) -> Word {
+        let mut word = Word {
+            bits: [Bit::Const(false); 64],
+            len: 0,
+        };
+        for bit in iter {
+            word.bits[word.len] = bit;
+            word.len += 1;
+        }
+        word
+    }
+}
+
+impl From<Vec<Bit>> for Word {
+    fn from(bits: Vec<Bit>) -> Word {
+        bits.into_iter().collect()
+    }
+}
+
 impl BitBlaster {
     /// Create an empty blaster.
     pub fn new() -> BitBlaster {
         BitBlaster::default()
+    }
+
+    /// Forget the formula built so far, keeping the buffers' capacity.
+    pub(crate) fn reset(&mut self) {
+        self.cnf.clear();
+        self.bits.clear();
+        self.spans.clear();
+        self.gates.clear();
+        self.var_bits.clear();
     }
 
     /// Assert that a 1-bit term is true.
@@ -63,13 +124,13 @@ impl BitBlaster {
     }
 
     fn blasted(&self, id: TermId) -> bool {
-        !self.memo[id.index()].is_empty()
+        self.spans[id.index()].1 != 0
     }
 
     /// Translate a term into its bits.
     pub fn blast(&mut self, pool: &TermPool, term: TermId) -> &[Bit] {
-        if self.memo.len() < pool.len() {
-            self.memo.resize_with(pool.len(), Vec::new);
+        if self.spans.len() < pool.len() {
+            self.spans.resize(pool.len(), (0, 0));
         }
         if !self.blasted(term) {
             // Post-order traversal without recursion (terms can be deep).
@@ -94,26 +155,27 @@ impl BitBlaster {
                 if self.blasted(id) {
                     continue;
                 }
-                let bits = self.blast_node(pool, id);
-                debug_assert_eq!(bits.len() as u32, pool.width(id));
-                self.memo[id.index()] = bits;
+                let word = self.blast_node(pool, id);
+                debug_assert_eq!(word.len as u32, pool.width(id));
+                let start = u32::try_from(self.bits.len()).expect("under 2^32 blasted bits");
+                self.spans[id.index()] = (start, word.len as u32);
+                self.bits.extend_from_slice(&word);
             }
         }
-        &self.memo[term.index()]
+        let (start, len) = self.spans[term.index()];
+        &self.bits[start as usize..(start + len) as usize]
     }
 
     /// The bits of an already blasted term.
     fn get(&self, t: TermId) -> Word {
-        let bits = &self.memo[t.index()];
-        let mut word = Word {
-            bits: [Bit::Const(false); 64],
-            len: bits.len(),
-        };
-        word.bits[..bits.len()].copy_from_slice(bits);
-        word
+        let (start, len) = self.spans[t.index()];
+        self.bits[start as usize..(start + len) as usize]
+            .iter()
+            .copied()
+            .collect()
     }
 
-    fn blast_node(&mut self, pool: &TermPool, id: TermId) -> Vec<Bit> {
+    fn blast_node(&mut self, pool: &TermPool, id: TermId) -> Word {
         let node = pool.node(id);
         let w = node.width as usize;
         match node.op {
@@ -131,17 +193,23 @@ impl BitBlaster {
             Op::And(a, b) => self.zip(a, b, |s, x, y| s.bit_and(x, y)),
             Op::Or(a, b) => self.zip(a, b, |s, x, y| s.bit_or(x, y)),
             Op::Xor(a, b) => self.zip(a, b, |s, x, y| s.bit_xor(x, y)),
-            Op::Add(a, b) => {
-                let (sum, _carry) = self.adder(&self.get(a), &self.get(b), Bit::Const(false));
-                sum
-            }
-            Op::Sub(a, b) => self.subtract(&self.get(a), &self.get(b)).0,
-            Op::Mul(a, b) => self.multiply(&self.get(a), &self.get(b)),
-            Op::UDiv(a, b) => self.divide(&self.get(a), &self.get(b)).0,
-            Op::URem(a, b) => self.divide(&self.get(a), &self.get(b)).1,
-            Op::Shl(a, b) => self.shift(&self.get(a), &self.get(b), ShiftKind::Left),
-            Op::Lshr(a, b) => self.shift(&self.get(a), &self.get(b), ShiftKind::LogicalRight),
-            Op::Ashr(a, b) => self.shift(&self.get(a), &self.get(b), ShiftKind::ArithmeticRight),
+            Op::Add(a, b) => self
+                .adder(&self.get(a), &self.get(b), Bit::Const(false))
+                .0
+                .into(),
+            Op::Sub(a, b) => self.subtract(&self.get(a), &self.get(b)).0.into(),
+            Op::Mul(a, b) => self.multiply(&self.get(a), &self.get(b)).into(),
+            Op::UDiv(a, b) => self.divide(&self.get(a), &self.get(b)).0.into(),
+            Op::URem(a, b) => self.divide(&self.get(a), &self.get(b)).1.into(),
+            Op::Shl(a, b) => self
+                .shift(&self.get(a), &self.get(b), ShiftKind::Left)
+                .into(),
+            Op::Lshr(a, b) => self
+                .shift(&self.get(a), &self.get(b), ShiftKind::LogicalRight)
+                .into(),
+            Op::Ashr(a, b) => self
+                .shift(&self.get(a), &self.get(b), ShiftKind::ArithmeticRight)
+                .into(),
             Op::Eq(a, b) => {
                 let (av, bv) = (self.get(a), self.get(b));
                 let mut acc = Bit::Const(true);
@@ -149,11 +217,9 @@ impl BitBlaster {
                     let x_eq_y = self.bit_xnor(x, y);
                     acc = self.bit_and(acc, x_eq_y);
                 }
-                vec![acc]
+                std::iter::once(acc).collect()
             }
-            Op::Ult(a, b) => {
-                vec![self.ult(&self.get(a), &self.get(b))]
-            }
+            Op::Ult(a, b) => std::iter::once(self.ult(&self.get(a), &self.get(b))).collect(),
             Op::Slt(a, b) => {
                 let (av, bv) = (self.get(a), self.get(b));
                 let sa = *av.last().expect("nonempty");
@@ -161,14 +227,18 @@ impl BitBlaster {
                 let unsigned_lt = self.ult(&av, &bv);
                 // Different signs: a < b iff a is negative.
                 let signs_differ = self.bit_xor(sa, sb);
-                vec![self.bit_ite(signs_differ, sa, unsigned_lt)]
+                std::iter::once(self.bit_ite(signs_differ, sa, unsigned_lt)).collect()
             }
-            Op::Concat(a, b) => {
-                let mut bits = self.get(b).to_vec();
-                bits.extend_from_slice(&self.get(a));
-                bits
-            }
-            Op::Extract { hi, lo, arg } => self.get(arg)[lo as usize..=hi as usize].to_vec(),
+            Op::Concat(a, b) => self
+                .get(b)
+                .iter()
+                .chain(self.get(a).iter())
+                .copied()
+                .collect(),
+            Op::Extract { hi, lo, arg } => self.get(arg)[lo as usize..=hi as usize]
+                .iter()
+                .copied()
+                .collect(),
             Op::Ite(c, t, e) => {
                 let cond = self.get(c)[0];
                 let (tv, ev) = (self.get(t), self.get(e));
@@ -185,7 +255,7 @@ impl BitBlaster {
         a: TermId,
         b: TermId,
         mut f: F,
-    ) -> Vec<Bit> {
+    ) -> Word {
         let (av, bv) = (self.get(a), self.get(b));
         av.iter()
             .zip(bv.iter())
@@ -213,11 +283,7 @@ impl BitBlaster {
                 if x == -y {
                     return Bit::Const(false);
                 }
-                let o = self.cnf.fresh();
-                self.cnf.add_clause(&[-x, -y, o]);
-                self.cnf.add_clause(&[x, -o]);
-                self.cnf.add_clause(&[y, -o]);
-                Bit::Lit(o)
+                Bit::Lit(self.gate(Gate::And(x.min(y), x.max(y))))
             }
         }
     }
@@ -241,12 +307,10 @@ impl BitBlaster {
                 if x == -y {
                     return Bit::Const(true);
                 }
-                let o = self.cnf.fresh();
-                self.cnf.add_clause(&[-x, -y, -o]);
-                self.cnf.add_clause(&[x, y, -o]);
-                self.cnf.add_clause(&[x, -y, o]);
-                self.cnf.add_clause(&[-x, y, o]);
-                Bit::Lit(o)
+                // ¬x ⊕ y = ¬(x ⊕ y): one gate per pair of variables.
+                let (a, b) = (x.abs(), y.abs());
+                let o = self.gate(Gate::Xor(a.min(b), a.max(b)));
+                Bit::Lit(if (x < 0) != (y < 0) { -o } else { o })
             }
         }
     }
@@ -257,19 +321,60 @@ impl BitBlaster {
     }
 
     fn bit_ite(&mut self, c: Bit, t: Bit, e: Bit) -> Bit {
-        match c {
-            Bit::Const(true) => t,
-            Bit::Const(false) => e,
-            Bit::Lit(_) => {
-                if t == e {
-                    return t;
+        match (c, t, e) {
+            (Bit::Const(true), _, _) => t,
+            (Bit::Const(false), _, _) => e,
+            _ if t == e => t,
+            (Bit::Lit(c), Bit::Lit(t), Bit::Lit(e)) if t.abs() != c.abs() && e.abs() != c.abs() => {
+                if t == -e {
+                    return self.bit_xnor(Bit::Lit(c), Bit::Lit(t));
                 }
+                // ite(¬c, t, e) = ite(c, e, t) and ite(c, ¬t, ¬e) = ¬ite(c, t, e).
+                let (t, e) = if c < 0 { (e, t) } else { (t, e) };
+                let o = self.gate(Gate::Mux(c.abs(), t.abs(), t.signum() * e));
+                Bit::Lit(t.signum() * o)
+            }
+            _ => {
                 let ct = self.bit_and(c, t);
                 let nc = self.bit_not(c);
                 let ce = self.bit_and(nc, e);
                 self.bit_or(ct, ce)
             }
         }
+    }
+
+    /// The output literal of `gate`: the existing one if the gate was built
+    /// before, otherwise a fresh variable and its Tseitin clauses.
+    fn gate(&mut self, gate: Gate) -> Lit {
+        let slot = match self.gates.entry(gate) {
+            Entry::Occupied(slot) => return *slot.get(),
+            Entry::Vacant(slot) => slot,
+        };
+        let cnf = &mut self.cnf;
+        let o = cnf.fresh();
+        match gate {
+            Gate::And(x, y) => {
+                cnf.add_clause(&[-x, -y, o]);
+                cnf.add_clause(&[x, -o]);
+                cnf.add_clause(&[y, -o]);
+            }
+            Gate::Xor(x, y) => {
+                cnf.add_clause(&[-x, -y, -o]);
+                cnf.add_clause(&[x, y, -o]);
+                cnf.add_clause(&[x, -y, o]);
+                cnf.add_clause(&[-x, y, o]);
+            }
+            Gate::Mux(c, t, e) => {
+                cnf.add_clause(&[-c, -t, o]);
+                cnf.add_clause(&[-c, t, -o]);
+                cnf.add_clause(&[c, -e, o]);
+                cnf.add_clause(&[c, e, -o]);
+                // Redundant, but they let propagation see agreeing arms.
+                cnf.add_clause(&[-t, -e, o]);
+                cnf.add_clause(&[t, e, -o]);
+            }
+        }
+        *slot.insert(o)
     }
 
     // ----- word-level circuits ----------------------------------------------
@@ -441,6 +546,80 @@ mod tests {
             }
             SatResult::Unsat => None,
         }
+    }
+
+    #[test]
+    fn a_repeated_and_reuses_its_variable_and_clauses() {
+        let mut b = BitBlaster::new();
+        let (x, y) = (Bit::Lit(b.cnf.fresh()), Bit::Lit(b.cnf.fresh()));
+        let first = b.bit_and(x, y);
+        assert_eq!(b.bit_and(x, y), first);
+        assert_eq!(b.bit_and(y, x), first);
+        assert_eq!((b.cnf.num_vars, b.cnf.num_clauses()), (3, 3));
+    }
+
+    #[test]
+    fn xor_with_a_negated_input_is_the_negated_xor() {
+        let mut b = BitBlaster::new();
+        let (x, y) = (b.cnf.fresh(), b.cnf.fresh());
+        let Bit::Lit(o) = b.bit_xor(Bit::Lit(x), Bit::Lit(y)) else {
+            panic!("x ⊕ y is not constant");
+        };
+        assert_eq!(b.bit_xor(Bit::Lit(-x), Bit::Lit(y)), Bit::Lit(-o));
+        assert_eq!(b.bit_xor(Bit::Lit(y), Bit::Lit(-x)), Bit::Lit(-o));
+        assert_eq!(b.bit_xor(Bit::Lit(-x), Bit::Lit(-y)), Bit::Lit(o));
+        assert_eq!((b.cnf.num_vars, b.cnf.num_clauses()), (3, 4));
+    }
+
+    #[test]
+    fn an_ite_bit_is_one_mux_variable_with_six_clauses() {
+        let mut b = BitBlaster::new();
+        let (c, t, e) = (b.cnf.fresh(), b.cnf.fresh(), b.cnf.fresh());
+        let Bit::Lit(o) = b.bit_ite(Bit::Lit(c), Bit::Lit(t), Bit::Lit(e)) else {
+            panic!("the mux is not constant");
+        };
+        assert_eq!((b.cnf.num_vars, b.cnf.num_clauses()), (4, 6));
+        // The same mux with the select or both arms negated.
+        assert_eq!(
+            b.bit_ite(Bit::Lit(-c), Bit::Lit(e), Bit::Lit(t)),
+            Bit::Lit(o)
+        );
+        assert_eq!(
+            b.bit_ite(Bit::Lit(c), Bit::Lit(-t), Bit::Lit(-e)),
+            Bit::Lit(-o)
+        );
+        assert_eq!((b.cnf.num_vars, b.cnf.num_clauses()), (4, 6));
+        // ite(c, t, ¬t) is xnor(c, t): one XOR gate.
+        let xnor = b.bit_xnor(Bit::Lit(c), Bit::Lit(t));
+        assert_eq!(b.bit_ite(Bit::Lit(c), Bit::Lit(t), Bit::Lit(-t)), xnor);
+        assert_eq!((b.cnf.num_vars, b.cnf.num_clauses()), (5, 10));
+    }
+
+    #[test]
+    fn a_miter_of_structurally_equal_sides_is_decided_without_conflicts() {
+        // The two sides are different terms that the pool keeps apart, but
+        // the same gates bit by bit: De Morgan's AND, an XOR of negated
+        // operands, and an ite with a negated select and swapped arms.
+        let mut p = TermPool::new();
+        let x = p.var("x", 16);
+        let y = p.var("y", 16);
+        let z = p.var("z", 16);
+        let c = p.ult(x, z);
+        let and = p.and(x, y);
+        let xor = p.xor(x, z);
+        let lhs = p.ite(c, and, xor);
+        let (nx, ny, nz) = (p.not(x), p.not(y), p.not(z));
+        let nor = p.or(nx, ny);
+        let demorgan = p.not(nor);
+        let nxor = p.xor(nx, nz);
+        let nc = p.not(c);
+        let rhs = p.ite(nc, nxor, demorgan);
+        assert_ne!(lhs, rhs);
+        let differ = p.ne(lhs, rhs);
+        let mut solver = crate::Solver::new(&mut p);
+        solver.assert(differ);
+        assert_eq!(solver.check(), crate::CheckResult::Unsat);
+        assert_eq!(solver.stats.conflicts, 0);
     }
 
     #[test]

@@ -25,6 +25,13 @@ impl CnfBuilder {
         CnfBuilder::default()
     }
 
+    /// Empty the formula, keeping the buffers' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.num_vars = 0;
+        self.lits.clear();
+        self.ends.clear();
+    }
+
     /// Allocate a fresh variable and return its positive literal.
     pub fn fresh(&mut self) -> Lit {
         self.num_vars += 1;

@@ -15,14 +15,16 @@
 //!    models, and for executing counterexamples back into test cases.
 //! 3. [`bitblast`] — Tseitin conversion of the term graph into CNF: ripple
 //!    carry adders, shift-and-add multipliers, restoring dividers, barrel
-//!    shifters, and comparison chains.
+//!    shifters, and comparison chains, over structurally hashed AND, XOR and
+//!    multiplexer gates.
 //! 4. [`sat`] — a CDCL SAT solver with two-watched-literal propagation,
 //!    VSIDS branching from an activity heap, phase saving, first-UIP clause
 //!    learning and Luby restarts, whose decisions are reproducible release
 //!    to release.
 //! 5. [`solver`] — the user-facing façade: assert 1-bit terms, call
 //!    `check()`, and extract a [`Model`] mapping variables to `u64` values.
-//!    Every check is one-shot; only the SAT solver's buffers are reused.
+//!    Every check is one-shot; only the bit-blaster's and the SAT solver's
+//!    buffers are reused.
 //! 6. [`memo`] — a [`SolveMemo`] of SAT results keyed by the exact CNF, so
 //!    the checks of one compilation decide each distinct formula once.
 //!

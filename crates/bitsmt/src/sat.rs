@@ -1187,21 +1187,34 @@ mod tests {
         let mut pool = TermPool::new();
         let x = pool.var("x", 12);
         let y = pool.var("y", 12);
-        // x * y == y * x (UNSAT negation) and x * 3 == x << 2 (SAT).
-        let xy = pool.mul(x, y);
-        let yx = pool.mul(y, x);
-        let commutes = pool.ne(xy, yx);
-        let three = pool.constant(3, 12);
-        let two = pool.constant(2, 12);
-        let times3 = pool.mul(x, three);
-        let shl2 = pool.shl(x, two);
-        let differs = pool.ne(times3, shl2);
+        // (x + y) - y == x and x ^ y == (x | y) - (x & y) (UNSAT negations),
+        // and x * x + y * y == 0x5a5 (SAT).
+        let sum = pool.add(x, y);
+        let back = pool.sub(sum, y);
+        let cancels = pool.ne(back, x);
+        let xor = pool.xor(x, y);
+        let or = pool.or(x, y);
+        let and = pool.and(x, y);
+        let or_minus_and = pool.sub(or, and);
+        let xor_identity = pool.ne(xor, or_minus_and);
+        let xx = pool.mul(x, x);
+        let yy = pool.mul(y, y);
+        let squares = pool.add(xx, yy);
+        let k = pool.constant(0x5a5, 12);
+        let two_squares = pool.eq(squares, k);
         let mut fast = SatSolver::new();
-        for goal in [commutes, differs] {
+        for goal in [cancels, xor_identity, two_squares] {
             let mut blaster = BitBlaster::new();
             blaster.assert_true(&pool, goal);
             let clauses: Vec<Vec<i32>> = blaster.cnf.clauses().map(<[i32]>::to_vec).collect();
             assert_bit_identical(&mut fast, blaster.cnf.num_vars, &clauses);
+            // A formula that propagation alone decides compares nothing of
+            // the two solvers' search.
+            assert!(
+                fast.conflicts >= 1,
+                "{:?} took no conflict",
+                pool.node(goal)
+            );
         }
     }
 

@@ -3,9 +3,10 @@
 //!
 //! Every [`Solver::check`] is one-shot: the assertions are bit-blasted into a
 //! fresh CNF and decided from scratch, so a query's result (its model
-//! included) depends on nothing but its own assertions. The SAT solver's
-//! buffers are reused across the checks of one thread, and a solver given a
-//! [`SolveMemo`] decides a CNF the memo already holds without solving it.
+//! included) depends on nothing but its own assertions. The bit-blaster's
+//! and the SAT solver's buffers are reused across the checks of one thread,
+//! and a solver given a [`SolveMemo`] decides a CNF the memo already holds
+//! without solving it.
 
 use crate::bitblast::BitBlaster;
 use crate::eval::Assignment;
@@ -19,6 +20,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 thread_local! {
+    /// The bit-blaster of this thread's checks, reset for each one.
+    static BLASTER: RefCell<BitBlaster> = RefCell::new(BitBlaster::new());
     /// The SAT solver of this thread's checks, reset for each one.
     static SAT: RefCell<SatSolver> = RefCell::new(SatSolver::new());
 }
@@ -155,9 +158,13 @@ impl<'p> Solver<'p> {
 
     /// Decide the conjunction of all assertions.
     pub fn check(&mut self) -> CheckResult {
+        BLASTER.with(|blaster| self.check_with(&mut blaster.borrow_mut()))
+    }
+
+    fn check_with(&mut self, blaster: &mut BitBlaster) -> CheckResult {
         let start = Instant::now();
         let blast_span = self.telemetry.span("bitsmt.bitblast");
-        let mut blaster = BitBlaster::new();
+        blaster.reset();
         for &a in &self.assertions {
             blaster.assert_true(self.pool, a);
         }

@@ -90,11 +90,12 @@ pub struct TermPool {
 }
 
 /// The Fx hash (rustc's): one rotate, xor and multiply per word. The
-/// hash-consing table is never iterated, and its keys are the terms of one
-/// encoding of a size-limited program pair, so it needs neither SipHash's
-/// flooding resistance nor a random seed.
+/// hash-consing table and the bit-blaster's gate table are never iterated,
+/// and their keys are the terms and gates of one encoding of a size-limited
+/// program pair, so they need neither SipHash's flooding resistance nor a
+/// random seed.
 #[derive(Debug, Default, Clone, Copy)]
-struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 

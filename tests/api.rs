@@ -392,7 +392,8 @@ fn k2c_reports_malformed_lines_in_place() {
 #[test]
 fn k2c_answers_oversized_and_malformed_lines_in_place() {
     // A `num_tests` of 10^8 used to allocate the whole suite up front and
-    // abort the process, losing every other line of the batch.
+    // abort the process, losing every other line of the batch; an
+    // `iterations` of i64::MAX held a worker for good.
     let _lock = env_lock();
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_k2c"))
         .stdin(std::process::Stdio::piped())
@@ -408,6 +409,7 @@ fn k2c_answers_oversized_and_malformed_lines_in_place() {
             r#"{"v":1,"id":"ok","asm":"mov64 r0, 2\nexit","iterations":50}"#,
             r#"{"v":1,"id":"hex","insns_hex":"b7zz"}"#,
             r#"{"v":1,"#,
+            r#"{"v":1,"id":"long","asm":"mov64 r0, 1\nexit","iterations":9223372036854775807}"#,
         ] {
             writeln!(stdin, "{line}").unwrap();
         }
@@ -427,11 +429,14 @@ fn k2c_answers_oversized_and_malformed_lines_in_place() {
             (Some("big"), false),
             (Some("ok"), true),
             (Some("hex"), false),
-            (None, false)
+            (None, false),
+            (Some("long"), false)
         ]
     );
     let error = responses[0].error.as_deref().unwrap();
     assert!(error.contains("num_tests"), "got: {error}");
+    let error = responses[4].error.as_deref().unwrap();
+    assert!(error.contains("iterations"), "got: {error}");
 }
 
 #[test]
