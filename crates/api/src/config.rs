@@ -1,13 +1,16 @@
 //! `K2Config`: every knob of the pipeline in one struct, with explicit
 //! layered resolution `defaults → config file → environment → builder
-//! overrides`.
+//! overrides`, and per-request overrides on top.
 //!
-//! Lower layers never see the environment: `k2-core` takes an
-//! [`EngineConfig`]/[`CompilerOptions`] of *resolved* values. This module is
-//! where a `K2_*` variable or a config-file key turns into a field — once,
-//! auditable, and warning on malformed input (see [`crate::env`]).
+//! [`KNOBS`] declares each knob once: its config-file key, its `K2_*`
+//! variable, the kind and bounds of its value, what `0` or `""` means, and
+//! the field it sets. Every layer hands its values to the one setter,
+//! `Knob::set`, so a value is accepted or refused the same way wherever
+//! it enters; a layer only decides what a refusal means. Lower layers never
+//! see the environment: `k2-core` takes an [`EngineConfig`]/
+//! [`CompilerOptions`] of *resolved* values, and apart from the `K2_CONFIG`
+//! path this table is the only reader of `K2_*` variables.
 
-use crate::env;
 use crate::json::Json;
 use bpf_interp::BackendKind;
 use k2_core::{CompilerOptions, EngineConfig, OptimizationGoal};
@@ -39,16 +42,13 @@ impl std::error::Error for ConfigError {}
 /// Largest accepted test-suite size (`num_tests`). Every test input is
 /// generated, run on the source and kept for the whole compilation, and
 /// candidates are graded against it, so a size far past this is not a
-/// search setting but an allocation that can abort the process. Larger
-/// values are rejected wherever they enter: config file, environment,
-/// builder, and request lines.
+/// search setting but an allocation that can abort the process.
 pub const MAX_NUM_TESTS: usize = 4096;
 
 /// Largest accepted iteration budget per Markov chain (`iterations`). A
 /// compilation runs its chains to the end of the budget, so a budget far
 /// past this (the largest the documentation uses is 100,000) would hold a
-/// worker for hours or for good. Larger values are rejected wherever they
-/// enter: config file, environment, builder, and request lines.
+/// worker for hours or for good.
 pub const MAX_ITERATIONS: u64 = 10_000_000;
 
 /// Parse an optimization-goal name (`insns` / `latency`).
@@ -78,51 +78,44 @@ pub fn goal_name(goal: OptimizationGoal) -> &'static str {
 /// | 2 | config file (JSON; [`K2Config::apply_file`], or the `K2_CONFIG` path) | defaults |
 /// | 3 | `K2_*` environment ([`K2Config::apply_env`]) | config file |
 /// | 4 | [`crate::K2SessionBuilder`] setters | environment |
+///
+/// Each field's file key and variable are listed in [`KNOBS`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct K2Config {
-    /// What the search minimizes (`K2_GOAL`, file key `goal`).
+    /// What the search minimizes.
     pub goal: OptimizationGoal,
-    /// Iterations per Markov chain (`K2_ITERS`, file key `iterations`),
-    /// from 1 to [`MAX_ITERATIONS`].
+    /// Iterations per Markov chain, from 1 to [`MAX_ITERATIONS`].
     pub iterations: u64,
-    /// Test cases generated up front (`K2_NUM_TESTS`, file key `num_tests`),
-    /// from 1 to [`MAX_NUM_TESTS`].
+    /// Test cases generated up front, from 1 to [`MAX_NUM_TESTS`].
     pub num_tests: usize,
-    /// Base RNG seed (`K2_SEED`, file key `seed`).
+    /// Base RNG seed.
     pub seed: u64,
-    /// How many best programs to return (`K2_TOP_K`, file key `top_k`).
+    /// How many best programs to return.
     pub top_k: usize,
-    /// Run chains on multiple threads (`K2_PARALLEL`, file key `parallel`).
+    /// Run chains on multiple threads.
     pub parallel: bool,
-    /// Candidate execution backend (`K2_BACKEND`, file key `backend`).
+    /// Candidate execution backend.
     pub backend: BackendKind,
     /// Window-based (modular) equivalence verification, the paper's
-    /// optimization IV (`K2_WINDOW`, file key `window_verification`). On by
-    /// default; turning it off forces every equivalence check through the
-    /// full program pair. A pure solver-work knob: results are bit-identical
-    /// either way.
+    /// optimization IV. On by default; turning it off forces every
+    /// equivalence check through the full program pair. A pure solver-work
+    /// knob: results are bit-identical either way.
     pub window_verification: bool,
-    /// Size of the pre-SMT refutation batch (`K2_REFUTE_INPUTS`, file key
-    /// `refute_inputs`; 0 = off). Cache-miss candidates are first run on
-    /// this many deterministic random inputs on the fast execution backend
-    /// and refuted without a solver query when any output diverges.
-    /// Refutation never flips a verdict the solver would have reached.
+    /// Size of the pre-SMT refutation batch (0 = off). Cache-miss
+    /// candidates are first run on this many deterministic random inputs on
+    /// the fast execution backend and refuted without a solver query when
+    /// any output diverges. Refutation never flips a verdict the solver
+    /// would have reached.
     pub refute_inputs: usize,
-    /// Engine knobs: epochs/sharing/convergence/budget/workers
-    /// (`K2_EPOCHS`, `K2_SHARED_CACHE`, `K2_EXCHANGE_CEX`,
-    /// `K2_RESTART_FROM_BEST`, `K2_STALL_EPOCHS`, `K2_TIME_BUDGET_MS`,
-    /// `K2_BATCH_WORKERS`; file keys `epochs`, `shared_cache`,
-    /// `exchange_counterexamples`, `restart_from_best`, `stall_epochs`,
-    /// `time_budget_ms`, `batch_workers`).
+    /// Engine knobs: epochs, sharing, convergence, budget, workers.
     pub engine: EngineConfig,
     /// Collect telemetry — solver-time attribution, per-rule counters, cache
-    /// path labels, service timing (`K2_TELEMETRY`, file key `telemetry`).
-    /// Off by default. A pure observability knob: search results are
-    /// bit-identical with it on or off.
+    /// path labels, service timing. Off by default. A pure observability
+    /// knob: search results are bit-identical with it on or off.
     pub telemetry: bool,
     /// Write the session's aggregated telemetry snapshot as JSON to this
-    /// path when the session is asked to dump it (`K2_TELEMETRY_JSON`, file
-    /// key `telemetry_json`). Setting a path implies `telemetry`.
+    /// path when the session is asked to dump it. Setting a path implies
+    /// `telemetry`.
     pub telemetry_json: Option<String>,
 }
 
@@ -146,6 +139,177 @@ impl Default for K2Config {
     }
 }
 
+/// A value as a layer hands it to [`Knob::set`]: a config-file JSON value,
+/// a parsed `K2_*` variable, a builder argument or a request field.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum KnobValue {
+    /// An on/off switch.
+    Bool(bool),
+    /// An unsigned integer, carried in full: a seed may use all 64 bits.
+    Uint(u64),
+    /// A name (goal, backend) or a path.
+    Str(String),
+}
+
+impl fmt::Display for KnobValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KnobValue::Bool(v) => write!(f, "{v}"),
+            KnobValue::Uint(v) => write!(f, "{v}"),
+            KnobValue::Str(s) => write!(f, "{s:?}"),
+        }
+    }
+}
+
+/// What a knob holds, and the setter that stores it in its field.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// An on/off switch.
+    Bool(fn(&mut K2Config, bool)),
+    /// An integer from the first bound to the second, both inclusive: a
+    /// lower bound of 1 refuses 0, and a setter may give 0 a meaning.
+    Uint(u64, u64, fn(&mut K2Config, u64)),
+    /// An optimization-goal name ([`parse_goal`]).
+    Goal(fn(&mut K2Config, OptimizationGoal)),
+    /// An execution-backend name ([`BackendKind::parse`]).
+    Backend(fn(&mut K2Config, BackendKind)),
+    /// A file path; `""` unsets it.
+    Path(fn(&mut K2Config, Option<String>)),
+}
+
+impl fmt::Display for Kind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Kind::Bool(_) => f.write_str("a boolean"),
+            Kind::Uint(0, u64::MAX, _) => f.write_str("an unsigned integer"),
+            Kind::Uint(min, u64::MAX, _) => write!(f, "an integer of at least {min}"),
+            Kind::Uint(min, max, _) => write!(f, "an integer from {min} to {max}"),
+            Kind::Goal(_) => f.write_str("\"insns\" or \"latency\""),
+            Kind::Backend(_) => f.write_str("\"interp\", \"jit\" or \"auto\""),
+            Kind::Path(_) => f.write_str("a path string (\"\" = unset)"),
+        }
+    }
+}
+
+/// One row of [`KNOBS`].
+pub struct Knob {
+    /// The config-file key. It also names the builder setter and, for
+    /// `goal`, `iterations`, `seed`, `num_tests` and `top_k`, the request
+    /// field.
+    pub key: &'static str,
+    /// The `K2_*` environment variable.
+    pub env: &'static str,
+    kind: Kind,
+}
+
+const USIZE_MAX: u64 = usize::MAX as u64;
+
+const fn knob(key: &'static str, env: &'static str, kind: Kind) -> Knob {
+    Knob { key, env, kind }
+}
+
+/// Every knob, declared once. The README knob table lists the same rows.
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = &[
+    knob("goal",                     "K2_GOAL",              Kind::Goal(|c, v| c.goal = v)),
+    knob("iterations",               "K2_ITERS",             Kind::Uint(1, MAX_ITERATIONS, |c, v| c.iterations = v)),
+    knob("num_tests",                "K2_NUM_TESTS",         Kind::Uint(1, MAX_NUM_TESTS as u64, |c, v| c.num_tests = v as usize)),
+    knob("seed",                     "K2_SEED",              Kind::Uint(0, u64::MAX, |c, v| c.seed = v)),
+    knob("top_k",                    "K2_TOP_K",             Kind::Uint(1, USIZE_MAX, |c, v| c.top_k = v as usize)),
+    knob("parallel",                 "K2_PARALLEL",          Kind::Bool(|c, v| c.parallel = v)),
+    knob("backend",                  "K2_BACKEND",           Kind::Backend(|c, v| c.backend = v)),
+    knob("window_verification",      "K2_WINDOW",            Kind::Bool(|c, v| c.window_verification = v)),
+    // 0 turns the refutation stage off.
+    knob("refute_inputs",            "K2_REFUTE_INPUTS",     Kind::Uint(0, USIZE_MAX, |c, v| c.refute_inputs = v as usize)),
+    knob("epochs",                   "K2_EPOCHS",            Kind::Uint(1, u64::MAX, |c, v| c.engine.num_epochs = v)),
+    knob("shared_cache",             "K2_SHARED_CACHE",      Kind::Bool(|c, v| c.engine.shared_cache = v)),
+    knob("exchange_counterexamples", "K2_EXCHANGE_CEX",      Kind::Bool(|c, v| c.engine.exchange_counterexamples = v)),
+    knob("restart_from_best",        "K2_RESTART_FROM_BEST", Kind::Bool(|c, v| c.engine.restart_from_best = v)),
+    // 0 turns the criterion off, also over a lower layer that set one.
+    knob("stall_epochs",             "K2_STALL_EPOCHS",      Kind::Uint(0, u64::MAX, |c, v| c.engine.stall_epochs = (v > 0).then_some(v))),
+    // 0 removes the budget, also over a lower layer that set one.
+    knob("time_budget_ms",           "K2_TIME_BUDGET_MS",    Kind::Uint(0, u64::MAX, |c, v| c.engine.time_budget_ms = (v > 0).then_some(v))),
+    // 0 means one worker per CPU.
+    knob("batch_workers",            "K2_BATCH_WORKERS",     Kind::Uint(0, USIZE_MAX, |c, v| c.engine.batch_workers = v as usize)),
+    knob("telemetry",                "K2_TELEMETRY",         Kind::Bool(|c, v| c.telemetry = v)),
+    knob("telemetry_json",           "K2_TELEMETRY_JSON",    Kind::Path(|c, v| c.telemetry_json = v)),
+];
+
+impl Knob {
+    /// The row whose file key is `key`.
+    pub fn by_key(key: &str) -> Option<&'static Knob> {
+        KNOBS.iter().find(|knob| knob.key == key)
+    }
+
+    /// The one setter of every layer: store `value` in this row's field, or
+    /// refuse it — wrong kind or out of bounds — leaving `config` as it was.
+    /// The error says what the row expects.
+    pub(crate) fn set(&self, config: &mut K2Config, value: KnobValue) -> Result<(), String> {
+        match (self.kind, value) {
+            (Kind::Bool(set), KnobValue::Bool(v)) => set(config, v),
+            (Kind::Uint(min, max, set), KnobValue::Uint(v)) if (min..=max).contains(&v) => {
+                set(config, v)
+            }
+            (Kind::Goal(set), KnobValue::Str(s)) => {
+                set(config, parse_goal(&s).ok_or_else(|| self.expected())?)
+            }
+            (Kind::Backend(set), KnobValue::Str(s)) => set(
+                config,
+                BackendKind::parse(s.trim()).ok_or_else(|| self.expected())?,
+            ),
+            (Kind::Path(set), KnobValue::Str(s)) => set(config, Some(s).filter(|s| !s.is_empty())),
+            _ => return Err(self.expected()),
+        }
+        Ok(())
+    }
+
+    fn expected(&self) -> String {
+        format!("expected {}", self.kind)
+    }
+
+    /// Layer this row's `K2_*` variable, when set, over `config`. A value
+    /// the row refuses prints one warning on stderr and keeps the lower
+    /// layer's value. Booleans also take `0/1`, `on/off`, `yes/no`, and
+    /// `""` as false.
+    pub fn apply_env(&self, config: &mut K2Config) {
+        let Some(raw) = env_var(self.env) else {
+            return;
+        };
+        let value = match self.kind {
+            Kind::Bool(_) => match raw.trim().to_ascii_lowercase().as_str() {
+                "" | "0" | "false" | "off" | "no" => Some(KnobValue::Bool(false)),
+                "1" | "true" | "on" | "yes" => Some(KnobValue::Bool(true)),
+                _ => None,
+            },
+            Kind::Uint(..) => raw.trim().parse().ok().map(KnobValue::Uint),
+            _ => Some(KnobValue::Str(raw.clone())),
+        };
+        if let Err(e) = value
+            .ok_or_else(|| self.expected())
+            .and_then(|value| self.set(config, value))
+        {
+            warn_ignoring(self.env, &raw, &e);
+        }
+    }
+}
+
+/// Read an environment variable; a non-UTF-8 value warns and reads as
+/// unset.
+fn env_var(name: &str) -> Option<String> {
+    match std::env::var(name) {
+        Ok(v) => Some(v),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(_)) => {
+            warn_ignoring(name, "<non-utf8>", "expected a UTF-8 string");
+            None
+        }
+    }
+}
+
+fn warn_ignoring(name: &str, raw: &str, why: &str) {
+    eprintln!("k2: warning: ignoring {name}={raw:?}: {why}");
+}
+
 impl K2Config {
     /// Resolve the first three layers: defaults, then the config file named
     /// by `K2_CONFIG` (if set), then the `K2_*` environment.
@@ -161,7 +325,7 @@ impl K2Config {
         match file {
             Some(path) => config.apply_file(path)?,
             None => {
-                if let Some(path) = env::string("K2_CONFIG") {
+                if let Some(path) = env_var("K2_CONFIG") {
                     config.apply_file(Path::new(&path))?;
                 }
             }
@@ -171,7 +335,7 @@ impl K2Config {
     }
 
     /// Layer a JSON config file over this configuration. Unknown keys and
-    /// ill-typed values are hard errors: a file is an explicit artifact, so
+    /// refused values are hard errors: a file is an explicit artifact, so
     /// a typo should fail loudly rather than warn.
     pub fn apply_file(&mut self, path: &Path) -> Result<(), ConfigError> {
         let text = std::fs::read_to_string(path).map_err(|e| {
@@ -189,201 +353,33 @@ impl K2Config {
 
     /// Layer a parsed JSON object over this configuration.
     pub fn apply_json(&mut self, json: &Json) -> Result<(), ConfigError> {
-        let fields = match json {
-            Json::Obj(fields) => fields,
-            _ => return Err(ConfigError::new("top level must be a JSON object")),
+        let Json::Obj(fields) = json else {
+            return Err(ConfigError::new("top level must be a JSON object"));
         };
         for (key, value) in fields {
-            self.apply_key(key, value)?;
-        }
-        Ok(())
-    }
-
-    fn apply_key(&mut self, key: &str, value: &Json) -> Result<(), ConfigError> {
-        let bad = |expected: &str| {
-            Err(ConfigError::new(format!(
-                "key {key:?}: expected {expected}, got {value}"
-            )))
-        };
-        match key {
-            "goal" => match value.as_str().and_then(parse_goal) {
-                Some(goal) => self.goal = goal,
-                None => return bad("\"insns\" or \"latency\""),
-            },
-            "iterations" => match value.as_u64() {
-                Some(v) if v > 0 && v <= MAX_ITERATIONS => self.iterations = v,
-                _ => return bad(&format!("a positive integer up to {MAX_ITERATIONS}")),
-            },
-            "num_tests" => match value.as_u64() {
-                Some(v) if v > 0 && v <= MAX_NUM_TESTS as u64 => self.num_tests = v as usize,
-                _ => return bad(&format!("a positive integer up to {MAX_NUM_TESTS}")),
-            },
-            "seed" => match value.as_u64() {
-                Some(v) => self.seed = v,
-                None => return bad("an unsigned integer"),
-            },
-            "top_k" => match value.as_u64() {
-                Some(v) if v > 0 => self.top_k = v as usize,
-                _ => return bad("a positive integer"),
-            },
-            "parallel" => match value.as_bool() {
-                Some(v) => self.parallel = v,
-                None => return bad("a boolean"),
-            },
-            "backend" => match value.as_str().and_then(BackendKind::parse) {
-                Some(kind) => self.backend = kind,
-                None => return bad("\"interp\", \"jit\" or \"auto\""),
-            },
-            "window_verification" => match value.as_bool() {
-                Some(v) => self.window_verification = v,
-                None => return bad("a boolean"),
-            },
-            "refute_inputs" => match value.as_u64() {
-                Some(v) => self.refute_inputs = v as usize,
-                None => return bad("an unsigned integer (0 = off)"),
-            },
-            // Removed knobs: accepted, so files that still set them load.
-            "incremental_sat" | "static_analysis" => {
-                env::warn_removed(&format!("config key {key:?}"))
-            }
-            "epochs" => match value.as_u64() {
-                Some(v) if v > 0 => self.engine.num_epochs = v,
-                _ => return bad("a positive integer"),
-            },
-            "shared_cache" => match value.as_bool() {
-                Some(v) => self.engine.shared_cache = v,
-                None => return bad("a boolean"),
-            },
-            "exchange_counterexamples" => match value.as_bool() {
-                Some(v) => self.engine.exchange_counterexamples = v,
-                None => return bad("a boolean"),
-            },
-            "restart_from_best" => match value.as_bool() {
-                Some(v) => self.engine.restart_from_best = v,
-                None => return bad("a boolean"),
-            },
-            "stall_epochs" => match value.as_u64() {
-                Some(0) => self.engine.stall_epochs = None,
-                Some(v) => self.engine.stall_epochs = Some(v),
-                None => return bad("an unsigned integer (0 = off)"),
-            },
-            "time_budget_ms" => match value.as_u64() {
-                Some(0) => self.engine.time_budget_ms = None,
-                Some(v) => self.engine.time_budget_ms = Some(v),
-                None => return bad("an unsigned integer (0 = off)"),
-            },
-            "batch_workers" => match value.as_u64() {
-                Some(v) => self.engine.batch_workers = v as usize,
-                None => return bad("an unsigned integer (0 = one per CPU)"),
-            },
-            "telemetry" => match value.as_bool() {
-                Some(v) => self.telemetry = v,
-                None => return bad("a boolean"),
-            },
-            "telemetry_json" => match value.as_str() {
-                Some(path) if !path.is_empty() => self.telemetry_json = Some(path.to_string()),
-                _ => return bad("a non-empty path string"),
-            },
-            _ => {
-                return Err(ConfigError::new(format!(
+            let knob = Knob::by_key(key).ok_or_else(|| {
+                ConfigError::new(format!(
                     "unknown config key {key:?} (see the README knob table)"
-                )))
-            }
+                ))
+            })?;
+            let parsed = match value {
+                Json::Bool(v) => Some(KnobValue::Bool(*v)),
+                Json::Str(s) => Some(KnobValue::Str(s.clone())),
+                _ => value.as_u64().map(KnobValue::Uint),
+            };
+            parsed
+                .ok_or_else(|| knob.expected())
+                .and_then(|parsed| knob.set(self, parsed))
+                .map_err(|e| ConfigError::new(format!("key {key:?}: {e}, got {value}")))?;
         }
         Ok(())
     }
 
-    /// Layer the `K2_*` environment over this configuration. Malformed
-    /// values warn on stderr and leave the lower layer's value in place
-    /// (the [`crate::env`] contract).
+    /// Layer the `K2_*` environment over this configuration, row by row
+    /// ([`Knob::apply_env`]).
     pub fn apply_env(&mut self) {
-        if let Some(s) = env::string("K2_GOAL") {
-            match parse_goal(&s) {
-                Some(goal) => self.goal = goal,
-                None => env::warn_malformed("K2_GOAL", &s, "one of: insns, latency"),
-            }
-        }
-        if let Some(v) = env::u64("K2_ITERS") {
-            if v <= MAX_ITERATIONS {
-                self.iterations = v.max(1);
-            } else {
-                env::warn_malformed(
-                    "K2_ITERS",
-                    &v.to_string(),
-                    &format!("at most {MAX_ITERATIONS}"),
-                );
-            }
-        }
-        if let Some(v) = env::usize("K2_NUM_TESTS") {
-            if v <= MAX_NUM_TESTS {
-                self.num_tests = v.max(1);
-            } else {
-                env::warn_malformed(
-                    "K2_NUM_TESTS",
-                    &v.to_string(),
-                    &format!("at most {MAX_NUM_TESTS}"),
-                );
-            }
-        }
-        if let Some(v) = env::u64("K2_SEED") {
-            self.seed = v;
-        }
-        if let Some(v) = env::usize("K2_TOP_K") {
-            self.top_k = v.max(1);
-        }
-        if let Some(v) = env::flag("K2_PARALLEL") {
-            self.parallel = v;
-        }
-        if let Some(kind) = env::backend("K2_BACKEND") {
-            self.backend = kind;
-        }
-        if let Some(v) = env::flag("K2_WINDOW") {
-            self.window_verification = v;
-        }
-        // No `.max(1)`: zero is meaningful — it turns the refutation stage
-        // off entirely (the cold-parity configuration CI exercises).
-        if let Some(v) = env::usize("K2_REFUTE_INPUTS") {
-            self.refute_inputs = v;
-        }
-        env::removed("K2_INCREMENTAL_SAT");
-        env::removed("K2_STATIC_ANALYSIS");
-        if let Some(v) = env::u64("K2_EPOCHS") {
-            self.engine.num_epochs = v.max(1);
-        }
-        if let Some(v) = env::flag("K2_SHARED_CACHE") {
-            self.engine.shared_cache = v;
-        }
-        if let Some(v) = env::flag("K2_EXCHANGE_CEX") {
-            self.engine.exchange_counterexamples = v;
-        }
-        if let Some(v) = env::flag("K2_RESTART_FROM_BEST") {
-            self.engine.restart_from_best = v;
-        }
-        // For the two optional knobs the env value wins outright, with `0`
-        // meaning "off" — the environment can also *disable* a criterion a
-        // lower layer configured.
-        match env::u64("K2_STALL_EPOCHS") {
-            Some(0) => self.engine.stall_epochs = None,
-            Some(v) => self.engine.stall_epochs = Some(v),
-            None => {}
-        }
-        match env::u64("K2_TIME_BUDGET_MS") {
-            Some(0) => self.engine.time_budget_ms = None,
-            Some(v) => self.engine.time_budget_ms = Some(v),
-            None => {}
-        }
-        if let Some(v) = env::usize("K2_BATCH_WORKERS") {
-            self.engine.batch_workers = v;
-        }
-        if let Some(v) = env::flag("K2_TELEMETRY") {
-            self.telemetry = v;
-        }
-        if let Some(path) = env::string("K2_TELEMETRY_JSON") {
-            if path.is_empty() {
-                self.telemetry_json = None;
-            } else {
-                self.telemetry_json = Some(path);
-            }
+        for knob in KNOBS {
+            knob.apply_env(self);
         }
     }
 
@@ -416,6 +412,30 @@ impl K2Config {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The process environment is global; every test here that touches it
+    /// holds this lock so the assertions never race each other.
+    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+        use std::sync::{Mutex, OnceLock};
+        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+        LOCK.get_or_init(|| Mutex::new(()))
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// `config` with only `name` set to `raw` layered over it.
+    fn with_env(config: &K2Config, name: &str, raw: &str) -> K2Config {
+        let knob = KNOBS.iter().find(|knob| knob.env == name).unwrap();
+        let saved = std::env::var(name).ok();
+        std::env::set_var(name, raw);
+        let mut config = config.clone();
+        knob.apply_env(&mut config);
+        match saved {
+            Some(v) => std::env::set_var(name, v),
+            None => std::env::remove_var(name),
+        }
+        config
+    }
 
     #[test]
     fn defaults_mirror_compiler_options() {
@@ -451,6 +471,8 @@ mod tests {
             r#"{"goal": "speed"}"#,
             r#"{"backend": 3}"#,
             r#"{"no_such_knob": 1}"#,
+            r#"{"incremental_sat": true}"#,
+            r#"{"static_analysis": false}"#,
             r#"[1, 2]"#,
         ] {
             let mut c = K2Config::default();
@@ -492,19 +514,13 @@ mod tests {
             assert!(c.apply_json(&Json::parse(bad).unwrap()).is_err(), "{bad}");
         }
 
-        let _guard = env::test_lock();
-        let saved = std::env::var("K2_ITERS").ok();
-        std::env::set_var("K2_ITERS", "9223372036854775807");
-        let mut config = K2Config::default();
-        config.apply_env();
-        assert_eq!(config.iterations, K2Config::default().iterations);
-        std::env::set_var("K2_ITERS", MAX_ITERATIONS.to_string());
-        config.apply_env();
-        assert_eq!(config.iterations, MAX_ITERATIONS);
-        match saved {
-            Some(v) => std::env::set_var("K2_ITERS", v),
-            None => std::env::remove_var("K2_ITERS"),
+        let _guard = test_lock();
+        let default = K2Config::default();
+        for bad in ["9223372036854775807", "0"] {
+            assert_eq!(with_env(&default, "K2_ITERS", bad), default, "{bad}");
         }
+        let at_bound = with_env(&default, "K2_ITERS", &MAX_ITERATIONS.to_string());
+        assert_eq!(at_bound.iterations, MAX_ITERATIONS);
     }
 
     #[test]
@@ -518,54 +534,50 @@ mod tests {
             assert!(c.apply_json(&Json::parse(bad).unwrap()).is_err(), "{bad}");
         }
 
-        let _guard = env::test_lock();
-        let saved = std::env::var("K2_NUM_TESTS").ok();
-        std::env::set_var("K2_NUM_TESTS", "100000000");
-        let mut config = K2Config::default();
-        config.apply_env();
-        assert_eq!(config.num_tests, K2Config::default().num_tests);
-        std::env::set_var("K2_NUM_TESTS", MAX_NUM_TESTS.to_string());
-        config.apply_env();
-        assert_eq!(config.num_tests, MAX_NUM_TESTS);
-        match saved {
-            Some(v) => std::env::set_var("K2_NUM_TESTS", v),
-            None => std::env::remove_var("K2_NUM_TESTS"),
+        let _guard = test_lock();
+        let default = K2Config::default();
+        for bad in ["100000000", "0"] {
+            assert_eq!(with_env(&default, "K2_NUM_TESTS", bad), default, "{bad}");
         }
+        let at_bound = with_env(&default, "K2_NUM_TESTS", &MAX_NUM_TESTS.to_string());
+        assert_eq!(at_bound.num_tests, MAX_NUM_TESTS);
     }
 
     #[test]
-    fn removed_keys_are_accepted_and_ignored() {
-        // Config files written for earlier releases may still carry the
-        // keys: each warns instead of failing, whatever its value, and
-        // changes nothing.
-        for key in ["incremental_sat", "static_analysis"] {
-            for value in ["false", "true", "2", r#""yes""#] {
-                let file = format!(r#"{{"{key}": {value}}}"#);
-                let mut config = K2Config::default();
-                config.apply_json(&Json::parse(&file).unwrap()).unwrap();
-                assert_eq!(config, K2Config::default(), "{file}");
-            }
+    fn environment_values_parse_by_kind_and_refusals_keep_the_lower_layer() {
+        let _guard = test_lock();
+        let lower = K2Config {
+            parallel: false,
+            ..K2Config::default()
+        };
+        for (raw, want) in [
+            ("1", true),
+            ("true", true),
+            ("ON", true),
+            (" yes ", true),
+            ("0", false),
+            ("off", false),
+            ("", false),
+        ] {
+            let config = with_env(&lower, "K2_TELEMETRY", raw);
+            assert_eq!(config.telemetry, want, "raw = {raw:?}");
         }
-    }
-
-    #[test]
-    fn removed_static_analysis_variable_warns_and_is_ignored() {
-        let _guard = env::test_lock();
-        let saved = std::env::var("K2_STATIC_ANALYSIS").ok();
-        std::env::remove_var("K2_STATIC_ANALYSIS");
-        let mut unset = K2Config::default();
-        unset.apply_env();
-        for raw in ["0", "1", "maybe"] {
-            std::env::set_var("K2_STATIC_ANALYSIS", raw);
-            assert!(env::removed("K2_STATIC_ANALYSIS"), "raw = {raw:?}");
-            let mut config = K2Config::default();
-            config.apply_env();
-            assert_eq!(config, unset, "raw = {raw:?}");
+        for (name, raw) in [
+            ("K2_TELEMETRY", "maybe"),
+            ("K2_PARALLEL", "2"),
+            ("K2_EPOCHS", "abc"),
+            ("K2_EPOCHS", "-1"),
+            ("K2_SEED", "18446744073709551616"),
+            ("K2_BACKEND", "gpu"),
+            ("K2_GOAL", "speed"),
+        ] {
+            assert_eq!(with_env(&lower, name, raw), lower, "{name}={raw:?}");
         }
-        match saved {
-            Some(v) => std::env::set_var("K2_STATIC_ANALYSIS", v),
-            None => std::env::remove_var("K2_STATIC_ANALYSIS"),
-        }
+        assert_eq!(with_env(&lower, "K2_SEED", " 42 ").seed, 42);
+        assert_eq!(
+            with_env(&lower, "K2_BACKEND", "jit").backend,
+            BackendKind::Jit
+        );
     }
 
     #[test]
@@ -584,8 +596,14 @@ mod tests {
         assert!(!config.telemetry, "dump path must not flip the flag itself");
         assert!(config.telemetry_enabled(), "dump path implies a recorder");
         assert_eq!(config.telemetry_json.as_deref(), Some("/tmp/t.json"));
+        // An empty path unsets a lower layer's, as it does from the
+        // environment and the builder.
+        config
+            .apply_json(&Json::parse(r#"{"telemetry_json": ""}"#).unwrap())
+            .unwrap();
+        assert_eq!(config.telemetry_json, None);
 
-        for bad in [r#"{"telemetry": 1}"#, r#"{"telemetry_json": ""}"#] {
+        for bad in [r#"{"telemetry": 1}"#, r#"{"telemetry_json": 3}"#] {
             let mut c = K2Config::default();
             assert!(
                 c.apply_json(&Json::parse(bad).unwrap()).is_err(),

@@ -6,9 +6,11 @@
 //!
 //! * [`K2Config`] — every knob in one struct, resolved through four explicit
 //!   layers: `defaults → config file → K2_* environment → builder
-//!   overrides`. The [`mod@env`] module is the **only** place in the workspace
-//!   that reads `K2_*` variables, and it warns on malformed values instead
-//!   of silently ignoring them.
+//!   overrides`. [`KNOBS`] declares each knob once (file key, `K2_*`
+//!   variable, bounds, field), every layer sets values through it, and it is
+//!   the **only** reader of `K2_*` variables in the workspace besides the
+//!   `K2_CONFIG` path; a malformed variable warns instead of being silently
+//!   ignored.
 //! * [`K2Session`] — built once via [`K2Session::builder`], then serves
 //!   typed in-process calls ([`K2Session::optimize_program`],
 //!   [`K2Session::verify_equivalence`]) and the versioned request/response
@@ -42,13 +44,14 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod env;
 pub mod json;
 pub mod proto;
 pub mod session;
 pub mod sink;
 
-pub use config::{goal_name, parse_goal, ConfigError, K2Config, MAX_ITERATIONS, MAX_NUM_TESTS};
+pub use config::{
+    goal_name, parse_goal, ConfigError, K2Config, Knob, KNOBS, MAX_ITERATIONS, MAX_NUM_TESTS,
+};
 pub use json::{Json, JsonError};
 pub use proto::{
     ChainSummary, OptimizeRequest, OptimizeResponse, ProgramSource, ProtoError, RankedProgram,

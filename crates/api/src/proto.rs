@@ -14,7 +14,7 @@
 //! [`k2_core::EngineReport`], available in-process via
 //! [`crate::K2Session::optimize_program`].
 
-use crate::config::{goal_name, parse_goal, MAX_ITERATIONS, MAX_NUM_TESTS};
+use crate::config::{goal_name, parse_goal, K2Config, Knob, KnobValue};
 use crate::json::Json;
 use bpf_isa::{asm, wire, Program, ProgramType};
 use k2_core::{K2Result, OptimizationGoal};
@@ -156,20 +156,41 @@ impl OptimizeRequest {
         }
     }
 
-    /// Check the per-request overrides against the service's limits: a
-    /// `num_tests` above [`MAX_NUM_TESTS`] is refused, because the whole
-    /// suite is allocated up front, and `iterations` above
-    /// [`MAX_ITERATIONS`], because the chains run the whole budget.
-    pub fn validate(&self) -> Result<(), ProtoError> {
-        match (self.num_tests, self.iterations) {
-            (Some(n), _) if n > MAX_NUM_TESTS as u64 => Err(ProtoError::new(format!(
-                "field \"num_tests\" must be at most {MAX_NUM_TESTS}, got {n}"
-            ))),
-            (_, Some(n)) if n > MAX_ITERATIONS => Err(ProtoError::new(format!(
-                "field \"iterations\" must be at most {MAX_ITERATIONS}, got {n}"
-            ))),
-            _ => Ok(()),
+    /// The per-request overrides this request carries, by file key.
+    fn overrides(&self) -> impl Iterator<Item = (&'static str, KnobValue)> {
+        let goal = self
+            .goal
+            .map(|goal| ("goal", KnobValue::Str(goal_name(goal).into())));
+        let uints = [
+            ("iterations", self.iterations),
+            ("seed", self.seed),
+            ("num_tests", self.num_tests),
+            ("top_k", self.top_k),
+        ];
+        goal.into_iter().chain(
+            uints
+                .into_iter()
+                .filter_map(|(key, value)| Some((key, KnobValue::Uint(value?)))),
+        )
+    }
+
+    /// Layer this request's overrides over `config` through the setters of
+    /// their [`crate::KNOBS`] rows, as the session does before compiling it.
+    /// A refused value (a `num_tests` above [`crate::MAX_NUM_TESTS`] would
+    /// allocate a suite that can abort the process, a 0 budget runs nothing)
+    /// is an error naming the field.
+    pub fn apply_to(&self, config: &mut K2Config) -> Result<(), ProtoError> {
+        for (key, value) in self.overrides() {
+            let knob = Knob::by_key(key).expect("every request override names a knob");
+            knob.set(config, value.clone())
+                .map_err(|e| ProtoError::new(format!("field {key:?}: {e}, got {value}")))?;
         }
+        Ok(())
+    }
+
+    /// Check the per-request overrides against the knob table's bounds.
+    pub fn validate(&self) -> Result<(), ProtoError> {
+        self.apply_to(&mut K2Config::default())
     }
 
     /// Materialize the program carried by this request.
@@ -203,18 +224,13 @@ impl OptimizeRequest {
                 fields.push(("insns_hex".into(), Json::Str(hex.clone())))
             }
         }
-        if let Some(goal) = self.goal {
-            fields.push(("goal".into(), Json::Str(goal_name(goal).into())));
-        }
-        for (key, value) in [
-            ("iterations", self.iterations),
-            ("seed", self.seed),
-            ("num_tests", self.num_tests),
-            ("top_k", self.top_k),
-        ] {
-            if let Some(v) = value {
-                fields.push((key.into(), Json::Int(v as i64)));
-            }
+        for (key, value) in self.overrides() {
+            let value = match value {
+                KnobValue::Uint(v) => Json::Int(v as i64),
+                KnobValue::Str(s) => Json::Str(s),
+                KnobValue::Bool(b) => Json::Bool(b),
+            };
+            fields.push((key.into(), value));
         }
         Json::Obj(fields)
     }
@@ -773,6 +789,7 @@ impl OptimizeResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{MAX_ITERATIONS, MAX_NUM_TESTS};
 
     const ASM: &str = "mov64 r0, 2\nexit";
 

@@ -7,7 +7,7 @@
 //! protocol ([`K2Session::optimize`], [`K2Session::optimize_batch`]), and
 //! standalone equivalence checks ([`K2Session::verify_equivalence`]).
 
-use crate::config::{ConfigError, K2Config, MAX_ITERATIONS, MAX_NUM_TESTS};
+use crate::config::{goal_name, ConfigError, K2Config, Knob, KnobValue};
 use crate::proto::{OptimizeRequest, OptimizeResponse};
 use bpf_equiv::{check_equivalence, EquivOptions, EquivOutcome};
 use bpf_interp::BackendKind;
@@ -42,11 +42,15 @@ impl K2Session {
     /// The engine-level options one compilation runs with: the resolved
     /// configuration plus the session's parameter settings and event sink.
     pub fn options(&self) -> CompilerOptions {
+        self.options_with(&self.config)
+    }
+
+    fn options_with(&self, config: &K2Config) -> CompilerOptions {
         CompilerOptions {
             params: self.params.clone(),
             sink: self.sink.clone(),
             telemetry: self.telemetry.clone(),
-            ..self.config.options()
+            ..config.options()
         }
     }
 
@@ -115,27 +119,15 @@ impl K2Session {
         let mut jobs: Vec<BatchJob> = Vec::new();
         let mut job_sources: Vec<(usize, bpf_isa::Program)> = Vec::new();
         for (index, request) in requests.iter().enumerate() {
-            match request.validate().and_then(|()| request.program()) {
+            let mut config = self.config.clone();
+            match request
+                .apply_to(&mut config)
+                .and_then(|()| request.program())
+            {
                 Ok(program) => {
-                    let mut options = self.options();
-                    if let Some(goal) = request.goal {
-                        options.goal = goal;
-                    }
-                    if let Some(iterations) = request.iterations {
-                        options.iterations = iterations.max(1);
-                    }
-                    if let Some(seed) = request.seed {
-                        options.seed = seed;
-                    }
-                    if let Some(num_tests) = request.num_tests {
-                        options.num_tests = (num_tests as usize).max(1);
-                    }
-                    if let Some(top_k) = request.top_k {
-                        options.top_k = (top_k as usize).max(1);
-                    }
                     jobs.push(BatchJob {
                         program: program.clone(),
-                        options,
+                        options: self.options_with(&config),
                     });
                     job_sources.push((index, program));
                     slots.push(None);
@@ -183,27 +175,13 @@ impl K2Session {
 
 /// Builder for [`K2Session`]. Setters are the fourth (highest-precedence)
 /// configuration layer: they override the config file and the environment.
+/// Each value goes through the setter of its [`crate::KNOBS`] row when the
+/// session is built, so a value the table refuses fails [`Self::build`].
 #[derive(Default)]
 pub struct K2SessionBuilder {
     config_file: Option<PathBuf>,
-    goal: Option<OptimizationGoal>,
-    iterations: Option<u64>,
-    num_tests: Option<usize>,
-    seed: Option<u64>,
-    top_k: Option<usize>,
-    parallel: Option<bool>,
-    backend: Option<BackendKind>,
-    window_verification: Option<bool>,
-    refute_inputs: Option<usize>,
-    epochs: Option<u64>,
-    shared_cache: Option<bool>,
-    exchange_counterexamples: Option<bool>,
-    restart_from_best: Option<bool>,
-    stall_epochs: Option<u64>,
-    time_budget_ms: Option<u64>,
-    batch_workers: Option<usize>,
-    telemetry: Option<bool>,
-    telemetry_json: Option<String>,
+    /// Layer-4 values by file key, applied in call order.
+    overrides: Vec<(&'static str, KnobValue)>,
     params: Option<Vec<SearchParams>>,
     sink: Option<Arc<dyn EventSink>>,
 }
@@ -218,6 +196,11 @@ impl std::fmt::Debug for K2SessionBuilder {
 }
 
 impl K2SessionBuilder {
+    fn set(mut self, key: &'static str, value: KnobValue) -> Self {
+        self.overrides.push((key, value));
+        self
+    }
+
     /// Layer an explicit config file (instead of the `K2_CONFIG` path).
     pub fn config_file(mut self, path: impl Into<PathBuf>) -> Self {
         self.config_file = Some(path.into());
@@ -225,57 +208,48 @@ impl K2SessionBuilder {
     }
 
     /// Override the optimization goal.
-    pub fn goal(mut self, goal: OptimizationGoal) -> Self {
-        self.goal = Some(goal);
-        self
+    pub fn goal(self, goal: OptimizationGoal) -> Self {
+        self.set("goal", KnobValue::Str(goal_name(goal).into()))
     }
 
     /// Override iterations per Markov chain.
-    pub fn iterations(mut self, iterations: u64) -> Self {
-        self.iterations = Some(iterations.max(1));
-        self
+    pub fn iterations(self, iterations: u64) -> Self {
+        self.set("iterations", KnobValue::Uint(iterations))
     }
 
     /// Override the number of generated test cases.
-    pub fn num_tests(mut self, num_tests: usize) -> Self {
-        self.num_tests = Some(num_tests.max(1));
-        self
+    pub fn num_tests(self, num_tests: usize) -> Self {
+        self.set("num_tests", KnobValue::Uint(num_tests as u64))
     }
 
     /// Override the base RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
+    pub fn seed(self, seed: u64) -> Self {
+        self.set("seed", KnobValue::Uint(seed))
     }
 
     /// Override how many best programs to return.
-    pub fn top_k(mut self, top_k: usize) -> Self {
-        self.top_k = Some(top_k.max(1));
-        self
+    pub fn top_k(self, top_k: usize) -> Self {
+        self.set("top_k", KnobValue::Uint(top_k as u64))
     }
 
     /// Override whether chains run on multiple threads.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = Some(parallel);
-        self
+    pub fn parallel(self, parallel: bool) -> Self {
+        self.set("parallel", KnobValue::Bool(parallel))
     }
 
     /// Override the candidate execution backend.
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
-        self
+    pub fn backend(self, backend: BackendKind) -> Self {
+        self.set("backend", KnobValue::Str(backend.name().into()))
     }
 
     /// Override window-based (modular) equivalence verification.
-    pub fn window_verification(mut self, enabled: bool) -> Self {
-        self.window_verification = Some(enabled);
-        self
+    pub fn window_verification(self, enabled: bool) -> Self {
+        self.set("window_verification", KnobValue::Bool(enabled))
     }
 
     /// Override the pre-SMT refutation batch size (`0` disables the stage).
-    pub fn refute_inputs(mut self, inputs: usize) -> Self {
-        self.refute_inputs = Some(inputs);
-        self
+    pub fn refute_inputs(self, inputs: usize) -> Self {
+        self.set("refute_inputs", KnobValue::Uint(inputs as u64))
     }
 
     /// No effect: every escalated equivalence query is a one-shot solve.
@@ -292,39 +266,33 @@ impl K2SessionBuilder {
     }
 
     /// Override the number of epochs per compilation.
-    pub fn epochs(mut self, epochs: u64) -> Self {
-        self.epochs = Some(epochs.max(1));
-        self
+    pub fn epochs(self, epochs: u64) -> Self {
+        self.set("epochs", KnobValue::Uint(epochs))
     }
 
     /// Override cross-chain verdict-cache sharing.
-    pub fn shared_cache(mut self, enabled: bool) -> Self {
-        self.shared_cache = Some(enabled);
-        self
+    pub fn shared_cache(self, enabled: bool) -> Self {
+        self.set("shared_cache", KnobValue::Bool(enabled))
     }
 
     /// Override counterexample exchange at barriers.
-    pub fn exchange_counterexamples(mut self, enabled: bool) -> Self {
-        self.exchange_counterexamples = Some(enabled);
-        self
+    pub fn exchange_counterexamples(self, enabled: bool) -> Self {
+        self.set("exchange_counterexamples", KnobValue::Bool(enabled))
     }
 
     /// Override restart-from-best at barriers.
-    pub fn restart_from_best(mut self, enabled: bool) -> Self {
-        self.restart_from_best = Some(enabled);
-        self
+    pub fn restart_from_best(self, enabled: bool) -> Self {
+        self.set("restart_from_best", KnobValue::Bool(enabled))
     }
 
     /// Override the stall-epochs convergence criterion (`0` disables it).
-    pub fn stall_epochs(mut self, epochs: u64) -> Self {
-        self.stall_epochs = Some(epochs);
-        self
+    pub fn stall_epochs(self, epochs: u64) -> Self {
+        self.set("stall_epochs", KnobValue::Uint(epochs))
     }
 
     /// Override the wall-clock budget per compilation (`0` removes it).
-    pub fn time_budget_ms(mut self, ms: u64) -> Self {
-        self.time_budget_ms = Some(ms);
-        self
+    pub fn time_budget_ms(self, ms: u64) -> Self {
+        self.set("time_budget_ms", KnobValue::Uint(ms))
     }
 
     /// Override the wall-clock budget as a [`std::time::Duration`].
@@ -333,24 +301,21 @@ impl K2SessionBuilder {
     }
 
     /// Override the batch worker count (`0` = one per CPU).
-    pub fn batch_workers(mut self, workers: usize) -> Self {
-        self.batch_workers = Some(workers);
-        self
+    pub fn batch_workers(self, workers: usize) -> Self {
+        self.set("batch_workers", KnobValue::Uint(workers as u64))
     }
 
     /// Override telemetry collection (solver-time attribution, per-rule
     /// counters, service timing). A pure observability knob: results are
     /// bit-identical with it on or off.
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = Some(enabled);
-        self
+    pub fn telemetry(self, enabled: bool) -> Self {
+        self.set("telemetry", KnobValue::Bool(enabled))
     }
 
     /// Override the telemetry JSON dump path (implies telemetry collection;
-    /// written by [`K2Session::dump_telemetry`]).
-    pub fn telemetry_json(mut self, path: impl Into<String>) -> Self {
-        self.telemetry_json = Some(path.into());
-        self
+    /// written by [`K2Session::dump_telemetry`]); `""` unsets it.
+    pub fn telemetry_json(self, path: impl Into<String>) -> Self {
+        self.set("telemetry_json", KnobValue::Str(path.into()))
     }
 
     /// Replace the Markov-chain parameter settings (defaults to the five
@@ -369,73 +334,11 @@ impl K2SessionBuilder {
     /// Resolve all four configuration layers and build the session.
     pub fn build(self) -> Result<K2Session, ConfigError> {
         let mut config = K2Config::resolve_with(self.config_file.as_deref())?;
-
-        // Layer 4: builder overrides.
-        if let Some(goal) = self.goal {
-            config.goal = goal;
+        for (key, value) in self.overrides {
+            let knob = Knob::by_key(key).expect("every builder setter names a knob");
+            knob.set(&mut config, value.clone())
+                .map_err(|e| ConfigError::new(format!("{key}: {e}, got {value}")))?;
         }
-        if let Some(iterations) = self.iterations {
-            if iterations > MAX_ITERATIONS {
-                return Err(ConfigError::new(format!(
-                    "iterations: expected at most {MAX_ITERATIONS}, got {iterations}"
-                )));
-            }
-            config.iterations = iterations;
-        }
-        if let Some(num_tests) = self.num_tests {
-            if num_tests > MAX_NUM_TESTS {
-                return Err(ConfigError::new(format!(
-                    "num_tests: expected at most {MAX_NUM_TESTS}, got {num_tests}"
-                )));
-            }
-            config.num_tests = num_tests;
-        }
-        if let Some(seed) = self.seed {
-            config.seed = seed;
-        }
-        if let Some(top_k) = self.top_k {
-            config.top_k = top_k;
-        }
-        if let Some(parallel) = self.parallel {
-            config.parallel = parallel;
-        }
-        if let Some(backend) = self.backend {
-            config.backend = backend;
-        }
-        if let Some(enabled) = self.window_verification {
-            config.window_verification = enabled;
-        }
-        if let Some(inputs) = self.refute_inputs {
-            config.refute_inputs = inputs;
-        }
-        if let Some(epochs) = self.epochs {
-            config.engine.num_epochs = epochs;
-        }
-        if let Some(enabled) = self.shared_cache {
-            config.engine.shared_cache = enabled;
-        }
-        if let Some(enabled) = self.exchange_counterexamples {
-            config.engine.exchange_counterexamples = enabled;
-        }
-        if let Some(enabled) = self.restart_from_best {
-            config.engine.restart_from_best = enabled;
-        }
-        if let Some(epochs) = self.stall_epochs {
-            config.engine.stall_epochs = if epochs == 0 { None } else { Some(epochs) };
-        }
-        if let Some(ms) = self.time_budget_ms {
-            config.engine.time_budget_ms = if ms == 0 { None } else { Some(ms) };
-        }
-        if let Some(workers) = self.batch_workers {
-            config.engine.batch_workers = workers;
-        }
-        if let Some(enabled) = self.telemetry {
-            config.telemetry = enabled;
-        }
-        if let Some(path) = self.telemetry_json {
-            config.telemetry_json = if path.is_empty() { None } else { Some(path) };
-        }
-
         let telemetry = if config.telemetry_enabled() {
             TelemetryRef::collector()
         } else {
@@ -456,6 +359,7 @@ impl K2SessionBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{MAX_ITERATIONS, MAX_NUM_TESTS};
     use bpf_isa::{asm, Program, ProgramType};
 
     fn small_session() -> K2Session {

@@ -1,25 +1,12 @@
-//! Criterion micro-benchmarks of the bit-vector solver: equality and
-//! multiplication identities at different widths (the workload behind
-//! equivalence queries), and the slow-query corpus of real full-program
-//! queries (`crates/bench/data/slow_queries.tsv`) replayed cold.
+//! Criterion micro-benchmarks of the bit-vector solver: a small
+//! factorization query that needs SAT search, and the slow-query corpus of
+//! real full-program queries (`crates/bench/data/slow_queries.tsv`) replayed
+//! cold.
 
-use bitsmt::{CheckResult, Solver, TermPool};
+use bitsmt::{Solver, TermPool};
 use bpf_equiv::{check_equivalence, EquivOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-
-fn prove_mul_shift_identity(width: u32) -> bool {
-    let mut pool = TermPool::new();
-    let x = pool.var("x", width);
-    let four = pool.constant(4, width);
-    let two = pool.constant(2, width);
-    let lhs = pool.mul(x, four);
-    let rhs = pool.shl(x, two);
-    let differ = pool.ne(lhs, rhs);
-    let mut solver = Solver::new(&mut pool);
-    solver.assert(differ);
-    matches!(solver.check(), CheckResult::Unsat)
-}
 
 fn find_factorization(width: u32) -> bool {
     let mut pool = TermPool::new();
@@ -41,12 +28,6 @@ fn find_factorization(width: u32) -> bool {
 fn bench_solver(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitsmt");
     group.sample_size(10);
-    group.bench_function("mul_shift_identity_32", |b| {
-        b.iter(|| black_box(prove_mul_shift_identity(32)))
-    });
-    group.bench_function("mul_shift_identity_64", |b| {
-        b.iter(|| black_box(prove_mul_shift_identity(64)))
-    });
     group.bench_function("factor_221_16", |b| {
         b.iter(|| black_box(find_factorization(16)))
     });

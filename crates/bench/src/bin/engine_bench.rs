@@ -25,9 +25,7 @@ use bpf_equiv::{CacheStats, EquivChecker, EquivOptions, Refuter, Window};
 use bpf_interp::BackendKind;
 use bpf_isa::Program;
 use k2_api::CountingSink;
-use k2_bench::{
-    batch_workers, bench_options, default_iterations, render_table, selected_benchmarks,
-};
+use k2_bench::{batch_workers, bench_options, default_iterations, render_table};
 use k2_core::engine::{run_batch, BatchJob};
 use k2_core::proposals::RuleProbabilities;
 use k2_core::{
@@ -284,7 +282,7 @@ fn mean_time_to_best_s(run: &ConfigRun) -> f64 {
 
 fn main() {
     let iterations = default_iterations();
-    let benches = selected_benchmarks();
+    let benches = bpf_bench_suite::all();
     println!(
         "Engine evaluation over {} benchmarks, {iterations} iterations per chain\n",
         benches.len()
@@ -727,11 +725,15 @@ fn main() {
 
     // Sweep-wide telemetry: every job of all five configurations folded into
     // one snapshot, printed as the standard stats table and optionally
-    // dumped as JSON (K2_TELEMETRY_JSON=<path>).
+    // dumped as JSON to the configured `telemetry_json` path
+    // (K2_TELEMETRY_JSON=<path>).
     if let Some(snapshot) = telemetry.snapshot() {
         println!("\nsweep telemetry (all five configurations):");
         println!("{}", snapshot.render_table());
-        if let Some(path) = k2_api::env::string("K2_TELEMETRY_JSON") {
+        if let Some(path) = k2_api::K2Config::resolve()
+            .ok()
+            .and_then(|config| config.telemetry_json)
+        {
             match std::fs::write(&path, snapshot.to_json_string()) {
                 Ok(()) => println!("wrote telemetry to {path}"),
                 Err(e) => eprintln!("could not write telemetry dump {path}: {e}"),

@@ -3,10 +3,7 @@
 //! time/iterations at which the smallest program was found.
 
 use k2_api::CountingSink;
-use k2_bench::{
-    compress_benchmarks_observed, default_iterations, engine_summary, render_table,
-    selected_benchmarks,
-};
+use k2_bench::{compress_benchmarks_observed, default_iterations, engine_summary, render_table};
 use k2_core::{EventSinkRef, SearchParams, TelemetrySnapshot};
 use std::sync::Arc;
 
@@ -20,7 +17,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut total_compression = 0.0;
-    let benches = selected_benchmarks();
+    let benches = bpf_bench_suite::all();
     // One batch job per benchmark over a bounded worker pool
     // (K2_BATCH_WORKERS; default one worker per CPU), with one counting sink
     // observing every job's streamed search events.
@@ -84,7 +81,5 @@ fn main() {
         println!("\ntelemetry (aggregated over all benchmarks):");
         println!("{}", telemetry.render_table());
     }
-    println!(
-        "(paper: 6–26% per benchmark, 13.95% mean; set K2_ITERS / K2_ALL_BENCHMARKS=1 to scale up)"
-    );
+    println!("(paper: 6–26% per benchmark, 13.95% mean; set K2_ITERS to scale up)");
 }

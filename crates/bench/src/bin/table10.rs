@@ -3,7 +3,7 @@
 //! and their effect on the smallest program found.
 
 use k2_api::K2Session;
-use k2_bench::{default_iterations, render_table, selected_benchmarks};
+use k2_bench::{default_iterations, render_table};
 use k2_core::proposals::RuleProbabilities;
 use k2_core::{OptimizationGoal, SearchParams};
 
@@ -31,7 +31,7 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    for bench in selected_benchmarks().into_iter().take(8) {
+    for bench in bpf_bench_suite::all().into_iter().take(8) {
         let (_, baseline) = k2_baseline::best_baseline(&bench.prog);
         let mut cells = vec![bench.name.to_string(), baseline.real_len().to_string()];
         let mut best_overall = usize::MAX;

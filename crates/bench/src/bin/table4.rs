@@ -4,7 +4,7 @@
 //! verification.
 
 use bpf_equiv::{check_equivalence, EquivOptions};
-use k2_bench::{render_table, selected_benchmarks};
+use k2_bench::render_table;
 
 fn main() {
     println!("Table 4: equivalence-checking time (microseconds) under ablated optimizations\n");
@@ -29,7 +29,7 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    for bench in selected_benchmarks() {
+    for bench in bpf_bench_suite::all() {
         // The checked pair is the benchmark against its rule-based optimized
         // form — an equivalent pair, as in the paper (source vs K2 output).
         let (_, optimized) = k2_baseline::best_baseline(&bench.prog);

@@ -3,7 +3,7 @@
 
 use bpf_safety::LinuxVerifier;
 use k2_api::K2Session;
-use k2_bench::{default_iterations, render_table, selected_benchmarks};
+use k2_bench::{default_iterations, render_table};
 use k2_core::{OptimizationGoal, SearchParams};
 
 fn main() {
@@ -13,7 +13,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut produced = 0usize;
     let mut accepted = 0usize;
-    for bench in selected_benchmarks() {
+    for bench in bpf_bench_suite::all() {
         let (_, baseline) = k2_baseline::best_baseline(&bench.prog);
         let session = K2Session::builder()
             .goal(OptimizationGoal::InstructionCount)

@@ -4,7 +4,7 @@
 
 use bpf_analysis::canonicalize;
 use bpf_equiv::{EquivChecker, EquivOptions};
-use k2_bench::{default_iterations, render_table, selected_benchmarks};
+use k2_bench::{default_iterations, render_table};
 use k2_core::{ProposalGenerator, RewriteRule};
 
 fn main() {
@@ -13,7 +13,7 @@ fn main() {
         "Table 6: equivalence-cache effectiveness over {iterations} proposals per benchmark\n"
     );
     let mut rows = Vec::new();
-    for bench in selected_benchmarks().into_iter().take(8) {
+    for bench in bpf_bench_suite::all().into_iter().take(8) {
         // Replay a proposal stream against the cache the way the search does:
         // every candidate that canonicalizes to a previously seen program
         // skips the solver.

@@ -4,14 +4,14 @@
 
 use bpf_interp::static_latency;
 use k2_api::K2Session;
-use k2_bench::{best_found_iteration, default_iterations, render_table, selected_benchmarks};
+use k2_bench::{best_found_iteration, default_iterations, render_table};
 use k2_core::{OptimizationGoal, SearchParams};
 
 fn main() {
     let iterations = default_iterations();
     println!("Table 7: estimated latency (cost-model cycles) improvements\n");
     let mut rows = Vec::new();
-    for bench in selected_benchmarks() {
+    for bench in bpf_bench_suite::all() {
         let o1 = k2_baseline::optimize(&bench.prog, k2_baseline::OptLevel::O1);
         let (_, best_clang) = k2_baseline::best_baseline(&bench.prog);
         let start = std::time::Instant::now();

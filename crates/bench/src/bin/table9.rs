@@ -2,7 +2,7 @@
 //! parameter settings individually — which settings find the smallest
 //! program for which benchmark.
 
-use k2_bench::{compress_benchmark, default_iterations, render_table, selected_benchmarks};
+use k2_bench::{compress_benchmark, default_iterations, render_table};
 use k2_core::SearchParams;
 
 fn main() {
@@ -10,7 +10,7 @@ fn main() {
     println!("Table 9: instruction counts per parameter setting ({iterations} iterations)\n");
     let settings = SearchParams::table8();
     let mut rows = Vec::new();
-    for bench in selected_benchmarks().into_iter().take(8) {
+    for bench in bpf_bench_suite::all().into_iter().take(8) {
         let mut cells = vec![bench.name.to_string()];
         let mut sizes = Vec::new();
         for setting in &settings {

@@ -10,10 +10,10 @@
 //!
 //! The search budgets default to laptop-scale values so the whole suite runs
 //! in minutes rather than the paper's multi-hour cluster runs; set the
-//! `K2_ITERS` environment variable (iterations per Markov chain) and
-//! `K2_ALL_BENCHMARKS=1` (include the largest programs) to scale up. All
-//! environment knobs are read through the audited `k2_api::env` module and
-//! the `K2Session` configuration layering — never via raw `std::env::var`.
+//! `K2_ITERS` environment variable (iterations per Markov chain) to scale
+//! up. Every sweep covers all 19 benchmarks. All environment knobs are read
+//! through the `k2_api` knob table and the `K2Session` configuration
+//! layering — never via raw `std::env::var`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,36 +21,25 @@
 use bpf_bench_suite::Benchmark;
 use bpf_equiv::CacheStats;
 use bpf_isa::Program;
-use k2_api::K2Session;
+use k2_api::{K2Config, K2Session, Knob};
 use k2_baseline::{best_baseline, OptLevel};
 use k2_core::engine::{run_batch, BatchJob};
 use k2_core::{
     CompilerOptions, EngineReport, EventSinkRef, K2Result, OptimizationGoal, SearchParams,
 };
 
-/// Iterations per Markov chain used by the table harnesses (override with
-/// `K2_ITERS`).
+/// Iterations per Markov chain used by the table harnesses: 2,000, or
+/// `K2_ITERS` when the knob table accepts its value (a refused one warns and
+/// keeps 2,000).
 pub fn default_iterations() -> u64 {
-    k2_api::env::u64("K2_ITERS").unwrap_or(2_000)
-}
-
-/// Whether to include the largest benchmarks in the sweeps (override with
-/// `K2_ALL_BENCHMARKS=1`).
-pub fn include_all_benchmarks() -> bool {
-    k2_api::env::flag("K2_ALL_BENCHMARKS").unwrap_or(false)
-}
-
-/// The benchmarks a harness should iterate over: all 19 when requested, a
-/// representative small/medium subset otherwise.
-pub fn selected_benchmarks() -> Vec<Benchmark> {
-    let all = bpf_bench_suite::all();
-    if include_all_benchmarks() {
-        all
-    } else {
-        all.into_iter()
-            .filter(|b| b.prog.real_len() <= 60)
-            .collect()
-    }
+    let mut config = K2Config {
+        iterations: 2_000,
+        ..K2Config::default()
+    };
+    Knob::by_key("iterations")
+        .expect("iterations is a knob")
+        .apply_env(&mut config);
+    config.iterations
 }
 
 /// Result of compiling one benchmark with the baseline and with K2.
@@ -350,10 +339,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn selected_benchmarks_is_nonempty_subset() {
-        let selected = selected_benchmarks();
-        assert!(!selected.is_empty());
-        assert!(selected.len() <= 19);
+    fn out_of_range_iteration_budgets_fall_back_to_the_harness_default() {
+        let saved = std::env::var("K2_ITERS").ok();
+        for (raw, want) in [("20000000", 2_000), ("0", 2_000), ("300", 300)] {
+            std::env::set_var("K2_ITERS", raw);
+            let iterations = default_iterations();
+            assert_eq!(iterations, want, "K2_ITERS={raw}");
+            let bench = bpf_bench_suite::by_name("xdp_pktcntr").unwrap();
+            let session = bench_session(&bench, iterations, SearchParams::table8());
+            assert_eq!(session.config().iterations, want);
+        }
+        match saved {
+            Some(v) => std::env::set_var("K2_ITERS", v),
+            None => std::env::remove_var("K2_ITERS"),
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! cargo run --release --example load_balancer_sim
 //! ```
 
+use k2::api::{K2Config, Knob};
 use k2_core::{optimize_with, CompilerOptions, OptimizationGoal, SearchParams};
 use k2_netsim::{find_mlffr, load_sweep, DutConfig, DutModel};
 
@@ -20,9 +21,16 @@ fn main() {
     );
 
     let (_, baseline) = k2_baseline::best_baseline(&bench.prog);
+    // `K2_ITERS` replaces the 2,000 iterations when the knob table accepts
+    // it; a refused value warns and keeps 2,000.
+    let mut defaults = K2Config {
+        iterations: 2_000,
+        ..K2Config::default()
+    };
+    Knob::by_key("iterations").unwrap().apply_env(&mut defaults);
     let options = CompilerOptions {
         goal: OptimizationGoal::Latency,
-        iterations: k2::api::env::u64("K2_ITERS").unwrap_or(2_000),
+        iterations: defaults.iterations,
         params: SearchParams::table8().into_iter().take(2).collect(),
         num_tests: 12,
         seed: 1234,

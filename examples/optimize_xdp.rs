@@ -5,7 +5,7 @@
 //! cargo run --release --example optimize_xdp [benchmark-name]
 //! ```
 
-use k2::api::K2Session;
+use k2::api::{K2Config, K2Session, Knob};
 use k2::core::OptimizationGoal;
 use k2_baseline::best_baseline;
 
@@ -34,12 +34,18 @@ fn main() {
         baseline.real_len()
     );
 
-    // `K2_ITERS` is read through the audited env module (malformed values
-    // warn instead of silently falling back); the session builder layers
-    // the remaining `K2_*` knobs and an optional `K2_CONFIG` file.
+    // `K2_ITERS` replaces this example's 5,000 iterations when the knob
+    // table accepts it (a refused value warns and keeps 5,000); the session
+    // builder layers the remaining `K2_*` knobs and an optional `K2_CONFIG`
+    // file.
+    let mut defaults = K2Config {
+        iterations: 5_000,
+        ..K2Config::default()
+    };
+    Knob::by_key("iterations").unwrap().apply_env(&mut defaults);
     let session = K2Session::builder()
         .goal(OptimizationGoal::InstructionCount)
-        .iterations(k2::api::env::u64("K2_ITERS").unwrap_or(5_000))
+        .iterations(defaults.iterations)
         .num_tests(16)
         .seed(7)
         .top_k(1)

@@ -26,7 +26,6 @@
 //! ```
 
 use k2::api::{Json, K2Session, OptimizeRequest, OptimizeResponse};
-use k2::telemetry::TelemetrySnapshot;
 use std::io::{BufRead, Write};
 
 const USAGE: &str = "\
@@ -58,76 +57,6 @@ enum Slot {
     Error(Box<OptimizeResponse>),
 }
 
-/// Compact (single-line-safe) JSON form of a telemetry snapshot, mirroring
-/// the `K2_TELEMETRY_JSON` dump schema: counters and distinct cardinalities
-/// as flat objects, gauges as `{last, max}`, timers as
-/// `{count, total_us, p50_us, p90_us, p99_us, max_us}`.
-fn snapshot_json(snapshot: &TelemetrySnapshot) -> Json {
-    let int = |v: u64| Json::Int(v as i64);
-    Json::Obj(vec![
-        (
-            "counters".into(),
-            Json::Obj(
-                snapshot
-                    .counters
-                    .iter()
-                    .map(|(name, v)| (name.clone(), int(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "distinct".into(),
-            Json::Obj(
-                snapshot
-                    .distinct
-                    .iter()
-                    .map(|(name, v)| (name.clone(), int(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges".into(),
-            Json::Obj(
-                snapshot
-                    .gauges
-                    .iter()
-                    .map(|(name, g)| {
-                        (
-                            name.clone(),
-                            Json::Obj(vec![
-                                ("last".into(), int(g.last)),
-                                ("max".into(), int(g.max)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "timers".into(),
-            Json::Obj(
-                snapshot
-                    .timers
-                    .iter()
-                    .map(|(name, t)| {
-                        (
-                            name.clone(),
-                            Json::Obj(vec![
-                                ("count".into(), int(t.count)),
-                                ("total_us".into(), int(t.total_us)),
-                                ("p50_us".into(), int(t.p50_us())),
-                                ("p90_us".into(), int(t.p90_us())),
-                                ("p99_us".into(), int(t.p99_us())),
-                                ("max_us".into(), int(t.max_us)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 /// Build the response line for a stats request.
 fn stats_response(session: &K2Session, id: Option<String>) -> Json {
     let mut fields: Vec<(String, Json)> = vec![("v".into(), Json::Int(1))];
@@ -141,7 +70,10 @@ fn stats_response(session: &K2Session, id: Option<String>) -> Json {
     match session.telemetry_snapshot() {
         Some(snapshot) => {
             fields.push(("ok".into(), Json::Bool(true)));
-            fields.push(("stats".into(), snapshot_json(&snapshot)));
+            // The `K2_TELEMETRY_JSON` dump, reparsed so it fits on one line.
+            let stats = Json::parse(&snapshot.to_json_string())
+                .expect("the telemetry writer emits valid JSON");
+            fields.push(("stats".into(), stats));
         }
         None => {
             fields.push(("ok".into(), Json::Bool(false)));

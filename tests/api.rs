@@ -4,7 +4,10 @@
 //! (bit-identical to the in-process session), and the ordering/determinism
 //! of streamed search events.
 
-use k2::api::{CollectingSink, Json, K2Session, OptimizeRequest, OptimizeResponse, SearchEvent};
+use k2::api::{
+    CollectingSink, Json, K2Config, K2Session, K2SessionBuilder, OptimizeRequest, OptimizeResponse,
+    SearchEvent, KNOBS,
+};
 use k2::core::{BackendKind, OptimizationGoal, SearchParams};
 use k2::telemetry::TelemetrySnapshot;
 use std::io::Write;
@@ -151,6 +154,318 @@ fn config_layering_precedence_file_env_builder() {
     std::fs::remove_file(path).ok();
 }
 
+/// One knob as each layer writes it: a valid and an invalid value, each as
+/// JSON (config file, request line) and as a `K2_*` value, and the builder
+/// setter called with them.
+struct KnobCase {
+    key: &'static str,
+    env: &'static str,
+    valid: (&'static str, &'static str),
+    build_valid: fn(K2SessionBuilder) -> K2SessionBuilder,
+    /// The invalid value; `None` where the environment accepts any string.
+    invalid: (&'static str, Option<&'static str>),
+    /// The invalid value through the typed setter, where it can express it.
+    build_invalid: Option<fn(K2SessionBuilder) -> K2SessionBuilder>,
+}
+
+const REQUEST_FIELDS: [&str; 5] = ["goal", "iterations", "seed", "num_tests", "top_k"];
+
+fn knob_cases() -> Vec<KnobCase> {
+    fn case(
+        key: &'static str,
+        env: &'static str,
+        valid: (&'static str, &'static str),
+        build_valid: fn(K2SessionBuilder) -> K2SessionBuilder,
+        invalid: (&'static str, Option<&'static str>),
+        build_invalid: Option<fn(K2SessionBuilder) -> K2SessionBuilder>,
+    ) -> KnobCase {
+        KnobCase {
+            key,
+            env,
+            valid,
+            build_valid,
+            invalid,
+            build_invalid,
+        }
+    }
+    vec![
+        case(
+            "goal",
+            "K2_GOAL",
+            (r#""latency""#, "latency"),
+            |b| b.goal(OptimizationGoal::Latency),
+            (r#""speed""#, Some("speed")),
+            None,
+        ),
+        case(
+            "iterations",
+            "K2_ITERS",
+            ("123", "123"),
+            |b| b.iterations(123),
+            ("0", Some("0")),
+            Some(|b| b.iterations(0)),
+        ),
+        case(
+            "num_tests",
+            "K2_NUM_TESTS",
+            ("8", "8"),
+            |b| b.num_tests(8),
+            ("0", Some("0")),
+            Some(|b| b.num_tests(0)),
+        ),
+        case(
+            "seed",
+            "K2_SEED",
+            ("7", "7"),
+            |b| b.seed(7),
+            (r#""7""#, Some("7x")),
+            None,
+        ),
+        case(
+            "top_k",
+            "K2_TOP_K",
+            ("3", "3"),
+            |b| b.top_k(3),
+            ("0", Some("0")),
+            Some(|b| b.top_k(0)),
+        ),
+        case(
+            "parallel",
+            "K2_PARALLEL",
+            ("false", "0"),
+            |b| b.parallel(false),
+            ("0", Some("maybe")),
+            None,
+        ),
+        case(
+            "backend",
+            "K2_BACKEND",
+            (r#""jit""#, "jit"),
+            |b| b.backend(BackendKind::Jit),
+            ("3", Some("gpu")),
+            None,
+        ),
+        case(
+            "window_verification",
+            "K2_WINDOW",
+            ("false", "off"),
+            |b| b.window_verification(false),
+            (r#""off""#, Some("2")),
+            None,
+        ),
+        case(
+            "refute_inputs",
+            "K2_REFUTE_INPUTS",
+            ("0", "0"),
+            |b| b.refute_inputs(0),
+            ("true", Some("-1")),
+            None,
+        ),
+        case(
+            "epochs",
+            "K2_EPOCHS",
+            ("2", "2"),
+            |b| b.epochs(2),
+            ("0", Some("0")),
+            Some(|b| b.epochs(0)),
+        ),
+        case(
+            "shared_cache",
+            "K2_SHARED_CACHE",
+            ("false", "no"),
+            |b| b.shared_cache(false),
+            ("null", Some("nope")),
+            None,
+        ),
+        case(
+            "exchange_counterexamples",
+            "K2_EXCHANGE_CEX",
+            ("false", "false"),
+            |b| b.exchange_counterexamples(false),
+            ("[]", Some("x")),
+            None,
+        ),
+        case(
+            "restart_from_best",
+            "K2_RESTART_FROM_BEST",
+            ("true", "yes"),
+            |b| b.restart_from_best(true),
+            ("1", Some("y")),
+            None,
+        ),
+        case(
+            "stall_epochs",
+            "K2_STALL_EPOCHS",
+            ("3", "3"),
+            |b| b.stall_epochs(3),
+            ("-1", Some("-1")),
+            None,
+        ),
+        case(
+            "time_budget_ms",
+            "K2_TIME_BUDGET_MS",
+            ("250", "250"),
+            |b| b.time_budget_ms(250),
+            ("1.5", Some("1.5")),
+            None,
+        ),
+        case(
+            "batch_workers",
+            "K2_BATCH_WORKERS",
+            ("3", "3"),
+            |b| b.batch_workers(3),
+            (r#""all""#, Some("all")),
+            None,
+        ),
+        case(
+            "telemetry",
+            "K2_TELEMETRY",
+            ("true", "on"),
+            |b| b.telemetry(true),
+            (r#""on""#, Some("sure")),
+            None,
+        ),
+        case(
+            "telemetry_json",
+            "K2_TELEMETRY_JSON",
+            (r#""/tmp/k2-knob.json""#, "/tmp/k2-knob.json"),
+            |b| b.telemetry_json("/tmp/k2-knob.json"),
+            ("3", None),
+            None,
+        ),
+    ]
+}
+
+/// Every `K2_*` knob variable and `K2_CONFIG`, unset for the guard's life.
+fn clear_knob_environment() -> EnvGuard {
+    let mut vars: Vec<(&'static str, Option<&str>)> =
+        KNOBS.iter().map(|knob| (knob.env, None)).collect();
+    vars.push(("K2_CONFIG", None));
+    EnvGuard::set(&vars)
+}
+
+#[test]
+fn every_knob_is_set_and_refused_alike_through_every_layer() {
+    let _lock = env_lock();
+    let _clear = clear_knob_environment();
+    let cases = knob_cases();
+    let rows: Vec<(&str, &str)> = cases.iter().map(|c| (c.key, c.env)).collect();
+    let table: Vec<(&str, &str)> = KNOBS.iter().map(|k| (k.key, k.env)).collect();
+    assert_eq!(rows, table, "one case per row of the knob table");
+    let session = K2Session::builder().build().unwrap();
+
+    for case in &cases {
+        let key = case.key;
+        // The file layer fixes what the valid value means ...
+        let mut expected = K2Config::default();
+        let file = Json::parse(&format!("{{{key:?}: {}}}", case.valid.0)).unwrap();
+        expected.apply_json(&file).unwrap();
+        assert_ne!(
+            expected,
+            K2Config::default(),
+            "{key}: pick a non-default value"
+        );
+
+        // ... and the environment, the builder and a request line agree.
+        {
+            let _env = EnvGuard::set(&[(case.env, Some(case.valid.1))]);
+            assert_eq!(K2Config::resolve().unwrap(), expected, "{key}: env");
+        }
+        let built = (case.build_valid)(K2Session::builder()).build().unwrap();
+        assert_eq!(built.config(), &expected, "{key}: builder");
+        let is_request_field = REQUEST_FIELDS.contains(&key);
+        if is_request_field {
+            let line = format!(r#"{{"v": 1, "asm": "exit", {key:?}: {}}}"#, case.valid.0);
+            let mut config = K2Config::default();
+            OptimizeRequest::from_json_str(&line)
+                .unwrap()
+                .apply_to(&mut config)
+                .unwrap();
+            assert_eq!(config, expected, "{key}: request");
+        }
+
+        // The invalid value: a file error, a warning that keeps the lower
+        // layer, a build error, and an error response, each naming the knob.
+        let file = Json::parse(&format!("{{{key:?}: {}}}", case.invalid.0)).unwrap();
+        let error = K2Config::default().apply_json(&file).unwrap_err();
+        assert!(error.to_string().contains(key), "{key}: file: {error}");
+        if let Some(raw) = case.invalid.1 {
+            let _env = EnvGuard::set(&[(case.env, Some(raw))]);
+            let mut config = expected.clone();
+            config.apply_env();
+            assert_eq!(
+                config, expected,
+                "{key}: env {raw:?} must keep the lower layer"
+            );
+        }
+        if let Some(build_invalid) = case.build_invalid {
+            let error = build_invalid(K2Session::builder()).build().unwrap_err();
+            assert!(error.to_string().contains(key), "{key}: builder: {error}");
+        }
+        if is_request_field {
+            let line = format!(r#"{{"v": 1, "asm": "exit", {key:?}: {}}}"#, case.invalid.0);
+            let error = OptimizeRequest::from_json_str(&line).unwrap_err();
+            assert!(error.to_string().contains(key), "{key}: request: {error}");
+        }
+    }
+
+    // A 0 budget built into a request in code is answered in place.
+    for key in ["iterations", "num_tests", "top_k"] {
+        let mut request = OptimizeRequest::from_asm("mov64 r0, 1\nexit");
+        request.id = Some(key.into());
+        match key {
+            "iterations" => request.iterations = Some(0),
+            "num_tests" => request.num_tests = Some(0),
+            _ => request.top_k = Some(0),
+        }
+        let response = session.optimize(&request);
+        assert!(!response.ok, "{key}: a 0 budget must be refused");
+        assert!(response.error.unwrap().contains(key));
+    }
+
+    // Seeds keep all 64 bits through the environment and the builder.
+    {
+        let _env = EnvGuard::set(&[("K2_SEED", Some("18446744073709551615"))]);
+        assert_eq!(K2Config::resolve().unwrap().seed, u64::MAX);
+    }
+    let built = K2Session::builder().seed(u64::MAX).build().unwrap();
+    assert_eq!(built.config().seed, u64::MAX);
+
+    // An empty telemetry path unsets a lower layer's in every layer.
+    let path = temp_config_file(r#"{"telemetry_json": "/tmp/k2-lower.json"}"#);
+    let path_str = path.to_str().unwrap();
+    {
+        let _env = EnvGuard::set(&[("K2_CONFIG", Some(path_str))]);
+        assert!(K2Config::resolve().unwrap().telemetry_json.is_some());
+        let mut config = K2Config::resolve().unwrap();
+        config
+            .apply_json(&Json::parse(r#"{"telemetry_json": ""}"#).unwrap())
+            .unwrap();
+        assert_eq!(config.telemetry_json, None, "file");
+        let built = K2Session::builder().telemetry_json("").build().unwrap();
+        assert_eq!(built.config().telemetry_json, None, "builder");
+        let _empty = EnvGuard::set(&[("K2_TELEMETRY_JSON", Some(""))]);
+        assert_eq!(K2Config::resolve().unwrap().telemetry_json, None, "env");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn readme_knob_table_lists_exactly_the_knob_table() {
+    let readme = include_str!("../README.md");
+    let listed: Vec<(&str, &str)> = readme
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.split('|').map(str::trim).skip(1);
+            let env = cells.next()?.strip_prefix('`')?.strip_suffix('`')?;
+            let key = cells.next()?.trim_matches('`');
+            (env.starts_with("K2_") && env != "K2_CONFIG").then_some((env, key))
+        })
+        .collect();
+    let table: Vec<(&str, &str)> = KNOBS.iter().map(|k| (k.env, k.key)).collect();
+    assert_eq!(listed, table, "README knob table vs k2::api::KNOBS");
+}
+
 // ---------------------------------------------------------------------------
 // Protocol round-trips.
 // ---------------------------------------------------------------------------
@@ -261,7 +576,7 @@ fn k2c_jsonl_matches_in_process_session_bit_for_bit() {
 #[test]
 fn k2c_stats_request_returns_telemetry_and_respects_the_knob() {
     let _lock = env_lock();
-    let run = |telemetry: Option<&str>| -> Vec<String> {
+    let run = |vars: &[(&str, &str)]| -> Vec<String> {
         let mut command = std::process::Command::new(env!("CARGO_BIN_EXE_k2c"));
         command
             .stdin(std::process::Stdio::piped())
@@ -269,10 +584,8 @@ fn k2c_stats_request_returns_telemetry_and_respects_the_knob() {
             .stderr(std::process::Stdio::piped())
             .env_remove("K2_TELEMETRY")
             .env_remove("K2_TELEMETRY_JSON")
-            .env_remove("K2_CONFIG");
-        if let Some(v) = telemetry {
-            command.env("K2_TELEMETRY", v);
-        }
+            .env_remove("K2_CONFIG")
+            .envs(vars.iter().copied());
         let mut child = command.spawn().expect("spawn k2c");
         {
             let mut stdin = child.stdin.take().unwrap();
@@ -294,7 +607,7 @@ fn k2c_stats_request_returns_telemetry_and_respects_the_knob() {
 
     // Telemetry on: the stats line answers with the aggregated snapshot
     // covering the compilations of this invocation.
-    let lines = run(Some("1"));
+    let lines = run(&[("K2_TELEMETRY", "1")]);
     assert_eq!(lines.len(), 2, "one response per line: {lines:?}");
     let stats = Json::parse(&lines[1]).expect("stats response is JSON");
     assert_eq!(stats.get("v").and_then(Json::as_u64), Some(1));
@@ -323,9 +636,18 @@ fn k2c_stats_request_returns_telemetry_and_respects_the_knob() {
         lines[1]
     );
 
+    // A dump path implies collection, and the stats object is the dump the
+    // session writes at exit: one writer for both.
+    let dump = std::env::temp_dir().join(format!("k2c-stats-{}.json", std::process::id()));
+    let lines = run(&[("K2_TELEMETRY_JSON", dump.to_str().unwrap())]);
+    let stats = Json::parse(&lines[1]).unwrap();
+    let dumped = Json::parse(&std::fs::read_to_string(&dump).expect("dump written")).unwrap();
+    assert_eq!(stats.get("stats"), Some(&dumped), "stats line vs dump file");
+    std::fs::remove_file(dump).ok();
+
     // Telemetry off: the stats request fails loudly with a hint, without
     // disturbing the optimize response before it.
-    let lines = run(None);
+    let lines = run(&[]);
     assert_eq!(lines.len(), 2);
     let stats = Json::parse(&lines[1]).unwrap();
     assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(false));
