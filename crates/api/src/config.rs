@@ -14,8 +14,10 @@
 use crate::json::Json;
 use bpf_interp::BackendKind;
 use k2_core::{CompilerOptions, EngineConfig, OptimizationGoal};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
+use std::sync::Mutex;
 
 /// A configuration-file or layering error. Environment problems never reach
 /// this type — a malformed variable only warns — but an explicitly named
@@ -306,8 +308,19 @@ fn env_var(name: &str) -> Option<String> {
     }
 }
 
+/// Warn that `name=raw` is ignored, once per process for each variable and
+/// value: harnesses build a session, and so read the environment, per
+/// benchmark.
 fn warn_ignoring(name: &str, raw: &str, why: &str) {
-    eprintln!("k2: warning: ignoring {name}={raw:?}: {why}");
+    static WARNED: Mutex<BTreeSet<(String, String)>> = Mutex::new(BTreeSet::new());
+    // A set is valid after every insert, so a poisoned lock is still usable.
+    let first = WARNED
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .insert((name.to_string(), raw.to_string()));
+    if first {
+        eprintln!("k2: warning: ignoring {name}={raw:?}: {why}");
+    }
 }
 
 impl K2Config {
@@ -452,7 +465,7 @@ mod tests {
         let json = Json::parse(
             r#"{"iterations": 123, "goal": "latency", "backend": "interp",
                 "epochs": 2, "stall_epochs": 0, "time_budget_ms": 250,
-                "parallel": false, "top_k": 3}"#,
+                "parallel": false, "top_k": 3, "seed": 18446744073709551615}"#,
         )
         .unwrap();
         config.apply_json(&json).unwrap();
@@ -464,10 +477,13 @@ mod tests {
         assert_eq!(config.engine.time_budget_ms, Some(250));
         assert!(!config.parallel);
         assert_eq!(config.top_k, 3);
+        assert_eq!(config.seed, u64::MAX);
 
         for bad in [
             r#"{"iterations": "many"}"#,
             r#"{"iterations": 0}"#,
+            r#"{"seed": -1}"#,
+            r#"{"seed": 18446744073709551616}"#,
             r#"{"goal": "speed"}"#,
             r#"{"backend": 3}"#,
             r#"{"no_such_knob": 1}"#,

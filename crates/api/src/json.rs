@@ -11,8 +11,9 @@
 //!   integers print exactly, and floats use Rust's shortest-roundtrip
 //!   formatting — so the same value always serializes to the same bytes
 //!   (the `k2c` golden test relies on this);
-//! * integer/float distinction: numbers without a fraction or exponent that
-//!   fit an `i64` stay exact instead of round-tripping through `f64`.
+//! * integer/float distinction: numbers without a fraction or exponent from
+//!   `i64::MIN` to `u64::MAX` stay exact instead of round-tripping through
+//!   `f64`, so a 64-bit seed travels whole.
 
 use std::fmt;
 
@@ -25,6 +26,10 @@ pub enum Json {
     Bool(bool),
     /// A number without fraction or exponent that fits an `i64`.
     Int(i64),
+    /// A number without fraction or exponent above `i64::MAX`, up to
+    /// `u64::MAX`. Only such numbers: `Json::from(u64)` and the parser
+    /// keep smaller ones in [`Json::Int`], so each integer has one form.
+    Uint(u64),
     /// Any other number.
     Float(f64),
     /// A string.
@@ -97,7 +102,8 @@ impl Json {
     /// The value as a `u64`, if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Int(i) if *i >= 0 => Some(*i as u64),
+            Json::Int(i) => u64::try_from(*i).ok(),
+            Json::Uint(u) => Some(*u),
             _ => None,
         }
     }
@@ -106,6 +112,7 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(i) => Some(*i as f64),
+            Json::Uint(u) => Some(*u as f64),
             Json::Float(f) => Some(*f),
             _ => None,
         }
@@ -129,9 +136,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => {
-                out.push_str(&i.to_string());
-            }
+            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Uint(u) => out.push_str(&u.to_string()),
             Json::Float(f) => {
                 if f.is_finite() {
                     // `{:?}` is shortest-roundtrip and keeps a `.0` on
@@ -166,6 +172,12 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+impl From<u64> for Json {
+    fn from(value: u64) -> Json {
+        i64::try_from(value).map_or(Json::Uint(value), Json::Int)
     }
 }
 
@@ -410,6 +422,9 @@ impl<'a> Parser<'a> {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
             }
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(Json::Uint(u));
+            }
         }
         match text.parse::<f64>() {
             Ok(f) if f.is_finite() => Ok(Json::Float(f)),
@@ -439,6 +454,17 @@ mod tests {
         assert_eq!(Json::parse("2.0").unwrap(), Json::Float(2.0));
         assert_eq!(Json::Float(2.0).to_string(), "2.0");
         assert_eq!(Json::parse("1e3").unwrap(), Json::Float(1000.0));
+        // The whole u64 range, each integer in one form.
+        for value in [7, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let json = Json::from(value);
+            assert_eq!(Json::parse(&value.to_string()).unwrap(), json);
+            assert_eq!(json.as_u64(), Some(value));
+            assert_eq!(json.to_string(), value.to_string());
+        }
+        assert_eq!(Json::from(7), Json::Int(7));
+        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+        let past_u64 = Json::parse("18446744073709551616").unwrap();
+        assert!(matches!(past_u64, Json::Float(_)), "{past_u64:?}");
     }
 
     #[test]

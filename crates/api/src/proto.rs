@@ -17,7 +17,7 @@
 use crate::config::{goal_name, parse_goal, K2Config, Knob, KnobValue};
 use crate::json::Json;
 use bpf_isa::{asm, wire, Program, ProgramType};
-use k2_core::{K2Result, OptimizationGoal};
+use k2_core::{EngineReport, K2Result, OptimizationGoal};
 use std::fmt;
 
 /// The protocol schema version this crate speaks.
@@ -212,8 +212,7 @@ impl OptimizeRequest {
 
     /// Serialize to the versioned JSON object.
     pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> =
-            vec![("v".into(), Json::Int(PROTOCOL_VERSION as i64))];
+        let mut fields: Vec<(String, Json)> = vec![("v".into(), PROTOCOL_VERSION.into())];
         if let Some(id) = &self.id {
             fields.push(("id".into(), Json::Str(id.clone())));
         }
@@ -226,7 +225,7 @@ impl OptimizeRequest {
         }
         for (key, value) in self.overrides() {
             let value = match value {
-                KnobValue::Uint(v) => Json::Int(v as i64),
+                KnobValue::Uint(v) => Json::from(v),
                 KnobValue::Str(s) => Json::Str(s),
                 KnobValue::Bool(b) => Json::Bool(b),
             };
@@ -339,8 +338,9 @@ pub struct ChainSummary {
     pub best_found_at: u64,
 }
 
-/// The deterministic subset of [`k2_core::EngineReport`] a response carries.
-#[derive(Debug, Clone, PartialEq)]
+/// The deterministic subset of [`k2_core::EngineReport`] a response carries,
+/// read, written and filled through the rows of `REPORT_KEYS`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReportSummary {
     /// Epochs the schedule planned.
     pub epochs_planned: u64,
@@ -371,6 +371,109 @@ pub struct ReportSummary {
     pub shared_cache_entries: u64,
     /// Counterexamples pulled from the cross-chain pool into test suites.
     pub counterexamples_exchanged: u64,
+}
+
+/// Where the value of a v:1 report key lives.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// A [`ReportSummary`] count, and the [`EngineReport`] value it is
+    /// filled from.
+    Count(fn(&mut ReportSummary) -> &mut u64, fn(&EngineReport) -> u64),
+    /// A [`ReportSummary`] flag, and the [`EngineReport`] value it is filled
+    /// from.
+    Flag(
+        fn(&mut ReportSummary) -> &mut bool,
+        fn(&EngineReport) -> bool,
+    ),
+    /// A retired counter (the safety screen, window facts, dead-edge
+    /// pruning): its key stays in v:1, always 0, so responses keep their
+    /// layout within the version.
+    Retired,
+}
+
+/// Whether a v:1 document must carry a report key.
+#[derive(Clone, Copy, PartialEq)]
+enum Presence {
+    /// A document without the key is refused.
+    Required,
+    /// The key was added within v:1: documents written by earlier builds
+    /// lack it, and it reads as 0 there.
+    ZeroIfAbsent,
+}
+
+use Presence::{Required, ZeroIfAbsent};
+use Slot::{Count, Flag, Retired};
+
+/// The v:1 report object, one key per row, in serialization order.
+#[rustfmt::skip]
+const REPORT_KEYS: &[(&str, Slot, Presence)] = &[
+    ("epochs_planned",            Count(|s| &mut s.epochs_planned, |r| r.epochs_planned), Required),
+    ("epochs_run",                Count(|s| &mut s.epochs_run, |r| r.epochs_run), Required),
+    ("early_exit",                Flag(|s| &mut s.early_exit, |r| r.early_exit), Required),
+    ("solver_queries",            Count(|s| &mut s.solver_queries, |r| r.equiv.queries), Required),
+    ("cache_hits",                Count(|s| &mut s.cache_hits, |r| r.equiv.cache_hits), Required),
+    ("shared_cache_hits",         Count(|s| &mut s.shared_cache_hits, |r| r.equiv.shared_cache_hits), Required),
+    ("cache_misses",              Count(|s| &mut s.cache_misses, |r| r.equiv.cache_misses), Required),
+    ("window_hits",               Count(|s| &mut s.window_hits, |r| r.equiv.window_hits), ZeroIfAbsent),
+    ("window_fallbacks",          Count(|s| &mut s.window_fallbacks, |r| r.equiv.window_fallbacks), ZeroIfAbsent),
+    ("refuted_by_testing",        Count(|s| &mut s.refuted_by_testing, |r| r.equiv.refuted_by_testing), ZeroIfAbsent),
+    ("smt_escalations",           Count(|s| &mut s.smt_escalations, |r| r.equiv.smt_escalations), ZeroIfAbsent),
+    ("shared_cache_entries",      Count(|s| &mut s.shared_cache_entries, |r| r.shared_cache_entries as u64), Required),
+    ("counterexamples_exchanged", Count(|s| &mut s.counterexamples_exchanged, |r| r.counterexamples_exchanged), Required),
+    ("safety_screens",            Retired, ZeroIfAbsent),
+    ("safety_screen_rejects",     Retired, ZeroIfAbsent),
+    ("static_window_facts",       Retired, ZeroIfAbsent),
+    ("static_pruned_branches",    Retired, ZeroIfAbsent),
+];
+
+impl ReportSummary {
+    fn from_report(report: &EngineReport) -> ReportSummary {
+        let mut summary = ReportSummary::default();
+        for &(_, slot, _) in REPORT_KEYS {
+            match slot {
+                Count(field, source) => *field(&mut summary) = source(report),
+                Flag(field, source) => *field(&mut summary) = source(report),
+                Retired => {}
+            }
+        }
+        summary
+    }
+
+    /// The report object. Takes a copy: the rows reach fields through
+    /// `&mut` accessors.
+    fn to_json(mut self) -> Json {
+        let mut value = |slot| match slot {
+            Count(field, _) => Json::from(*field(&mut self)),
+            Flag(field, _) => Json::Bool(*field(&mut self)),
+            Retired => Json::from(0),
+        };
+        Json::Obj(
+            REPORT_KEYS
+                .iter()
+                .map(|&(key, slot, _)| (key.into(), value(slot)))
+                .collect(),
+        )
+    }
+
+    fn from_json(json: &Json) -> Result<ReportSummary, ProtoError> {
+        let mut summary = ReportSummary::default();
+        for &(key, slot, presence) in REPORT_KEYS {
+            let value = json.get(key);
+            let read = match slot {
+                Count(field, _) => value
+                    .and_then(Json::as_u64)
+                    .map(|v| *field(&mut summary) = v),
+                Flag(field, _) => value
+                    .and_then(Json::as_bool)
+                    .map(|v| *field(&mut summary) = v),
+                Retired => Some(()),
+            };
+            if read.is_none() && presence == Required {
+                return Err(ProtoError::new(format!("report missing {key:?}")));
+            }
+        }
+        Ok(summary)
+    }
 }
 
 /// One optimization response (schema `v: 1`).
@@ -432,21 +535,7 @@ impl OptimizeResponse {
             rejected_by_kernel_checker: 0,
             top: Vec::new(),
             chains: Vec::new(),
-            report: ReportSummary {
-                epochs_planned: 0,
-                epochs_run: 0,
-                early_exit: false,
-                solver_queries: 0,
-                cache_hits: 0,
-                shared_cache_hits: 0,
-                cache_misses: 0,
-                window_hits: 0,
-                window_fallbacks: 0,
-                refuted_by_testing: 0,
-                smt_escalations: 0,
-                shared_cache_entries: 0,
-                counterexamples_exchanged: 0,
-            },
+            report: ReportSummary::default(),
             duration_ms: None,
             queue_wait_ms: None,
         }
@@ -454,7 +543,6 @@ impl OptimizeResponse {
 
     /// Build a success response from an engine result.
     pub fn from_result(id: Option<String>, src: &Program, result: &K2Result) -> OptimizeResponse {
-        let report = &result.report;
         OptimizeResponse {
             id,
             ok: true,
@@ -486,21 +574,7 @@ impl OptimizeResponse {
                     best_found_at: stats.best_found_at,
                 })
                 .collect(),
-            report: ReportSummary {
-                epochs_planned: report.epochs_planned,
-                epochs_run: report.epochs_run,
-                early_exit: report.early_exit,
-                solver_queries: report.equiv.queries,
-                cache_hits: report.equiv.cache_hits,
-                shared_cache_hits: report.equiv.shared_cache_hits,
-                cache_misses: report.equiv.cache_misses,
-                window_hits: report.equiv.window_hits,
-                window_fallbacks: report.equiv.window_fallbacks,
-                refuted_by_testing: report.equiv.refuted_by_testing,
-                smt_escalations: report.equiv.smt_escalations,
-                shared_cache_entries: report.shared_cache_entries as u64,
-                counterexamples_exchanged: report.counterexamples_exchanged,
-            },
+            report: ReportSummary::from_report(&result.report),
             duration_ms: None,
             queue_wait_ms: None,
         }
@@ -508,8 +582,7 @@ impl OptimizeResponse {
 
     /// Serialize to the versioned JSON object.
     pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> =
-            vec![("v".into(), Json::Int(PROTOCOL_VERSION as i64))];
+        let mut fields: Vec<(String, Json)> = vec![("v".into(), PROTOCOL_VERSION.into())];
         fields.push((
             "id".into(),
             match &self.id {
@@ -525,13 +598,13 @@ impl OptimizeResponse {
         fields.push(("prog_type".into(), Json::Str(self.prog_type.name().into())));
         fields.push(("asm".into(), Json::Str(self.asm.clone())));
         fields.push(("insns_hex".into(), Json::Str(self.insns_hex.clone())));
-        fields.push(("insns_before".into(), Json::Int(self.insns_before as i64)));
-        fields.push(("insns_after".into(), Json::Int(self.insns_after as i64)));
+        fields.push(("insns_before".into(), self.insns_before.into()));
+        fields.push(("insns_after".into(), self.insns_after.into()));
         fields.push(("cost".into(), Json::Float(self.cost)));
         fields.push(("improved".into(), Json::Bool(self.improved)));
         fields.push((
             "rejected_by_kernel_checker".into(),
-            Json::Int(self.rejected_by_kernel_checker as i64),
+            self.rejected_by_kernel_checker.into(),
         ));
         fields.push((
             "top".into(),
@@ -554,7 +627,7 @@ impl OptimizeResponse {
                     .iter()
                     .map(|c| {
                         Json::Obj(vec![
-                            ("param_id".into(), Json::Int(c.param_id as i64)),
+                            ("param_id".into(), c.param_id.into()),
                             (
                                 "cost".into(),
                                 match c.cost {
@@ -562,65 +635,22 @@ impl OptimizeResponse {
                                     None => Json::Null,
                                 },
                             ),
-                            ("iterations".into(), Json::Int(c.iterations as i64)),
-                            ("accepted".into(), Json::Int(c.accepted as i64)),
-                            ("best_found_at".into(), Json::Int(c.best_found_at as i64)),
+                            ("iterations".into(), c.iterations.into()),
+                            ("accepted".into(), c.accepted.into()),
+                            ("best_found_at".into(), c.best_found_at.into()),
                         ])
                     })
                     .collect(),
             ),
         ));
-        let r = &self.report;
-        fields.push((
-            "report".into(),
-            Json::Obj(vec![
-                ("epochs_planned".into(), Json::Int(r.epochs_planned as i64)),
-                ("epochs_run".into(), Json::Int(r.epochs_run as i64)),
-                ("early_exit".into(), Json::Bool(r.early_exit)),
-                ("solver_queries".into(), Json::Int(r.solver_queries as i64)),
-                ("cache_hits".into(), Json::Int(r.cache_hits as i64)),
-                (
-                    "shared_cache_hits".into(),
-                    Json::Int(r.shared_cache_hits as i64),
-                ),
-                ("cache_misses".into(), Json::Int(r.cache_misses as i64)),
-                ("window_hits".into(), Json::Int(r.window_hits as i64)),
-                (
-                    "window_fallbacks".into(),
-                    Json::Int(r.window_fallbacks as i64),
-                ),
-                (
-                    "refuted_by_testing".into(),
-                    Json::Int(r.refuted_by_testing as i64),
-                ),
-                (
-                    "smt_escalations".into(),
-                    Json::Int(r.smt_escalations as i64),
-                ),
-                (
-                    "shared_cache_entries".into(),
-                    Json::Int(r.shared_cache_entries as i64),
-                ),
-                (
-                    "counterexamples_exchanged".into(),
-                    Json::Int(r.counterexamples_exchanged as i64),
-                ),
-                // The safety screen, window facts and dead-edge pruning are
-                // gone; their v:1 keys stay, always 0, so responses keep
-                // their layout within the version.
-                ("safety_screens".into(), Json::Int(0)),
-                ("safety_screen_rejects".into(), Json::Int(0)),
-                ("static_window_facts".into(), Json::Int(0)),
-                ("static_pruned_branches".into(), Json::Int(0)),
-            ]),
-        ));
+        fields.push(("report".into(), self.report.to_json()));
         // Service timing is opt-in and serialized only when present, so the
         // default response stays bit-identical across runs.
         if let Some(ms) = self.duration_ms {
-            fields.push(("duration_ms".into(), Json::Int(ms as i64)));
+            fields.push(("duration_ms".into(), ms.into()));
         }
         if let Some(ms) = self.queue_wait_ms {
-            fields.push(("queue_wait_ms".into(), Json::Int(ms as i64)));
+            fields.push(("queue_wait_ms".into(), ms.into()));
         }
         Json::Obj(fields)
     }
@@ -708,15 +738,10 @@ impl OptimizeResponse {
                 })
             })
             .collect::<Result<Vec<_>, ProtoError>>()?;
-        let report_json = json
-            .get("report")
-            .ok_or_else(|| ProtoError::new("missing object field \"report\""))?;
-        let rfield = |key: &str| -> Result<u64, ProtoError> {
-            report_json
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ProtoError::new(format!("report missing {key:?}")))
-        };
+        let report = ReportSummary::from_json(
+            json.get("report")
+                .ok_or_else(|| ProtoError::new("missing object field \"report\""))?,
+        )?;
         Ok(OptimizeResponse {
             id,
             ok,
@@ -737,41 +762,7 @@ impl OptimizeResponse {
             rejected_by_kernel_checker: u64_field("rejected_by_kernel_checker")?,
             top,
             chains,
-            report: ReportSummary {
-                epochs_planned: rfield("epochs_planned")?,
-                epochs_run: rfield("epochs_run")?,
-                early_exit: report_json
-                    .get("early_exit")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| ProtoError::new("report missing \"early_exit\""))?,
-                solver_queries: rfield("solver_queries")?,
-                cache_hits: rfield("cache_hits")?,
-                shared_cache_hits: rfield("shared_cache_hits")?,
-                cache_misses: rfield("cache_misses")?,
-                // Added within v:1 (window verification): absent in
-                // responses serialized by earlier builds, so default to 0
-                // instead of rejecting an otherwise valid document.
-                window_hits: report_json
-                    .get("window_hits")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                window_fallbacks: report_json
-                    .get("window_fallbacks")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                // Added within v:1 (pre-SMT refutation): same zero-defaulting
-                // contract as the window counters.
-                refuted_by_testing: report_json
-                    .get("refuted_by_testing")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                smt_escalations: report_json
-                    .get("smt_escalations")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                shared_cache_entries: rfield("shared_cache_entries")?,
-                counterexamples_exchanged: rfield("counterexamples_exchanged")?,
-            },
+            report,
             // Added within v:1 (telemetry): optional service timing, absent
             // in responses from earlier builds and from untimed calls.
             duration_ms: json.get("duration_ms").and_then(Json::as_u64),
@@ -823,13 +814,17 @@ mod tests {
 
     #[test]
     fn request_round_trips_through_json() {
-        let mut req = OptimizeRequest::from_asm(ASM);
-        req.id = Some("r1".into());
-        req.goal = Some(OptimizationGoal::Latency);
-        req.iterations = Some(500);
-        req.seed = Some(7);
-        let line = req.to_json_string();
-        assert_eq!(OptimizeRequest::from_json_str(&line).unwrap(), req);
+        // A seed may use all 64 bits.
+        for seed in [7, u64::MAX] {
+            let mut req = OptimizeRequest::from_asm(ASM);
+            req.id = Some("r1".into());
+            req.goal = Some(OptimizationGoal::Latency);
+            req.iterations = Some(500);
+            req.seed = Some(seed);
+            let line = req.to_json_string();
+            assert!(line.contains(&format!("\"seed\": {seed}")), "{line}");
+            assert_eq!(OptimizeRequest::from_json_str(&line).unwrap(), req);
+        }
     }
 
     #[test]
@@ -851,6 +846,8 @@ mod tests {
             r#"{"v": 1, "asm": "not bpf at all"}"#,
             r#"{"v": 1, "prog_type": "kprobe", "asm": "exit"}"#,
             r#"{"v": 1, "asm": "exit", "iterations": "many"}"#,
+            r#"{"v": 1, "asm": "exit", "seed": -1}"#,
+            r#"{"v": 1, "asm": "exit", "seed": 18446744073709551616}"#,
             "[]",
             "not json",
         ] {

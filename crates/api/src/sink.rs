@@ -3,14 +3,13 @@
 //! The engine streams [`SearchEvent`]s at every deterministic point of a run
 //! (see `k2_core::engine::events`); these sinks cover the common consumers:
 //! [`CollectingSink`] records the exact sequence for tests and golden
-//! comparisons, [`CountingSink`] keeps cheap atomic tallies that are safe to
+//! comparisons, [`CountingSink`] keeps per-variant tallies that are safe to
 //! share across concurrent batch jobs, and [`StderrProgress`] prints a
 //! compact human-readable progress line per event for interactive harnesses.
 
 use k2_core::{EventSink, SearchEvent};
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Records every event in order. Intended for tests: with a fixed seed the
@@ -66,18 +65,11 @@ pub struct SinkCounts {
     pub finished: u64,
 }
 
-/// Counts events with atomics — cheap enough for the hot path and safe to
-/// share across the concurrent jobs of a `run_batch` pool, where one sink
-/// observes many interleaved compilations.
+/// Counts events. Safe to share across the concurrent jobs of a
+/// `run_batch` pool, where one sink observes many interleaved compilations.
 #[derive(Debug, Default)]
 pub struct CountingSink {
-    started: AtomicU64,
-    new_global_best: AtomicU64,
-    solver_stats: AtomicU64,
-    epoch_barriers: AtomicU64,
-    budget_exhausted: AtomicU64,
-    telemetry: AtomicU64,
-    finished: AtomicU64,
+    counts: Mutex<SinkCounts>,
 }
 
 impl CountingSink {
@@ -88,30 +80,22 @@ impl CountingSink {
 
     /// The tallies so far.
     pub fn counts(&self) -> SinkCounts {
-        SinkCounts {
-            started: self.started.load(Ordering::Relaxed),
-            new_global_best: self.new_global_best.load(Ordering::Relaxed),
-            solver_stats: self.solver_stats.load(Ordering::Relaxed),
-            epoch_barriers: self.epoch_barriers.load(Ordering::Relaxed),
-            budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
-            telemetry: self.telemetry.load(Ordering::Relaxed),
-            finished: self.finished.load(Ordering::Relaxed),
-        }
+        *self.counts.lock().expect("sink lock poisoned")
     }
 }
 
 impl EventSink for CountingSink {
     fn on_event(&self, event: &SearchEvent) {
-        let counter = match event {
-            SearchEvent::Started { .. } => &self.started,
-            SearchEvent::NewGlobalBest { .. } => &self.new_global_best,
-            SearchEvent::SolverStats { .. } => &self.solver_stats,
-            SearchEvent::EpochBarrier { .. } => &self.epoch_barriers,
-            SearchEvent::BudgetExhausted { .. } => &self.budget_exhausted,
-            SearchEvent::Telemetry { .. } => &self.telemetry,
-            SearchEvent::Finished { .. } => &self.finished,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        let mut counts = self.counts.lock().expect("sink lock poisoned");
+        *match event {
+            SearchEvent::Started { .. } => &mut counts.started,
+            SearchEvent::NewGlobalBest { .. } => &mut counts.new_global_best,
+            SearchEvent::SolverStats { .. } => &mut counts.solver_stats,
+            SearchEvent::EpochBarrier { .. } => &mut counts.epoch_barriers,
+            SearchEvent::BudgetExhausted { .. } => &mut counts.budget_exhausted,
+            SearchEvent::Telemetry { .. } => &mut counts.telemetry,
+            SearchEvent::Finished { .. } => &mut counts.finished,
+        } += 1;
     }
 }
 
@@ -192,25 +176,12 @@ impl EventSink for StderrProgress {
                     "{p}: epoch {epoch}: new global best: {insns} insns, cost {cost}"
                 );
             }
-            SearchEvent::SolverStats {
-                epoch,
-                queries,
-                cache_hits,
-                shared_cache_hits,
-                cache_misses,
-                window_hits,
-                window_fallbacks,
-                refuted_by_testing,
-                smt_escalations,
-                ..
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{p}: epoch {epoch}: {queries} solver queries, cache {cache_hits}+\
-                     {shared_cache_hits} hits / {cache_misses} misses, windows \
-                     {window_hits} hits / {window_fallbacks} fallbacks, refuted \
-                     {refuted_by_testing} / escalated {smt_escalations}"
-                );
+            SearchEvent::SolverStats { epoch, equiv, .. } => {
+                let _ = write!(out, "{p}: epoch {epoch}:");
+                for (name, value) in equiv.counts() {
+                    let _ = write!(out, " {name}={value}");
+                }
+                out.push('\n');
             }
             SearchEvent::EpochBarrier {
                 epoch,

@@ -439,7 +439,7 @@ fn main() {
             s.report.equiv.queries.to_string(),
             n.report.equiv.queries.to_string(),
             i.report.equiv.queries.to_string(),
-            format!("{:.0}%", 100.0 * s.report.equiv.cache_hit_rate()),
+            format!("{:.0}%", 100.0 * s.report.cache.hit_rate()),
             s.report.equiv.window_hits.to_string(),
             s.report.equiv.refuted_by_testing.to_string(),
             s.report.shared_cache.hits.to_string(),
@@ -645,7 +645,7 @@ fn main() {
             s.report.equiv.queries,
             n.report.equiv.queries,
             i.report.equiv.queries,
-            100.0 * s.report.equiv.cache_hit_rate(),
+            100.0 * s.report.cache.hit_rate(),
             s.report.equiv.window_hits,
             s.report.equiv.window_fallbacks,
             s.report.equiv.refuted_by_testing,

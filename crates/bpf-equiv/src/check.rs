@@ -1,6 +1,6 @@
 //! The equivalence checker façade used by the K2 search loop.
 
-use crate::cache::{CachedVerdict, EquivCache};
+use crate::cache::{CacheStats, CachedVerdict, EquivCache};
 use crate::counterexample::input_from_model;
 use crate::encode::{EncodeError, EncodeOptions, Encoder};
 use crate::refute::Refuter;
@@ -99,88 +99,68 @@ impl EquivOutcome {
     }
 }
 
-/// Accumulated statistics of a checker instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EquivStats {
-    /// Number of solver queries issued.
-    pub queries: u64,
-    /// Cached checks answered by this checker's private cache layer.
-    pub cache_hits: u64,
-    /// Cached checks answered by the cross-chain shared cache layer.
-    pub shared_cache_hits: u64,
-    /// Checks that missed both cache layers and went to the solver.
-    pub cache_misses: u64,
-    /// Checks answered by the window-local fast path (optimization IV):
-    /// each one is a full-program solver query that never had to be built.
-    pub window_hits: u64,
-    /// Checks where the windowed fast path ran but was inconclusive and the
-    /// full-program check was performed after all.
-    pub window_fallbacks: u64,
-    /// Microseconds spent inside window-local checks (hits and fallbacks).
-    pub window_time_us: u64,
-    /// Checks refuted by the pre-SMT concrete-execution stage: a divergent
-    /// input was found in microseconds, so no solver query was built.
-    pub refuted_by_testing: u64,
-    /// Checks the refutation stage could not decide, escalated to the SMT
-    /// solver (only counted while a refuter is installed).
-    pub smt_escalations: u64,
-    /// Microseconds spent inside the pre-SMT refutation stage.
-    pub refute_time_us: u64,
-    /// Total time spent building formulas and solving, in microseconds.
-    pub total_time_us: u64,
-    /// Solver queries answered by the compilation's [`SolveMemo`] because
-    /// an identical formula had been solved before. Like the times, this
-    /// depends on scheduling: two chains can race on the same formula.
-    pub memo_hits: u64,
-    /// Microseconds spent in the most recent query.
-    pub last_time_us: u64,
-    /// CNF variables in the most recent query.
-    pub last_cnf_vars: u64,
-    /// CNF clauses in the most recent query.
-    pub last_cnf_clauses: u64,
+k2_telemetry::counters! {
+    /// Accumulated statistics of a checker instance. Each count is also the
+    /// telemetry counter `equiv.<field>` of a compilation.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct EquivStats("equiv") {
+        /// Number of solver queries issued.
+        queries,
+        /// Cached checks answered by this checker's private cache layer.
+        cache_hits,
+        /// Cached checks answered by the cross-chain shared cache layer.
+        shared_cache_hits,
+        /// Checks that missed both cache layers and went to the solver.
+        cache_misses,
+        /// Checks answered by the window-local fast path (optimization IV):
+        /// each one is a full-program solver query that never had to be built.
+        window_hits,
+        /// Checks where the windowed fast path ran but was inconclusive and
+        /// the full-program check was performed after all.
+        window_fallbacks,
+        /// Checks refuted by the pre-SMT concrete-execution stage: a
+        /// divergent input was found in microseconds, so no solver query was
+        /// built.
+        refuted_by_testing,
+        /// Checks the refutation stage could not decide, escalated to the SMT
+        /// solver (only counted while a refuter is installed).
+        smt_escalations,
+        /// Checks whose verdict was [`EquivOutcome::Equivalent`].
+        equivalent_verdicts,
+        /// Checks whose verdict was [`EquivOutcome::NotEquivalent`].
+        not_equivalent_verdicts,
+        /// Checks whose verdict was [`EquivOutcome::Unknown`].
+        unknown_verdicts,
+    }
+    uncounted {
+        /// Microseconds spent inside window-local checks (hits and
+        /// fallbacks).
+        window_time_us,
+        /// Microseconds spent inside the pre-SMT refutation stage.
+        refute_time_us,
+        /// Total time spent building formulas and solving, in microseconds.
+        total_time_us,
+        /// Solver queries answered by the compilation's [`SolveMemo`]
+        /// because an identical formula had been solved before. Like the
+        /// times, this depends on scheduling: two chains can race on the
+        /// same formula.
+        memo_hits,
+    }
 }
 
 impl EquivStats {
-    /// Fold another checker's totals into this one (per-query `last_*`
-    /// fields are meaningless for an aggregate and reset to zero).
-    pub fn absorb(&mut self, other: &EquivStats) {
-        self.queries += other.queries;
-        self.cache_hits += other.cache_hits;
-        self.shared_cache_hits += other.shared_cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.window_hits += other.window_hits;
-        self.window_fallbacks += other.window_fallbacks;
-        self.window_time_us += other.window_time_us;
-        self.refuted_by_testing += other.refuted_by_testing;
-        self.smt_escalations += other.smt_escalations;
-        self.refute_time_us += other.refute_time_us;
-        self.total_time_us += other.total_time_us;
-        self.memo_hits += other.memo_hits;
-        self.last_time_us = 0;
-        self.last_cnf_vars = 0;
-        self.last_cnf_clauses = 0;
-    }
-
-    /// Fraction of cache-eligible checks answered by either cache layer.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let hits = self.cache_hits + self.shared_cache_hits;
-        let total = hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
+    /// Both verdict-cache layers as one: hits through either layer vs.
+    /// checks that missed both.
+    pub fn cache_stats(&self) -> CacheStats {
+        let (hits, misses) = (self.cache_hits + self.shared_cache_hits, self.cache_misses);
+        CacheStats { hits, misses }
     }
 
     /// Fraction of window-attempted checks the window-local fast path
     /// resolved (zero when the windowed path never ran).
     pub fn window_hit_rate(&self) -> f64 {
-        let total = self.window_hits + self.window_fallbacks;
-        if total == 0 {
-            0.0
-        } else {
-            self.window_hits as f64 / total as f64
-        }
+        let (hits, misses) = (self.window_hits, self.window_fallbacks);
+        CacheStats { hits, misses }.hit_rate()
     }
 }
 
@@ -198,7 +178,7 @@ pub fn check_equivalence(
         ..*options
     });
     let outcome = checker.check_uncached(src, cand);
-    (outcome, checker.stats.last_time_us)
+    (outcome, checker.last_time_us)
 }
 
 fn outcome_of_error(e: EncodeError) -> EquivOutcome {
@@ -250,6 +230,12 @@ pub struct EquivChecker {
     memo: Option<Arc<SolveMemo>>,
     /// Statistics accumulated across `check` calls.
     pub stats: EquivStats,
+    /// Microseconds spent in the most recent solver query.
+    pub last_time_us: u64,
+    /// CNF variables in the most recent solver query.
+    pub last_cnf_vars: u64,
+    /// CNF clauses in the most recent solver query.
+    pub last_cnf_clauses: u64,
     telemetry: TelemetryRef,
 }
 
@@ -264,6 +250,9 @@ impl EquivChecker {
             refuter: None,
             memo: None,
             stats: EquivStats::default(),
+            last_time_us: 0,
+            last_cnf_vars: 0,
+            last_cnf_clauses: 0,
             telemetry: TelemetryRef::none(),
         }
     }
@@ -285,11 +274,10 @@ impl EquivChecker {
     }
 
     /// Attach a telemetry recorder. Every [`EquivChecker::check_in_window`]
-    /// call then records a per-check span (`equiv.check`) plus counters for
-    /// the resolution path (private/shared cache hit, window hit, full
-    /// query), the verdict, and the distinct query fingerprints seen; the
-    /// recorder is also threaded into the underlying [`Solver`]. Recording
-    /// is write-only — verdicts are identical with or without it.
+    /// call then records a per-check span (`equiv.check`) and the distinct
+    /// query fingerprints seen (paths and verdicts are counted in `stats`);
+    /// the recorder is also threaded into the underlying [`Solver`].
+    /// Recording is write-only — verdicts are identical with or without it.
     pub fn set_telemetry(&mut self, telemetry: TelemetryRef) {
         self.telemetry = telemetry;
     }
@@ -370,38 +358,23 @@ impl EquivChecker {
         cand: &Program,
         region: Option<Window>,
     ) -> EquivOutcome {
-        if !self.telemetry.is_enabled() {
-            return self.check_in_window_impl(src, cand, region);
-        }
-        let telemetry = self.telemetry.clone();
-        let before = self.stats;
-        let span = telemetry.span("equiv.check");
-        let outcome = self.check_in_window_impl(src, cand, region);
-        span.finish();
-        // Label the check by how it was resolved (exactly one path fires
-        // per check) and by its verdict. The fingerprint is the verdict
-        // cache key: counting distinct values sizes the repeat-query share.
-        let path = if self.stats.cache_hits > before.cache_hits {
-            "equiv.check.private_hit"
-        } else if self.stats.shared_cache_hits > before.shared_cache_hits {
-            "equiv.check.shared_hit"
-        } else if self.stats.window_hits > before.window_hits {
-            "equiv.check.window_hit"
-        } else if self.stats.refuted_by_testing > before.refuted_by_testing {
-            "equiv.check.refuted"
+        let outcome = if self.telemetry.is_enabled() {
+            let telemetry = self.telemetry.clone();
+            let span = telemetry.span("equiv.check");
+            let outcome = self.check_in_window_impl(src, cand, region);
+            span.finish();
+            // The fingerprint is the verdict cache key: counting distinct
+            // values sizes the repeat-query share.
+            telemetry.observe_distinct("equiv.fingerprint", EquivCache::key_of(&cand.insns));
+            outcome
         } else {
-            "equiv.check.full"
+            self.check_in_window_impl(src, cand, region)
         };
-        telemetry.count(path, 1);
-        telemetry.count(
-            match &outcome {
-                EquivOutcome::Equivalent => "equiv.verdict.equivalent",
-                EquivOutcome::NotEquivalent(_) => "equiv.verdict.not_equivalent",
-                EquivOutcome::Unknown(_) => "equiv.verdict.unknown",
-            },
-            1,
-        );
-        telemetry.observe_distinct("equiv.fingerprint", EquivCache::key_of(&cand.insns));
+        *match &outcome {
+            EquivOutcome::Equivalent => &mut self.stats.equivalent_verdicts,
+            EquivOutcome::NotEquivalent(_) => &mut self.stats.not_equivalent_verdicts,
+            EquivOutcome::Unknown(_) => &mut self.stats.unknown_verdicts,
+        } += 1;
         outcome
     }
 
@@ -610,8 +583,8 @@ impl EquivChecker {
             (solver.check(), solver.stats)
         };
         self.stats.memo_hits += u64::from(solver_stats.memo_hit);
-        self.stats.last_cnf_vars = solver_stats.cnf_vars;
-        self.stats.last_cnf_clauses = solver_stats.cnf_clauses;
+        self.last_cnf_vars = solver_stats.cnf_vars;
+        self.last_cnf_clauses = solver_stats.cnf_clauses;
 
         let outcome = match result {
             CheckResult::Unsat => EquivOutcome::Equivalent,
@@ -627,7 +600,7 @@ impl EquivChecker {
         let us = start.elapsed().as_micros() as u64;
         self.stats.queries += 1;
         self.stats.total_time_us += us;
-        self.stats.last_time_us = us;
+        self.last_time_us = us;
         outcome
     }
 }
@@ -649,7 +622,7 @@ mod tests {
         let mut checker = EquivChecker::new(EquivOptions::default());
         assert!(checker.check(&src, &cand).is_equivalent());
         assert_eq!(checker.stats.queries, 1);
-        assert!(checker.stats.last_cnf_clauses > 0 || checker.stats.last_cnf_vars == 0);
+        assert!(checker.last_cnf_clauses > 0 || checker.last_cnf_vars == 0);
     }
 
     #[test]
@@ -698,7 +671,7 @@ mod tests {
         assert!(b.check(&src, &cand).is_equivalent());
         assert_eq!(b.stats.queries, 0);
         assert_eq!(b.stats.shared_cache_hits, 1);
-        assert!((b.stats.cache_hit_rate() - 1.0).abs() < 1e-9);
+        assert!((b.stats.cache_stats().hit_rate() - 1.0).abs() < 1e-9);
         assert_eq!(shared.stats().hits, 1);
 
         // A's next check of the same candidate also hits the shared layer
@@ -889,7 +862,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_labels_resolution_paths_and_verdicts() {
+    fn stats_count_resolution_paths_and_verdicts_and_telemetry_times_checks() {
         use k2_telemetry::{Recorder, Telemetry};
         let recorder = Arc::new(Telemetry::new());
         let mut checker = EquivChecker::new(EquivOptions::default());
@@ -900,11 +873,12 @@ mod tests {
         assert!(checker.check(&src, &good).is_equivalent());
         assert!(checker.check(&src, &good).is_equivalent()); // private cache hit
         assert!(!checker.check(&src, &bad).is_equivalent());
+        assert_eq!(checker.stats.queries, 2);
+        assert_eq!(checker.stats.cache_hits, 1);
+        assert_eq!(checker.stats.equivalent_verdicts, 2);
+        assert_eq!(checker.stats.not_equivalent_verdicts, 1);
+        assert_eq!(checker.stats.unknown_verdicts, 0);
         let snap = recorder.snapshot();
-        assert_eq!(snap.counter("equiv.check.full"), 2);
-        assert_eq!(snap.counter("equiv.check.private_hit"), 1);
-        assert_eq!(snap.counter("equiv.verdict.equivalent"), 2);
-        assert_eq!(snap.counter("equiv.verdict.not_equivalent"), 1);
         assert_eq!(snap.timer("equiv.check").unwrap().count, 3);
         // Two cache misses reach the solver: one encode and one solve each.
         assert_eq!(snap.timer("equiv.encode").unwrap().count, 2);
@@ -912,7 +886,7 @@ mod tests {
         assert!(snap.counter("bitsmt.cnf_clauses") > 0);
         assert_eq!(snap.distinct, vec![("equiv.fingerprint".to_string(), 2)]);
 
-        // The windowed fast path is labelled as a window hit.
+        // The windowed fast path counts as a window hit.
         let wsrc = xdp("mov64 r3, 4\nmov64 r1, 10\nmul64 r1, r3\nmov64 r0, r1\nexit");
         let wcand = xdp("mov64 r3, 4\nmov64 r1, 10\nlsh64 r1, 2\nmov64 r0, r1\nexit");
         let mut windowed = EquivChecker::new(EquivOptions::default());
@@ -921,8 +895,9 @@ mod tests {
         assert!(windowed
             .check_in_window(&wsrc, &wcand, region)
             .is_equivalent());
+        assert_eq!(windowed.stats.window_hits, 1);
+        assert_eq!(windowed.stats.equivalent_verdicts, 1);
         let snap = recorder.snapshot();
-        assert_eq!(snap.counter("equiv.check.window_hit"), 1);
         assert_eq!(snap.timer("equiv.window").unwrap().count, 1);
     }
 

@@ -45,32 +45,26 @@ pub struct SafetyChecker {
     engine_config: VerifierConfig,
 }
 
-/// Accumulated statistics of a [`SafetyChecker`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SafetyStats {
-    /// Candidates checked.
-    pub checked: u64,
-    /// Candidates found safe.
-    pub safe: u64,
-    /// Candidates found unsafe.
-    pub unsafe_found: u64,
-    /// Total instructions examined by the underlying verifier.
-    pub insns_examined: u64,
-    /// Always 0: nothing screens ahead of the path walk any more. Kept so
-    /// existing readers keep compiling.
-    pub screens: u64,
-    /// Always 0, like [`SafetyStats::screens`].
-    pub screen_rejects: u64,
-}
-
-impl SafetyStats {
-    /// Fold another checker's counters into this one (used when aggregating
-    /// per-chain statistics into an engine-level report).
-    pub fn absorb(&mut self, other: &SafetyStats) {
-        self.checked += other.checked;
-        self.safe += other.safe;
-        self.unsafe_found += other.unsafe_found;
-        self.insns_examined += other.insns_examined;
+k2_telemetry::counters! {
+    /// Accumulated statistics of a [`SafetyChecker`]. Each count is also
+    /// the telemetry counter `safety.<field>` of a compilation.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SafetyStats("safety") {
+        /// Candidates checked.
+        checked,
+        /// Candidates found safe.
+        safe,
+        /// Candidates found unsafe.
+        unsafe_found,
+        /// Total instructions examined by the underlying verifier.
+        insns_examined,
+    }
+    uncounted {
+        /// Always 0: nothing screens ahead of the path walk any more. Kept so
+        /// existing readers keep compiling.
+        screens,
+        /// Always 0, like [`SafetyStats::screens`].
+        screen_rejects,
     }
 }
 

@@ -122,49 +122,39 @@ pub struct CostValue {
     pub safe: bool,
 }
 
-/// Statistics of cost evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CostStats {
-    /// Candidates evaluated.
-    pub evaluations: u64,
-    /// Candidates that failed at least one test case.
-    pub failed_tests: u64,
-    /// Formal equivalence queries issued (i.e. candidates passing all tests).
-    pub equivalence_checks: u64,
-    /// Counterexamples added to the test suite.
-    pub counterexamples: u64,
-    /// Candidates rejected as unsafe.
-    pub unsafe_candidates: u64,
-    /// Executions of the *source* program. The source's expected outputs are
-    /// precomputed once at construction and reused for every candidate;
-    /// afterwards the source only runs again to grade a fresh counterexample.
-    /// Regression guard for an easy-to-reintroduce inefficiency: re-running
-    /// the unchanged source per candidate inside `evaluate`.
-    pub src_executions: u64,
-    /// Candidate executions on test inputs. Each (candidate, test) pair runs
-    /// at most once while the candidate stays in the evaluation memo.
-    pub test_runs: u64,
-    /// Evaluations whose candidate was already in the evaluation memo: its
-    /// safety verdict and stored test outcomes were reused.
-    pub eval_memo_hits: u64,
-    /// Evaluations stopped before the last test because the acceptance
-    /// test they were graded for had to reject the candidate.
-    pub early_rejects: u64,
-}
-
-impl CostStats {
-    /// Fold another cost function's counters into this one (used when
-    /// aggregating per-chain statistics into an engine-level report).
-    pub fn absorb(&mut self, other: &CostStats) {
-        self.evaluations += other.evaluations;
-        self.failed_tests += other.failed_tests;
-        self.equivalence_checks += other.equivalence_checks;
-        self.counterexamples += other.counterexamples;
-        self.unsafe_candidates += other.unsafe_candidates;
-        self.src_executions += other.src_executions;
-        self.test_runs += other.test_runs;
-        self.eval_memo_hits += other.eval_memo_hits;
-        self.early_rejects += other.early_rejects;
+k2_telemetry::counters! {
+    /// Statistics of cost evaluation. Each count is also the telemetry
+    /// counter `cost.<field>` of a compilation.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CostStats("cost") {
+        /// Candidates evaluated.
+        evaluations,
+        /// Candidates that failed at least one test case.
+        failed_tests,
+        /// Formal equivalence queries issued (i.e. candidates passing all
+        /// tests).
+        equivalence_checks,
+        /// Counterexamples added to the test suite.
+        counterexamples,
+        /// Candidates rejected as unsafe.
+        unsafe_candidates,
+        /// Executions of the *source* program. The source's expected outputs
+        /// are precomputed once at construction and reused for every
+        /// candidate; afterwards the source only runs again to grade a fresh
+        /// counterexample. Regression guard for an easy-to-reintroduce
+        /// inefficiency: re-running the unchanged source per candidate
+        /// inside `evaluate`.
+        src_executions,
+        /// Candidate executions on test inputs. Each (candidate, test) pair
+        /// runs at most once while the candidate stays in the evaluation
+        /// memo.
+        test_runs,
+        /// Evaluations whose candidate was already in the evaluation memo:
+        /// its safety verdict and stored test outcomes were reused.
+        eval_memo_hits,
+        /// Evaluations stopped before the last test because the acceptance
+        /// test they were graded for had to reject the candidate.
+        early_rejects,
     }
 }
 

@@ -13,6 +13,7 @@
 //! parallel execution. Events deliberately carry no wall-clock fields —
 //! timing lives in [`super::EngineReport`].
 
+use bpf_equiv::EquivStats;
 use std::fmt;
 use std::sync::Arc;
 
@@ -60,25 +61,10 @@ pub enum SearchEvent {
     SolverStats {
         /// 1-based epoch index.
         epoch: u64,
-        /// Solver queries issued so far, summed over chains.
-        queries: u64,
-        /// Private-layer verdict-cache hits so far.
-        cache_hits: u64,
-        /// Cross-chain shared-layer hits so far.
-        shared_cache_hits: u64,
-        /// Checks that missed both cache layers so far.
-        cache_misses: u64,
-        /// Checks resolved by the window-local fast path so far
-        /// (optimization IV: full-program queries that were never built).
-        window_hits: u64,
-        /// Windowed checks that fell back to the full program pair so far.
-        window_fallbacks: u64,
-        /// Cache-miss candidates refuted by concrete execution so far (the
-        /// pre-SMT refutation stage: no solver query was built for them).
-        refuted_by_testing: u64,
-        /// Cache-miss candidates the refutation batch could not decide, so
-        /// they escalated to the SMT solver.
-        smt_escalations: u64,
+        /// Equivalence-checker counts so far, summed over chains. Only the
+        /// deterministic counts are carried ([`EquivStats::counts_only`]);
+        /// times and memo hits are 0.
+        equiv: EquivStats,
         /// Entries in the shared cache after the barrier's publish step.
         shared_cache_entries: usize,
         /// Counterexamples in the merged cross-chain pool.

@@ -33,8 +33,6 @@ pub struct ChainOutcome {
     pub best: Option<(Program, f64)>,
     /// Run statistics.
     pub stats: ChainStats,
-    /// Equivalence-checker statistics (queries, cache hits per layer).
-    pub equiv: EquivStats,
     /// Final test-suite size (initial tests + own and exchanged
     /// counterexamples).
     pub tests: usize,
@@ -97,7 +95,8 @@ pub struct EngineReport {
     /// [`run_search`]/[`crate::optimize_with`] calls; filled by `run_batch`.
     pub queue_wait_us: u64,
     /// Per-compilation telemetry snapshot: solver-phase timing, per-rule
-    /// accept/reject counters, cache-path labels, query fingerprints. Empty
+    /// accept/reject counters, the `equiv.*`/`safety.*`/`cost.*` counts of
+    /// the summed statistics above, query fingerprints. Empty
     /// unless a recorder is attached ([`crate::CompilerOptions::telemetry`]).
     /// Count-valued fields are deterministic for a fixed seed; wall-clock
     /// fields are not (mask with [`TelemetrySnapshot::counts_only`] before
@@ -297,14 +296,7 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
             }
             sink.emit(SearchEvent::SolverStats {
                 epoch,
-                queries: equiv.queries,
-                cache_hits: equiv.cache_hits,
-                shared_cache_hits: equiv.shared_cache_hits,
-                cache_misses: equiv.cache_misses,
-                window_hits: equiv.window_hits,
-                window_fallbacks: equiv.window_fallbacks,
-                refuted_by_testing: equiv.refuted_by_testing,
-                smt_escalations: equiv.smt_escalations,
+                equiv: equiv.counts_only(),
                 shared_cache_entries: ctx.cache().len(),
                 counterexample_pool: ctx.pool().len(),
             });
@@ -354,10 +346,24 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
         }
     }
 
-    // Surface the run's telemetry: the counts-only projection goes out as an
-    // event (so it stays deterministic like every other event), the full
-    // snapshot — timings included — lands on the report and is folded into
-    // the caller's recorder.
+    // Sum the per-chain statistics.
+    for chain in chains.iter() {
+        let cost = chain.cost_function();
+        report.equiv.absorb(&cost.equiv_stats());
+        report.safety.absorb(&cost.safety_stats());
+        report.cost.absorb(&cost.stats);
+        report.eval_memo_peak_bytes += cost.eval_memo_peak_bytes();
+    }
+
+    // Surface the run's telemetry, with the summed counts folded in as
+    // counters: the counts-only projection goes out as an event (so it
+    // stays deterministic like every other event), the full snapshot —
+    // timings included — lands on the report and is folded into the
+    // caller's recorder.
+    let counts = report.equiv.counts().chain(report.safety.counts());
+    for (name, value) in counts.chain(report.cost.counts()) {
+        telemetry.count(name, value);
+    }
     if let Some(snapshot) = telemetry.snapshot() {
         sink.emit(SearchEvent::Telemetry {
             counts: snapshot.counts_only(),
@@ -371,29 +377,17 @@ pub fn run_search(src: &Program, opts: &CompilerOptions) -> EngineOutcome {
         improved: ever_improved,
     });
 
-    // Aggregate per-chain statistics.
     let outcomes: Vec<ChainOutcome> = chains
         .into_iter()
         .zip(param_ids)
-        .map(|(chain, param_id)| {
-            let equiv = chain.cost_function().equiv_stats();
-            report.equiv.absorb(&equiv);
-            report.safety.absorb(&chain.cost_function().safety_stats());
-            report.cost.absorb(&chain.cost_function().stats);
-            report.eval_memo_peak_bytes += chain.cost_function().eval_memo_peak_bytes();
-            ChainOutcome {
-                param_id,
-                best: chain.best().cloned(),
-                stats: chain.stats,
-                equiv,
-                tests: chain.cost_function().num_tests(),
-            }
+        .map(|(chain, param_id)| ChainOutcome {
+            param_id,
+            best: chain.best().cloned(),
+            stats: chain.stats,
+            tests: chain.cost_function().num_tests(),
         })
         .collect();
-    report.cache = CacheStats {
-        hits: report.equiv.cache_hits + report.equiv.shared_cache_hits,
-        misses: report.equiv.cache_misses,
-    };
+    report.cache = report.equiv.cache_stats();
     report.shared_cache = ctx.cache().stats();
     report.shared_cache_entries = ctx.cache().len();
     report.solve_memo_bytes = ctx.solve_memo().bytes();

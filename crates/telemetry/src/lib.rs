@@ -29,11 +29,83 @@
 //! Recording is write-only from the engine's point of view; snapshots are
 //! taken after the run. Same-seed runs are bit-identical with telemetry
 //! on, off, or dumping.
+//!
+//! The search's statistics structs are declared with [`counters!`], which
+//! names each of their counts once for the structs and the snapshot alike.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// Declare a statistics struct whose fields are the one declaration of its
+/// counters.
+///
+/// Every field is a `pub u64`. Besides the struct, the macro generates:
+///
+/// - `absorb(&mut self, other)`, which adds each field of `other`;
+/// - `counts()`, the deterministic counts as `("prefix.field", value)`
+///   pairs in declaration order, under the names they take in a telemetry
+///   snapshot;
+/// - `counts_only()`, a copy with every field outside `counts()` zeroed.
+///
+/// Fields under `uncounted` are summed by `absorb` but are not
+/// deterministic counts (wall-clock times, tallies that depend on
+/// scheduling), so `counts()` leaves them out. Adding a counter is one
+/// line: a field in the first list.
+///
+/// ```
+/// k2_telemetry::counters! {
+///     /// Work done by a demo stage.
+///     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+///     pub struct DemoStats("demo") { items, }
+///     uncounted { time_us, }
+/// }
+/// let mut total = DemoStats { items: 2, time_us: 7 };
+/// total.absorb(&DemoStats { items: 1, time_us: 5 });
+/// assert_eq!(total.counts().collect::<Vec<_>>(), [("demo.items", 3)]);
+/// assert_eq!(total.counts_only(), DemoStats { items: 3, time_us: 0 });
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident($prefix:literal) {
+            $( $(#[$count_attr:meta])* $count:ident, )*
+        }
+        $( uncounted {
+            $( $(#[$sum_attr:meta])* $sum:ident, )*
+        } )?
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $( $(#[$count_attr])* pub $count: u64, )*
+            $($( $(#[$sum_attr])* pub $sum: u64, )*)?
+        }
+
+        impl $name {
+            /// Add every field of `other` to this one.
+            pub fn absorb(&mut self, other: &$name) {
+                $( self.$count += other.$count; )*
+                $($( self.$sum += other.$sum; )*)?
+            }
+
+            /// The deterministic counts, named `prefix.field` as in a
+            /// telemetry snapshot, in declaration order.
+            pub fn counts(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$( (concat!($prefix, ".", stringify!($count)), self.$count) ),*].into_iter()
+            }
+
+            /// A copy holding only the counts: every other field is 0.
+            pub fn counts_only(&self) -> $name {
+                $name {
+                    $( $count: self.$count, )*
+                    $($( $sum: 0, )*)?
+                }
+            }
+        }
+    };
+}
 
 /// Number of histogram buckets. The scale is log-linear: buckets `0..16`
 /// hold the exact microsecond values `0..16`, and every power-of-two octave

@@ -47,6 +47,6 @@ fn main() {
     }
     println!(
         "solver statistics: {} queries, {} us total, last formula {} clauses",
-        checker.stats.queries, checker.stats.total_time_us, checker.stats.last_cnf_clauses
+        checker.stats.queries, checker.stats.total_time_us, checker.last_cnf_clauses
     );
 }

@@ -70,7 +70,7 @@ fn main() {
         report.epochs_run,
         report.equiv.queries,
         report.equiv.total_time_us / 1000,
-        100.0 * report.equiv.cache_hit_rate(),
+        100.0 * report.cache.hit_rate(),
     );
     println!(
         "        cross-chain cache: {} entries, {} hits served to other chains; \

@@ -505,6 +505,82 @@ fn request_and_response_round_trip_through_json() {
     assert_eq!(tree.get("id").and_then(Json::as_str), Some("round-trip"));
 }
 
+/// The v:1 report object of [`v1_report_golden_response`], byte for byte:
+/// key order, and the four retired keys that stay in v:1 at 0.
+const V1_REPORT_GOLDEN: &str = "{\"epochs_planned\": 4, \"epochs_run\": 3, \
+    \"early_exit\": true, \"solver_queries\": 11, \"cache_hits\": 12, \
+    \"shared_cache_hits\": 13, \"cache_misses\": 14, \"window_hits\": 15, \
+    \"window_fallbacks\": 16, \"refuted_by_testing\": 17, \"smt_escalations\": 18, \
+    \"shared_cache_entries\": 19, \"counterexamples_exchanged\": 20, \
+    \"safety_screens\": 0, \"safety_screen_rejects\": 0, \"static_window_facts\": 0, \
+    \"static_pruned_branches\": 0}";
+
+fn v1_report_golden_response() -> OptimizeResponse {
+    OptimizeResponse {
+        id: Some("golden".into()),
+        ok: true,
+        error: None,
+        prog_type: k2::isa::ProgramType::Xdp,
+        asm: "mov64 r0, 2\nexit\n".into(),
+        insns_hex: "b7000000020000009500000000000000".into(),
+        insns_before: 3,
+        insns_after: 2,
+        cost: 2.0,
+        improved: true,
+        rejected_by_kernel_checker: 1,
+        top: Vec::new(),
+        chains: Vec::new(),
+        report: k2::api::ReportSummary {
+            epochs_planned: 4,
+            epochs_run: 3,
+            early_exit: true,
+            solver_queries: 11,
+            cache_hits: 12,
+            shared_cache_hits: 13,
+            cache_misses: 14,
+            window_hits: 15,
+            window_fallbacks: 16,
+            refuted_by_testing: 17,
+            smt_escalations: 18,
+            shared_cache_entries: 19,
+            counterexamples_exchanged: 20,
+        },
+        duration_ms: None,
+        queue_wait_ms: None,
+    }
+}
+
+#[test]
+fn v1_report_object_is_golden() {
+    let response = v1_report_golden_response();
+    let line = response.to_json_string();
+    assert!(
+        line.ends_with(&format!("\"report\": {V1_REPORT_GOLDEN}}}")),
+        "report object drifted: {line}"
+    );
+    assert_eq!(OptimizeResponse::from_json_str(&line).unwrap(), response);
+
+    // A document from before the window and refutation counters parses,
+    // with those four fields read as 0 and every other one kept.
+    let mut legacy = line.clone();
+    for key in [
+        "window_hits\": 15",
+        "window_fallbacks\": 16",
+        "refuted_by_testing\": 17",
+        "smt_escalations\": 18",
+    ] {
+        legacy = legacy.replace(&format!("\"{key}, "), "");
+    }
+    assert!(!legacy.contains("window_hits"), "{legacy}");
+    let parsed = OptimizeResponse::from_json_str(&legacy).expect("legacy v:1 parses");
+    let mut want = response;
+    want.report.window_hits = 0;
+    want.report.window_fallbacks = 0;
+    want.report.refuted_by_testing = 0;
+    want.report.smt_escalations = 0;
+    assert_eq!(parsed, want);
+}
+
 // ---------------------------------------------------------------------------
 // The k2c service binary.
 // ---------------------------------------------------------------------------
@@ -986,6 +1062,64 @@ fn telemetry_count_snapshots_are_schedule_independent() {
         assert!(check.count > 0, "{backend:?}");
         assert_eq!(check.total_us, 0, "{backend:?}: timings must be masked");
     }
+}
+
+#[test]
+fn every_declared_count_reaches_the_snapshot_and_the_last_solver_stats_event() {
+    let _lock = env_lock();
+    let _env = EnvGuard::set(&[
+        ("K2_CONFIG", None),
+        ("K2_TELEMETRY", None),
+        ("K2_TELEMETRY_JSON", None),
+    ]);
+    let sink = std::sync::Arc::new(CollectingSink::new());
+    let session = K2Session::builder()
+        .iterations(400)
+        .num_tests(8)
+        .seed(13)
+        .telemetry(true)
+        .params(SearchParams::table8().into_iter().take(2).collect())
+        .sink(sink.clone())
+        .build()
+        .unwrap();
+    let program = k2::isa::Program::new(
+        k2::isa::ProgramType::Xdp,
+        k2::isa::asm::assemble(SHRINKABLE).unwrap(),
+    );
+    let report = session.optimize_program(&program).report;
+    assert!(report.equiv.queries > 0 && report.safety.checked > 0 && report.cost.evaluations > 0);
+    let events = sink.take();
+    let event_counts = events
+        .iter()
+        .find_map(|event| match event {
+            SearchEvent::Telemetry { counts } => Some(counts),
+            _ => None,
+        })
+        .expect("telemetry event emitted when a recorder is attached");
+
+    // Every declared count is a counter of the compilation's snapshot (and
+    // of its counts-only event) holding the report's summed value.
+    let counts = report.equiv.counts();
+    for (name, value) in counts
+        .chain(report.safety.counts())
+        .chain(report.cost.counts())
+    {
+        for snapshot in [&report.telemetry, event_counts] {
+            let recorded = snapshot.counters.iter().find(|(n, _)| n == name);
+            assert_eq!(recorded.map(|(_, v)| *v), Some(value), "{name}");
+        }
+    }
+
+    // The last barrier's SolverStats carries the report's final counts.
+    let last = events
+        .iter()
+        .rev()
+        .find_map(|event| match event {
+            SearchEvent::SolverStats { equiv, .. } => Some(*equiv),
+            _ => None,
+        })
+        .expect("a SolverStats event per barrier");
+    assert_eq!(last, report.equiv.counts_only());
 }
 
 #[test]
