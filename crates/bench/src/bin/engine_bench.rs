@@ -18,7 +18,9 @@
 //! of each stage — land in `BENCH_engine.json` at the repository root so the
 //! gains are tracked in-tree, together with each benchmark's candidate
 //! grading (evaluations, test runs, evaluation-memo hits, early rejections,
-//! the memo's peak bytes) and its compilation wall time.
+//! the memo's peak bytes) and its compilation wall time. The file records
+//! one budget, `K2_ITERS=400`; a run at any other budget prints its sweep and
+//! leaves the record alone.
 
 use bpf_bench_suite::Benchmark;
 use bpf_equiv::{CacheStats, EquivChecker, EquivOptions, Refuter, Window};
@@ -33,6 +35,9 @@ use k2_core::{
     TelemetryRef,
 };
 use std::sync::Arc;
+
+/// The iteration budget `BENCH_engine.json` records.
+const RECORDED_ITERATIONS: u64 = 400;
 
 struct ConfigRun {
     rows: Vec<K2Result>,
@@ -718,9 +723,15 @@ fn main() {
         rows_json.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    match std::fs::write(path, json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write BENCH_engine.json: {e}"),
+    if iterations != RECORDED_ITERATIONS {
+        println!(
+            "left {path} alone: it records K2_ITERS={RECORDED_ITERATIONS}, this run used {iterations}"
+        );
+    } else {
+        match std::fs::write(path, json) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => eprintln!("could not write BENCH_engine.json: {e}"),
+        }
     }
 
     // Sweep-wide telemetry: every job of all five configurations folded into

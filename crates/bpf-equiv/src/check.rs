@@ -17,10 +17,10 @@ use std::time::Instant;
 /// calls).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EquivOptions {
-    /// Optimization I: per-memory-region read/write tables.
+    /// Optimization I: per-memory-region read/write tables. (Optimization
+    /// II, per-map tables, is always on: map helpers must name a statically
+    /// known map.)
     pub memory_type_concretization: bool,
-    /// Optimization II: per-map tables.
-    pub map_concretization: bool,
     /// Optimization III: compile-time resolution of concrete address
     /// comparisons.
     pub offset_concretization: bool,
@@ -46,7 +46,6 @@ impl Default for EquivOptions {
     fn default() -> Self {
         EquivOptions {
             memory_type_concretization: true,
-            map_concretization: true,
             offset_concretization: true,
             window_verification: true,
             enable_cache: true,
@@ -57,11 +56,11 @@ impl Default for EquivOptions {
 }
 
 impl EquivOptions {
-    /// All optimizations disabled (the paper's "None" column in Table 4).
+    /// Every optimization that can be turned off is off (the paper's "None"
+    /// column in Table 4; map tables stay per map).
     pub fn none() -> EquivOptions {
         EquivOptions {
             memory_type_concretization: false,
-            map_concretization: false,
             offset_concretization: false,
             window_verification: false,
             enable_cache: false,
@@ -73,7 +72,6 @@ impl EquivOptions {
     fn encode_options(&self) -> EncodeOptions {
         EncodeOptions {
             memory_type_concretization: self.memory_type_concretization,
-            map_concretization: self.map_concretization,
             offset_concretization: self.offset_concretization,
         }
     }

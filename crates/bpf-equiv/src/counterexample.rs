@@ -3,11 +3,12 @@
 //! suite so that structurally similar non-equivalent candidates are pruned
 //! by the interpreter instead of the solver (paper §3, Fig. 1).
 
-use crate::encode::{Encoder, DATA_PTR};
+use crate::encode::{Encoder, Region, DATA_PTR};
 use bitsmt::{eval::Evaluator, Model, TermId};
 use bpf_interp::ProgramInput;
 use bpf_isa::Program;
 use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// Reconstruct a program input from a model.
 ///
@@ -37,72 +38,52 @@ pub fn input_from_model(encoder: &Encoder<'_>, model: &Model, prog: &Program) ->
     input.packet = vec![0u8; packet_len as usize];
 
     // Packet contents: place each observed initial byte at its offset.
-    for (addr_term, concrete_off, value_term) in encoder.packet_init_reads() {
-        let off = match concrete_off {
-            Some(o) => o,
-            None => value_of(addr_term) as i64 - DATA_PTR as i64,
+    // Map contents: every key whose value or (model-true) presence the
+    // formula read becomes an entry holding the value bytes read under an
+    // equal key (zero where none was).
+    let mut map_keys = Vec::new();
+    let mut map_bytes = HashMap::new();
+    for &(cell, value) in encoder.init_cells() {
+        match cell.region {
+            Region::Packet => {
+                let off = match cell.offset {
+                    Some(o) => o,
+                    None => value_of(cell.term) as i64 - DATA_PTR as i64,
+                };
+                if off >= 0 && (off as usize) < input.packet.len() {
+                    input.packet[off as usize] = value_of(value) as u8;
+                }
+            }
+            Region::MapPresent(map_id) if value_of(value) & 1 == 1 => {
+                map_keys.push((map_id, value_of(cell.term)));
+            }
+            Region::MapValue(map_id) => {
+                let key = value_of(cell.term);
+                map_keys.push((map_id, key));
+                let offset = cell.offset.expect("map value cells have a byte offset");
+                map_bytes
+                    .entry((map_id, key, offset))
+                    .or_insert_with(|| value_of(value) as u8);
+            }
+            _ => {}
+        }
+    }
+    for (map_id, key) in map_keys {
+        let def = match encoder
+            .map_def(map_id)
+            .or_else(|| prog.map(bpf_isa::MapId(map_id)).copied())
+        {
+            Some(d) => d,
+            None => continue,
         };
-        if off >= 0 && (off as usize) < input.packet.len() {
-            input.packet[off as usize] = value_of(value_term) as u8;
-        }
-    }
-
-    // Map contents: for every key whose presence or value the formula
-    // observed, materialize an entry when the model says it is present.
-    let (init_values, init_present) = encoder.map_init_reads();
-    for (map_id, key_term, present_term) in &init_present {
-        if value_of(*present_term) & 1 == 0 {
-            continue;
-        }
-        insert_map_entry(
-            &mut input,
-            encoder,
-            prog,
-            *map_id,
-            value_of(*key_term),
-            &|off| {
-                init_values
-                    .iter()
-                    .find(|(m, k, o, _)| m == map_id && *k == *key_term && *o == off)
-                    .map(|(_, _, _, v)| value_of(*v) as u8)
-                    .unwrap_or(0)
-            },
-        );
-    }
-    // Also materialize entries whose values were read even if presence was
-    // never explicitly queried (e.g. array maps, always present).
-    for (map_id, key_term, _off, _v) in &init_values {
-        let key_val = value_of(*key_term);
-        insert_map_entry(&mut input, encoder, prog, *map_id, key_val, &|off| {
-            init_values
-                .iter()
-                .find(|(m, k, o, _)| m == map_id && value_of(*k) == key_val && *o == off)
-                .map(|(_, _, _, v)| value_of(*v) as u8)
-                .unwrap_or(0)
-        });
+        let key_bytes = key.to_le_bytes()[..def.key_size.min(8) as usize].to_vec();
+        let value_bytes = (0..def.value_size as i64)
+            .map(|off| map_bytes.get(&(map_id, key, off)).copied().unwrap_or(0))
+            .collect();
+        input.maps.insert((map_id, key_bytes), value_bytes);
     }
 
     input
-}
-
-fn insert_map_entry(
-    input: &mut ProgramInput,
-    encoder: &Encoder<'_>,
-    prog: &Program,
-    map_id: u32,
-    key_value: u64,
-    byte_at: &dyn Fn(i64) -> u8,
-) {
-    let def = match encoder
-        .map_def(map_id)
-        .or_else(|| prog.map(bpf_isa::MapId(map_id)).copied())
-    {
-        Some(d) => d,
-        None => return,
-    };
-    let key_bytes = key_value.to_le_bytes()[..def.key_size.min(8) as usize].to_vec();
-    let value_bytes: Vec<u8> = (0..def.value_size as i64).map(byte_at).collect();
-    input.maps.insert((map_id, key_bytes), value_bytes);
 }
 
 #[cfg(test)]

@@ -1,11 +1,22 @@
 //! Symbolic encoding of BPF programs into bit-vector formulas.
 //!
 //! [`Encoder`] owns the shared input variables (packet length, packet bytes,
-//! context, initial map state, timestamps, ...) and the per-program memory /
-//! map tables. Encoding the source program and a candidate program against
-//! the *same* encoder makes them read the same inputs, which is exactly the
+//! context, initial map state, timestamps, ...) and the per-program store
+//! chains. Encoding the source program and a candidate program against the
+//! *same* encoder makes them read the same inputs, which is exactly the
 //! "inputs to program 1 == inputs to program 2" premise of the paper's
 //! equivalence query (§4).
+//!
+//! All state is one memory model of *cells*: a stack, packet or context byte
+//! at an address, a byte of the value under a key of one map, or the
+//! presence of a key in one map. Cells live in tables (one per memory region
+//! and one per map, or one for all memory with optimization I off), and one
+//! rule, `Encoder::same_cell`, decides whether two cells of a table are the
+//! same. The first read of a cell's initial state reuses an earlier cell when
+//! the rule folds to true and otherwise gets a fresh variable plus an
+//! Ackermann implication (same cell ⇒ same value) for every earlier cell the
+//! rule does not rule out. A load walks its program's stores to the table;
+//! a map update or delete stores a presence bit of true or false.
 
 use bitsmt::{TermId, TermPool};
 use bpf_analysis::cfg::Cfg;
@@ -14,7 +25,7 @@ use bpf_isa::{
     AluOp, ByteOrder, HelperId, Insn, JmpOp, MapDef, MapKind, MemSize, Program, Reg, Src, NUM_REGS,
     STACK_SIZE,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// The packet `data` pointer used in formulas (headroom already applied).
@@ -27,12 +38,6 @@ pub const STACK_TOP: u64 = STACK_BASE + STACK_SIZE as u64;
 /// Its numeric value never matters: map value accesses are resolved by key,
 /// not by pointer arithmetic.
 pub const MAP_VALUE_PTR: u64 = 0x0030_0000;
-
-/// One initial map-value read: (map id, key term, byte offset, value term).
-pub type MapValueRead = (u32, TermId, i64, TermId);
-
-/// One initial map-presence read: (map id, key term, presence term).
-pub type MapPresenceRead = (u32, TermId, TermId);
 
 /// Reasons a program cannot be encoded. The search treats these candidates as
 /// not-equivalent (they are never emitted), mirroring how the original K2
@@ -61,15 +66,15 @@ impl fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-/// Which of the paper's concretization optimizations are enabled.
+/// Which of the paper's concretization optimizations are enabled. Map
+/// tables are always per map (the paper's optimization II): the encoder only
+/// accepts map helpers on statically known maps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeOptions {
-    /// Optimization I: separate read/write tables per memory region.
+    /// Optimization I: separate tables per memory region.
     pub memory_type_concretization: bool,
-    /// Optimization II: separate map tables per map id.
-    pub map_concretization: bool,
-    /// Optimization III: resolve address comparisons at compile time when
-    /// both offsets are statically known.
+    /// Optimization III: decide whether two memory cells are the same at
+    /// compile time when both offsets are statically known.
     pub offset_concretization: bool,
 }
 
@@ -77,18 +82,15 @@ impl Default for EncodeOptions {
     fn default() -> Self {
         EncodeOptions {
             memory_type_concretization: true,
-            map_concretization: true,
             offset_concretization: true,
         }
     }
 }
 
-/// Key of a memory read/write table.
+/// Where a cell lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum MemKey {
-    /// All non-map memory in one table (optimization I disabled).
-    Unified,
-    /// The stack. Initial contents are shared between the two programs
+pub(crate) enum Region {
+    /// The stack. Its initial contents are shared between the two programs
     /// (harmless: safe programs never read uninitialized stack, and windows
     /// genuinely share the stack the common prefix produced).
     Stack,
@@ -96,88 +98,76 @@ enum MemKey {
     Packet,
     /// The shared, read-only context.
     Context,
+    /// As a table key only: all three memory regions (optimization I off).
+    Memory,
+    /// A byte of a value in map `id`.
+    MapValue(u32),
+    /// Whether a key is present in map `id`.
+    MapPresent(u32),
 }
 
-/// Key of a map table.
+impl Region {
+    /// Bits per cell: a byte, or one presence bit.
+    fn width(self) -> u32 {
+        if matches!(self, Region::MapPresent(_)) {
+            1
+        } else {
+            8
+        }
+    }
+}
+
+/// One byte (or presence bit) of state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum MapKey {
-    /// All maps in one table (optimization II disabled).
-    Unified,
-    /// One table per map id.
-    Map(u32),
+pub(crate) struct Cell {
+    pub(crate) region: Region,
+    /// The byte's address, or the key for map cells.
+    pub(crate) term: TermId,
+    /// The region-relative offset when statically known; the byte within the
+    /// value for map values; `None` for presence.
+    pub(crate) offset: Option<i64>,
 }
 
-/// Region tag used for compile-time offset comparison (optimization III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RegionTag {
-    Stack,
-    Packet,
-    Context,
+impl Cell {
+    /// Whether the output comparison observes the final value of a written
+    /// cell: packet and map state always, the read-only context never, and
+    /// the private stack only at the end of a window, where `live_stack`
+    /// lists the offsets later code may read (an unknown offset may be any).
+    fn observed(&self, live_stack: Option<&[i16]>) -> bool {
+        match self.region {
+            Region::Stack => live_stack.is_some_and(|live| {
+                self.offset
+                    .is_none_or(|offset| live.contains(&(offset as i16)))
+            }),
+            Region::Context => false,
+            _ => true,
+        }
+    }
 }
 
-/// A symbolic byte address: always a 64-bit term, plus a concrete
-/// region-relative offset when statically known.
+/// One store to a cell, made under the path condition `pc`.
 #[derive(Debug, Clone, Copy)]
-struct SymAddr {
-    term: TermId,
-    concrete: Option<(RegionTag, i64)>,
-}
-
-/// One byte store in a memory table.
-#[derive(Debug, Clone, Copy)]
-struct StoreEntry {
-    addr: SymAddr,
+struct Store {
+    cell: Cell,
     value: TermId,
     pc: TermId,
 }
 
-/// One byte of initial memory observed by a load.
-#[derive(Debug, Clone, Copy)]
-struct InitRead {
-    addr: SymAddr,
-    value: TermId,
+/// One table of cells: the initial values read so far, shared by both
+/// programs, and each program's stores in program order.
+#[derive(Debug, Default)]
+struct Table {
+    init: Vec<(Cell, TermId)>,
+    /// Indexed by program tag.
+    stores: Vec<Vec<Store>>,
 }
 
-/// One byte store to a map value.
-#[derive(Debug, Clone, Copy)]
-struct MapValueStore {
-    map_id: u32,
-    key: TermId,
-    offset: i64,
-    value: TermId,
-    pc: TermId,
-}
-
-/// One byte of an initial map value observed by a load.
-#[derive(Debug, Clone, Copy)]
-struct MapInitValue {
-    map_id: u32,
-    key: TermId,
-    offset: i64,
-    value: TermId,
-}
-
-/// A map presence-changing (or querying) operation.
-#[derive(Debug, Clone, Copy)]
-struct MapOp {
-    map_id: u32,
-    key: TermId,
-    pc: TermId,
-    kind: MapOpKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MapOpKind {
-    Update,
-    Delete,
-}
-
-/// Initial presence of a key in a map.
-#[derive(Debug, Clone, Copy)]
-struct MapInitPresent {
-    map_id: u32,
-    key: TermId,
-    present: TermId,
+/// The element `i` of `v`, growing `v` with defaults to reach it.
+fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if v.len() <= i {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
 }
 
 /// An uninterpreted helper call, recorded so the checker can require both
@@ -190,27 +180,6 @@ pub struct CallRecord {
     pub args: Vec<TermId>,
     /// Path condition under which the call executes.
     pub pc: TermId,
-}
-
-/// An observable store performed by a program (used for the final-state
-/// part of the output comparison).
-#[derive(Debug, Clone, Copy)]
-pub enum OutputStore {
-    /// A byte written into the packet at the given symbolic address.
-    Packet {
-        /// The address (term carried inside the encoder's tables).
-        addr_index: usize,
-    },
-    /// A byte written into a map value.
-    MapValue {
-        /// Index into the encoder's map store list for this program.
-        store_index: usize,
-    },
-    /// A key whose presence may have changed.
-    MapPresence {
-        /// Index into the encoder's map op list for this program.
-        op_index: usize,
-    },
 }
 
 /// Pointer provenance tracked by the symbolic executor.
@@ -228,7 +197,6 @@ enum Prov {
     },
     MapHandle(u32),
 }
-
 impl Prov {
     fn join(self, other: Prov) -> Prov {
         if self == other {
@@ -305,11 +273,10 @@ pub struct ProgramEncoding {
     pub end_regs: Option<[TermId; NUM_REGS]>,
     /// Uninterpreted helper calls in program order.
     pub call_log: Vec<CallRecord>,
-    /// Observable stores for the final-state comparison.
-    pub output_stores: Vec<OutputStore>,
 }
 
-/// The encoder: shared inputs, per-program tables, accumulated constraints.
+/// The encoder: shared inputs, per-program store chains, accumulated
+/// constraints.
 pub struct Encoder<'p> {
     pool: &'p mut TermPool,
     opts: EncodeOptions,
@@ -329,21 +296,10 @@ pub struct Encoder<'p> {
     pub constraints: Vec<TermId>,
 
     map_defs: HashMap<u32, MapDef>,
-
-    // Shared initial state.
-    init_reads: HashMap<MemKey, Vec<InitRead>>,
-    init_map_values: HashMap<MapKey, Vec<MapInitValue>>,
-    init_map_present: HashMap<MapKey, Vec<MapInitPresent>>,
-
-    // Per-program state, keyed by (tag, table).
-    stores: HashMap<(usize, MemKey), Vec<StoreEntry>>,
-    map_value_stores: HashMap<(usize, MapKey), Vec<MapValueStore>>,
-    map_ops: HashMap<(usize, MapKey), Vec<MapOp>>,
-    // Flat per-program lists referenced by OutputStore indices.
-    packet_stores_flat: HashMap<usize, Vec<StoreEntry>>,
-    stack_stores_flat: HashMap<usize, Vec<StoreEntry>>,
-    map_stores_flat: HashMap<usize, Vec<MapValueStore>>,
-    map_ops_flat: HashMap<usize, Vec<MapOp>>,
+    /// The tables, each under its key (see [`Encoder::table`]).
+    tables: Vec<(Region, Table)>,
+    /// Per program tag: every cell it stored to, in program order.
+    written: Vec<Vec<Cell>>,
 
     fresh: usize,
 }
@@ -366,16 +322,8 @@ impl<'p> Encoder<'p> {
             ucall_returns: Vec::new(),
             constraints: Vec::new(),
             map_defs: HashMap::new(),
-            init_reads: HashMap::new(),
-            init_map_values: HashMap::new(),
-            init_map_present: HashMap::new(),
-            stores: HashMap::new(),
-            map_value_stores: HashMap::new(),
-            map_ops: HashMap::new(),
-            packet_stores_flat: HashMap::new(),
-            stack_stores_flat: HashMap::new(),
-            map_stores_flat: HashMap::new(),
-            map_ops_flat: HashMap::new(),
+            tables: Vec::new(),
+            written: Vec::new(),
             fresh: 0,
         };
         // Constrain the packet length to a sane range so that formulas about
@@ -408,189 +356,227 @@ impl<'p> Encoder<'p> {
     /// pointers derived from the packet length, `data_meta == data`, and a
     /// shared opaque word for the remaining fields.
     fn seed_context(&mut self) {
-        let key = self.ctx_key();
         let data = self.pool.constant(DATA_PTR, 64);
         let len = self.packet_len;
         let data_end = self.pool.add(data, len);
         let extra = self.pool.var("in_ctx_extra", 64);
         let words = [data, data_end, data, extra];
+        let t = self.table(Region::Context);
         for (wi, word) in words.into_iter().enumerate() {
             for b in 0..8u32 {
-                let off = wi as i64 * 8 + b as i64;
-                let addr_term = self.pool.constant(CTX_BASE + off as u64, 64);
+                let offset = wi as i64 * 8 + b as i64;
+                let cell = Cell {
+                    region: Region::Context,
+                    term: self.pool.constant(CTX_BASE + offset as u64, 64),
+                    offset: Some(offset),
+                };
                 let value = self.pool.extract(word, b * 8 + 7, b * 8);
-                let addr = SymAddr {
-                    term: addr_term,
-                    concrete: Some((RegionTag::Context, off)),
-                };
-                self.init_reads
-                    .entry(key)
-                    .or_default()
-                    .push(InitRead { addr, value });
+                self.tables[t].1.init.push((cell, value));
             }
         }
     }
 
-    fn ctx_key(&self) -> MemKey {
-        if self.opts.memory_type_concretization {
-            MemKey::Context
-        } else {
-            MemKey::Unified
-        }
-    }
+    // ----- cells --------------------------------------------------------------
 
-    fn mem_key(&self, _tag: usize, region: RegionTag) -> MemKey {
-        if !self.opts.memory_type_concretization {
-            return MemKey::Unified;
-        }
-        match region {
-            RegionTag::Stack => MemKey::Stack,
-            RegionTag::Packet => MemKey::Packet,
-            RegionTag::Context => MemKey::Context,
-        }
-    }
-
-    fn map_key(&self, map_id: u32) -> MapKey {
-        if self.opts.map_concretization {
-            MapKey::Map(map_id)
-        } else {
-            MapKey::Unified
-        }
-    }
-
-    // ----- address helpers --------------------------------------------------
-
-    /// Compare two symbolic addresses, resolving at compile time when both
-    /// offsets are concrete and optimization III is enabled.
-    fn addr_eq(&mut self, a: SymAddr, b: SymAddr) -> TermId {
-        if self.opts.offset_concretization {
-            if let (Some((ra, oa)), Some((rb, ob))) = (a.concrete, b.concrete) {
-                return if ra == rb && oa == ob {
-                    self.pool.tt()
-                } else {
-                    self.pool.ff()
-                };
+    /// The index of the table holding a region's cells, created on first
+    /// use. Tables are keyed by region, except that all memory shares one
+    /// table with optimization I off.
+    fn table(&mut self, region: Region) -> usize {
+        let key = match region {
+            Region::Stack | Region::Packet | Region::Context
+                if !self.opts.memory_type_concretization =>
+            {
+                Region::Memory
+            }
+            _ => region,
+        };
+        match self.tables.iter().position(|(k, _)| *k == key) {
+            Some(t) => t,
+            None => {
+                self.tables.push((key, Table::default()));
+                self.tables.len() - 1
             }
         }
-        self.pool.eq(a.term, b.term)
     }
 
-    // ----- byte-granular memory ---------------------------------------------
+    /// [`Encoder::same_cell`] when it is known without building a term:
+    /// identical addresses (or keys) are the same cell, and concrete offsets
+    /// decide the rest when optimization III is on. A map value byte is part
+    /// of the cell, so map cells at different bytes never coincide.
+    fn decided_same(&self, a: &Cell, b: &Cell) -> Option<bool> {
+        if matches!(a.region, Region::MapValue(_) | Region::MapPresent(_)) {
+            if a.offset != b.offset {
+                return Some(false);
+            }
+        } else if let (true, Some(x), Some(y)) =
+            (self.opts.offset_concretization, a.offset, b.offset)
+        {
+            return Some(a.region == b.region && x == y);
+        }
+        (a.term == b.term).then_some(true)
+    }
 
-    /// Read one byte of initial memory at `addr` in the table `key`,
-    /// creating aliasing constraints with previously observed initial bytes.
-    fn init_read(&mut self, key: MemKey, addr: SymAddr) -> TermId {
-        let entries = self.init_reads.entry(key).or_default().clone();
-        // Exact concrete hit: reuse the existing variable, no constraints.
-        if self.opts.offset_concretization {
-            if let Some(c) = addr.concrete {
-                for e in &entries {
-                    if e.addr.concrete == Some(c) {
-                        return e.value;
+    /// A 1-bit term that is true iff two cells of one table are the same
+    /// byte (or presence bit): decided at compile time when possible,
+    /// otherwise the equality of their addresses (or keys).
+    fn same_cell(&mut self, a: &Cell, b: &Cell) -> TermId {
+        match self.decided_same(a, b) {
+            Some(same) => self.pool.constant(u64::from(same), 1),
+            None => self.pool.eq(a.term, b.term),
+        }
+    }
+
+    /// The initial value of a cell, shared by both programs. A cell that is
+    /// the same as one read before reuses its value; otherwise the value is
+    /// fresh, and for every earlier cell that may be the same an Ackermann
+    /// implication ties the two values. Array-map presence is computed: a
+    /// key is present iff it is in range.
+    fn init_cell(&mut self, t: usize, cell: Cell) -> TermId {
+        if let Some(present) = self.array_presence(cell) {
+            return present;
+        }
+        let mut entries = std::mem::take(&mut self.tables[t].1.init);
+        let value = match entries
+            .iter()
+            .find(|(earlier, _)| self.decided_same(earlier, &cell) == Some(true))
+        {
+            Some(&(_, value)) => value,
+            None => {
+                let value = self.fresh_var("init", cell.region.width());
+                for (earlier, earlier_value) in &entries {
+                    let same = self.same_cell(earlier, &cell);
+                    if self.pool.as_const(same) == Some(0) {
+                        continue;
                     }
+                    let values_eq = self.pool.eq(*earlier_value, value);
+                    let implied = self.pool.implies(same, values_eq);
+                    self.constraints.push(implied);
                 }
+                entries.push((cell, value));
+                value
             }
-        }
-        let value = self.fresh_var("init_mem", 8);
-        for e in &entries {
-            let same = self.addr_eq(e.addr, addr);
-            if self.pool.as_const(same) == Some(0) {
-                continue;
-            }
-            let val_eq = self.pool.eq(e.value, value);
-            let implied = self.pool.implies(same, val_eq);
-            self.constraints.push(implied);
-        }
-        self.init_reads
-            .entry(key)
-            .or_default()
-            .push(InitRead { addr, value });
+        };
+        self.tables[t].1.init = entries;
         value
     }
 
-    /// Load one byte: resolve against this program's earlier stores in the
-    /// table, falling back to initial memory.
-    fn load_byte(&mut self, tag: usize, key: MemKey, addr: SymAddr, _pc: TermId) -> TermId {
-        let mut value = self.init_read(key, addr);
-        let entries = self.stores.entry((tag, key)).or_default().clone();
-        for s in &entries {
-            let same = self.addr_eq(s.addr, addr);
+    /// Presence of a key in an array-like map: computed, not a cell.
+    fn array_presence(&mut self, cell: Cell) -> Option<TermId> {
+        let Region::MapPresent(map_id) = cell.region else {
+            return None;
+        };
+        let def = self.map_defs.get(&map_id).copied()?;
+        if !matches!(
+            def.kind,
+            MapKind::Array | MapKind::PerCpuArray | MapKind::DevMap
+        ) {
+            return None;
+        }
+        let idx = self.pool.extract(cell.term, 31, 0);
+        let max = self.pool.constant(def.max_entries as u64, 32);
+        Some(self.pool.ult(idx, max))
+    }
+
+    /// The value of a cell as program `tag` sees it now: its latest store
+    /// that may hit the cell, falling back to the initial value.
+    fn load_cell(&mut self, tag: usize, cell: Cell) -> TermId {
+        let t = self.table(cell.region);
+        let mut value = self.init_cell(t, cell);
+        let stores = std::mem::take(slot(&mut self.tables[t].1.stores, tag));
+        for store in &stores {
+            let same = self.same_cell(&store.cell, &cell);
             if self.pool.as_const(same) == Some(0) {
                 continue;
             }
-            let cond = self.pool.and(same, s.pc);
-            value = self.pool.ite(cond, s.value, value);
+            let cond = self.pool.and(same, store.pc);
+            value = self.pool.ite(cond, store.value, value);
         }
+        self.tables[t].1.stores[tag] = stores;
         value
     }
 
-    /// Record a one-byte store. `region` tells which flat output list (if
-    /// any) also records the write: packet writes are part of the observable
-    /// output of every program, stack writes only matter for window checks.
-    fn store_byte(
-        &mut self,
-        tag: usize,
-        key: MemKey,
-        addr: SymAddr,
-        value: TermId,
-        pc: TermId,
-        region: RegionTag,
-    ) {
-        let entry = StoreEntry { addr, value, pc };
-        self.stores.entry((tag, key)).or_default().push(entry);
-        match region {
-            RegionTag::Packet => {
-                self.packet_stores_flat.entry(tag).or_default().push(entry);
-            }
-            RegionTag::Stack => {
-                self.stack_stores_flat.entry(tag).or_default().push(entry);
-            }
-            RegionTag::Context => {}
-        }
+    /// Record that program `tag` stores `value` to a cell under `pc`.
+    fn store_cell(&mut self, tag: usize, cell: Cell, value: TermId, pc: TermId) {
+        let t = self.table(cell.region);
+        let store = Store { cell, value, pc };
+        slot(&mut self.tables[t].1.stores, tag).push(store);
+        slot(&mut self.written, tag).push(cell);
     }
 
-    /// Load `size` bytes little-endian, returning a 64-bit zero-extended term.
-    fn load_value(
-        &mut self,
-        tag: usize,
-        key: MemKey,
-        base: SymAddr,
-        size: MemSize,
-        pc: TermId,
-    ) -> TermId {
-        let mut bytes = Vec::with_capacity(size.bytes());
-        for i in 0..size.bytes() {
-            let addr = self.offset_addr(base, i as i64);
-            bytes.push(self.load_byte(tag, key, addr, pc));
-        }
-        self.combine_bytes(&bytes)
+    /// The cell of the byte at `[base + delta]`, given the base register's
+    /// provenance.
+    fn cell_at(&mut self, state: &BlockState, base: Reg, delta: i64) -> Result<Cell, EncodeError> {
+        let at = |offset: Option<i64>| offset.map(|o| o + delta);
+        let (region, offset) = match state.prov[base.index()] {
+            Prov::Stack(o) => (Region::Stack, at(o)),
+            Prov::Packet(o) => (Region::Packet, at(o)),
+            // data_end-relative accesses keep a symbolic offset: their
+            // concrete distance from `data` depends on the packet length.
+            Prov::PacketEnd(_) => (Region::Packet, None),
+            Prov::Ctx(o) => (Region::Context, at(o)),
+            Prov::MapValue {
+                map_id,
+                key,
+                offset,
+            } => {
+                let offset = at(offset).ok_or_else(|| {
+                    EncodeError::Unsupported("map value access at unknown offset".into())
+                })?;
+                return Ok(Cell {
+                    region: Region::MapValue(map_id),
+                    term: key,
+                    offset: Some(offset),
+                });
+            }
+            Prov::None | Prov::MapHandle(_) => {
+                return Err(EncodeError::Unsupported(
+                    "memory access with unknown pointer provenance".into(),
+                ))
+            }
+        };
+        let delta = self.pool.constant(delta as u64, 64);
+        let term = self.pool.add(state.regs[base.index()], delta);
+        Ok(Cell {
+            region,
+            term,
+            offset,
+        })
     }
 
-    /// Store the low `size` bytes of `value` little-endian.
-    #[allow(clippy::too_many_arguments)]
-    fn store_value(
+    /// Load `len` bytes little-endian from `[base + off]`, returning a 64-bit
+    /// zero-extended term.
+    fn load_bytes(
         &mut self,
+        state: &BlockState,
         tag: usize,
-        key: MemKey,
-        base: SymAddr,
+        base: Reg,
+        off: i64,
+        len: usize,
+    ) -> Result<TermId, EncodeError> {
+        let mut bytes = Vec::with_capacity(len);
+        for i in 0..len {
+            let cell = self.cell_at(state, base, off + i as i64)?;
+            bytes.push(self.load_cell(tag, cell));
+        }
+        Ok(self.combine_bytes(&bytes))
+    }
+
+    /// Store the low `size` bytes of `value` little-endian at `[base + off]`.
+    fn store_bytes(
+        &mut self,
+        state: &BlockState,
+        tag: usize,
+        base: Reg,
+        off: i16,
         size: MemSize,
         value: TermId,
-        pc: TermId,
-        region: RegionTag,
-    ) {
+    ) -> Result<(), EncodeError> {
         for i in 0..size.bytes() {
-            let addr = self.offset_addr(base, i as i64);
+            let cell = self.cell_at(state, base, off as i64 + i as i64)?;
             let byte = self.pool.extract(value, (i as u32) * 8 + 7, (i as u32) * 8);
-            self.store_byte(tag, key, addr, byte, pc, region);
+            self.store_cell(tag, cell, byte, state.pc);
         }
-    }
-
-    fn offset_addr(&mut self, base: SymAddr, delta: i64) -> SymAddr {
-        let d = self.pool.constant(delta as u64, 64);
-        SymAddr {
-            term: self.pool.add(base.term, d),
-            concrete: base.concrete.map(|(r, o)| (r, o + delta)),
-        }
+        Ok(())
     }
 
     /// Assemble little-endian bytes (LSB first) into a zero-extended 64-bit
@@ -601,170 +587,6 @@ impl<'p> Encoder<'p> {
             value = self.pool.concat(b, value);
         }
         self.pool.zero_extend(value, 64)
-    }
-
-    // ----- maps --------------------------------------------------------------
-
-    fn init_map_present(&mut self, mkey: MapKey, map_id: u32, key: TermId) -> TermId {
-        // Array-like maps: a key is present iff it is within range.
-        if let Some(def) = self.map_defs.get(&map_id).copied() {
-            if matches!(
-                def.kind,
-                MapKind::Array | MapKind::PerCpuArray | MapKind::DevMap
-            ) {
-                let idx = self.pool.extract(key, 31, 0);
-                let max = self.pool.constant(def.max_entries as u64, 32);
-                return self.pool.ult(idx, max);
-            }
-        }
-        let entries = self.init_map_present.entry(mkey).or_default().clone();
-        let present = self.fresh_var("init_map_present", 1);
-        for e in &entries {
-            if self.opts.map_concretization && e.map_id != map_id {
-                continue;
-            }
-            let mut same = self.pool.eq(e.key, key);
-            if !self.opts.map_concretization && e.map_id != map_id {
-                same = self.pool.ff();
-            }
-            if self.pool.as_const(same) == Some(0) {
-                continue;
-            }
-            let p_eq = self.pool.eq(e.present, present);
-            let implied = self.pool.implies(same, p_eq);
-            self.constraints.push(implied);
-        }
-        self.init_map_present
-            .entry(mkey)
-            .or_default()
-            .push(MapInitPresent {
-                map_id,
-                key,
-                present,
-            });
-        present
-    }
-
-    fn init_map_value(&mut self, mkey: MapKey, map_id: u32, key: TermId, offset: i64) -> TermId {
-        let entries = self.init_map_values.entry(mkey).or_default().clone();
-        for e in &entries {
-            if e.map_id == map_id && e.key == key && e.offset == offset {
-                return e.value;
-            }
-        }
-        let value = self.fresh_var("init_map_val", 8);
-        for e in &entries {
-            if e.map_id != map_id || e.offset != offset {
-                continue;
-            }
-            let same = self.pool.eq(e.key, key);
-            if self.pool.as_const(same) == Some(0) {
-                continue;
-            }
-            let v_eq = self.pool.eq(e.value, value);
-            let implied = self.pool.implies(same, v_eq);
-            self.constraints.push(implied);
-        }
-        self.init_map_values
-            .entry(mkey)
-            .or_default()
-            .push(MapInitValue {
-                map_id,
-                key,
-                offset,
-                value,
-            });
-        value
-    }
-
-    /// Presence of `key` in `map_id` for program `tag` after the operations
-    /// recorded so far (or the initial presence when none match).
-    fn map_present(&mut self, tag: usize, map_id: u32, key: TermId) -> TermId {
-        let mkey = self.map_key(map_id);
-        let mut present = self.init_map_present(mkey, map_id, key);
-        let ops = self.map_ops.entry((tag, mkey)).or_default().clone();
-        for op in &ops {
-            if op.map_id != map_id {
-                continue;
-            }
-            let same = self.pool.eq(op.key, key);
-            if self.pool.as_const(same) == Some(0) {
-                continue;
-            }
-            let cond = self.pool.and(same, op.pc);
-            let target = match op.kind {
-                MapOpKind::Update => self.pool.tt(),
-                MapOpKind::Delete => self.pool.ff(),
-            };
-            present = self.pool.ite(cond, target, present);
-        }
-        present
-    }
-
-    /// Load one byte of the value for `key` in `map_id`.
-    fn map_load_byte(
-        &mut self,
-        tag: usize,
-        map_id: u32,
-        key: TermId,
-        offset: i64,
-        _pc: TermId,
-    ) -> TermId {
-        let mkey = self.map_key(map_id);
-        let mut value = self.init_map_value(mkey, map_id, key, offset);
-        let stores = self
-            .map_value_stores
-            .entry((tag, mkey))
-            .or_default()
-            .clone();
-        for s in &stores {
-            if s.map_id != map_id || s.offset != offset {
-                continue;
-            }
-            let same = self.pool.eq(s.key, key);
-            if self.pool.as_const(same) == Some(0) {
-                continue;
-            }
-            let cond = self.pool.and(same, s.pc);
-            value = self.pool.ite(cond, s.value, value);
-        }
-        value
-    }
-
-    fn map_store_byte(
-        &mut self,
-        tag: usize,
-        map_id: u32,
-        key: TermId,
-        offset: i64,
-        value: TermId,
-        pc: TermId,
-    ) {
-        let mkey = self.map_key(map_id);
-        let entry = MapValueStore {
-            map_id,
-            key,
-            offset,
-            value,
-            pc,
-        };
-        self.map_value_stores
-            .entry((tag, mkey))
-            .or_default()
-            .push(entry);
-        self.map_stores_flat.entry(tag).or_default().push(entry);
-    }
-
-    fn record_map_op(&mut self, tag: usize, map_id: u32, key: TermId, pc: TermId, kind: MapOpKind) {
-        let mkey = self.map_key(map_id);
-        let op = MapOp {
-            map_id,
-            key,
-            pc,
-            kind,
-        };
-        self.map_ops.entry((tag, mkey)).or_default().push(op);
-        self.map_ops_flat.entry(tag).or_default().push(op);
     }
 
     /// Shared pseudo-random value for the `idx`-th call in program order.
@@ -804,7 +626,7 @@ impl<'p> Encoder<'p> {
         }
         let cfg = Cfg::build(&prog.insns).map_err(|e| EncodeError::Cfg(e.to_string()))?;
         let order = cfg.topo_order().ok_or(EncodeError::HasLoop)?;
-        self.encode_cfg(&prog.insns, prog, &cfg, &order, tag, None)
+        self.encode_cfg(&prog.insns, &cfg, &order, tag)
     }
 
     /// Encode a straight-line window (no jumps, no exits). `start_regs`
@@ -843,8 +665,8 @@ impl<'p> Encoder<'p> {
             prov,
         };
         let mut ctx = ProgCtx::new(tag);
-        for (idx, insn) in insns.iter().enumerate() {
-            self.step(&mut state, insn, idx, None, &mut ctx)?;
+        for insn in insns {
+            self.step(&mut state, insn, &mut ctx)?;
         }
         let zero = self.pool.constant(0, 64);
         Ok(ProgramEncoding {
@@ -852,18 +674,15 @@ impl<'p> Encoder<'p> {
             ret: zero,
             end_regs: Some(state.regs),
             call_log: ctx.call_log,
-            output_stores: self.collect_outputs(tag),
         })
     }
 
     fn encode_cfg(
         &mut self,
         insns: &[Insn],
-        prog: &Program,
         cfg: &Cfg,
         order: &[usize],
         tag: usize,
-        _window: Option<()>,
     ) -> Result<ProgramEncoding, EncodeError> {
         let tt = self.pool.tt();
         let mut entry_regs = [tt; NUM_REGS];
@@ -901,7 +720,7 @@ impl<'p> Encoder<'p> {
                         exits.push((state.pc, state.regs[Reg::R0.index()]));
                     }
                     Insn::Ja { .. } | Insn::Jmp { .. } | Insn::Jmp32 { .. } => {}
-                    _ => self.step(&mut state, &insn, idx, Some(prog), &mut ctx)?,
+                    _ => self.step(&mut state, &insn, &mut ctx)?,
                 }
             }
             // Propagate to successors.
@@ -946,22 +765,7 @@ impl<'p> Encoder<'p> {
             ret,
             end_regs: None,
             call_log: ctx.call_log,
-            output_stores: self.collect_outputs(tag),
         })
-    }
-
-    fn collect_outputs(&self, tag: usize) -> Vec<OutputStore> {
-        let mut out = Vec::new();
-        for i in 0..self.packet_stores_flat.get(&tag).map_or(0, Vec::len) {
-            out.push(OutputStore::Packet { addr_index: i });
-        }
-        for i in 0..self.map_stores_flat.get(&tag).map_or(0, Vec::len) {
-            out.push(OutputStore::MapValue { store_index: i });
-        }
-        for i in 0..self.map_ops_flat.get(&tag).map_or(0, Vec::len) {
-            out.push(OutputStore::MapPresence { op_index: i });
-        }
-        out
     }
 
     fn merge_into(
@@ -1045,32 +849,11 @@ impl<'p> Encoder<'p> {
         }
     }
 
-    /// Resolve the memory region of an address for a load/store whose base
-    /// register has the given provenance.
-    fn region_of(&self, prov: Prov, off: i16) -> Result<(RegionTag, Option<i64>), EncodeError> {
-        match prov {
-            Prov::Stack(o) => Ok((RegionTag::Stack, o.map(|x| x + off as i64))),
-            Prov::Packet(o) => Ok((RegionTag::Packet, o.map(|x| x + off as i64))),
-            // data_end-relative accesses keep a symbolic offset: their
-            // concrete distance from `data` depends on the packet length.
-            Prov::PacketEnd(_) => Ok((RegionTag::Packet, None)),
-            Prov::Ctx(o) => Ok((RegionTag::Context, o.map(|x| x + off as i64))),
-            Prov::MapValue { .. } => Err(EncodeError::Unsupported(
-                "map value handled separately".into(),
-            )),
-            Prov::None | Prov::MapHandle(_) => Err(EncodeError::Unsupported(
-                "memory access with unknown pointer provenance".into(),
-            )),
-        }
-    }
-
     /// Execute one non-control-flow instruction symbolically.
     fn step(
         &mut self,
         state: &mut BlockState,
         insn: &Insn,
-        _idx: usize,
-        prog: Option<&Program>,
         ctx: &mut ProgCtx,
     ) -> Result<(), EncodeError> {
         let tag = ctx.tag;
@@ -1078,7 +861,7 @@ impl<'p> Encoder<'p> {
             Insn::Alu64 { op, dst, src } => {
                 let d = state.regs[dst.index()];
                 let s = self.operand(state, src);
-                let result = self.alu64(op, d, s);
+                let result = self.alu(op, d, s);
                 let s_prov = self.operand_prov(state, src);
                 let s_const = self.pool.as_const(s).map(|v| v as i64);
                 state.prov[dst.index()] = match op {
@@ -1125,7 +908,7 @@ impl<'p> Encoder<'p> {
                 let s = self.operand(state, src);
                 let d32 = self.pool.extract(d, 31, 0);
                 let s32 = self.pool.extract(s, 31, 0);
-                let r32 = self.alu32(op, d32, s32);
+                let r32 = self.alu(op, d32, s32);
                 state.regs[dst.index()] = self.pool.zero_extend(r32, 64);
                 state.prov[dst.index()] = Prov::None;
             }
@@ -1141,7 +924,7 @@ impl<'p> Encoder<'p> {
                 base,
                 off,
             } => {
-                let value = self.encode_load(state, tag, base, off, size)?;
+                let value = self.load_bytes(state, tag, base, off as i64, size.bytes())?;
                 // Track the packet data / data_end pointers coming out of the
                 // context, as the interpreter and type analysis do.
                 let new_prov = match state.prov[base.index()] {
@@ -1162,7 +945,7 @@ impl<'p> Encoder<'p> {
                 src,
             } => {
                 let value = state.regs[src.index()];
-                self.encode_store(state, tag, base, off, size, value)?;
+                self.store_bytes(state, tag, base, off, size, value)?;
             }
             Insn::StoreImm {
                 size,
@@ -1171,7 +954,7 @@ impl<'p> Encoder<'p> {
                 imm,
             } => {
                 let value = self.pool.constant(imm as i64 as u64, 64);
-                self.encode_store(state, tag, base, off, size, value)?;
+                self.store_bytes(state, tag, base, off, size, value)?;
             }
             Insn::AtomicAdd {
                 size,
@@ -1179,7 +962,7 @@ impl<'p> Encoder<'p> {
                 off,
                 src,
             } => {
-                let old = self.encode_load(state, tag, base, off, size)?;
+                let old = self.load_bytes(state, tag, base, off as i64, size.bytes())?;
                 let addend = state.regs[src.index()];
                 let new = if size == MemSize::Word {
                     let o32 = self.pool.extract(old, 31, 0);
@@ -1189,7 +972,7 @@ impl<'p> Encoder<'p> {
                 } else {
                     self.pool.add(old, addend)
                 };
-                self.encode_store(state, tag, base, off, size, new)?;
+                self.store_bytes(state, tag, base, off, size, new)?;
             }
             Insn::LoadImm64 { dst, imm } => {
                 state.regs[dst.index()] = self.pool.constant(imm as u64, 64);
@@ -1202,82 +985,10 @@ impl<'p> Encoder<'p> {
                 state.prov[dst.index()] = Prov::MapHandle(map_id);
             }
             Insn::Call { helper } => {
-                self.encode_call(state, helper, prog, ctx)?;
+                self.encode_call(state, helper, ctx)?;
             }
             Insn::Nop | Insn::Ja { .. } | Insn::Jmp { .. } | Insn::Jmp32 { .. } | Insn::Exit => {}
         }
-        Ok(())
-    }
-
-    fn encode_load(
-        &mut self,
-        state: &BlockState,
-        tag: usize,
-        base: Reg,
-        off: i16,
-        size: MemSize,
-    ) -> Result<TermId, EncodeError> {
-        let prov = state.prov[base.index()];
-        if let Prov::MapValue {
-            map_id,
-            key,
-            offset,
-        } = prov
-        {
-            let start = offset.ok_or_else(|| {
-                EncodeError::Unsupported("map value access at unknown offset".into())
-            })? + off as i64;
-            let mut bytes = Vec::with_capacity(size.bytes());
-            for i in 0..size.bytes() {
-                bytes.push(self.map_load_byte(tag, map_id, key, start + i as i64, state.pc));
-            }
-            return Ok(self.combine_bytes(&bytes));
-        }
-        let (region, conc) = self.region_of(prov, off)?;
-        let key = self.mem_key(tag, region);
-        let off_term = self.pool.constant(off as i64 as u64, 64);
-        let term = self.pool.add(state.regs[base.index()], off_term);
-        let base_addr = SymAddr {
-            term,
-            concrete: conc.map(|o| (region, o)),
-        };
-        Ok(self.load_value(tag, key, base_addr, size, state.pc))
-    }
-
-    fn encode_store(
-        &mut self,
-        state: &BlockState,
-        tag: usize,
-        base: Reg,
-        off: i16,
-        size: MemSize,
-        value: TermId,
-    ) -> Result<(), EncodeError> {
-        let prov = state.prov[base.index()];
-        if let Prov::MapValue {
-            map_id,
-            key,
-            offset,
-        } = prov
-        {
-            let start = offset.ok_or_else(|| {
-                EncodeError::Unsupported("map value access at unknown offset".into())
-            })? + off as i64;
-            for i in 0..size.bytes() {
-                let byte = self.pool.extract(value, (i as u32) * 8 + 7, (i as u32) * 8);
-                self.map_store_byte(tag, map_id, key, start + i as i64, byte, state.pc);
-            }
-            return Ok(());
-        }
-        let (region, conc) = self.region_of(prov, off)?;
-        let key = self.mem_key(tag, region);
-        let off_term = self.pool.constant(off as i64 as u64, 64);
-        let term = self.pool.add(state.regs[base.index()], off_term);
-        let base_addr = SymAddr {
-            term,
-            concrete: conc.map(|o| (region, o)),
-        };
-        self.store_value(tag, key, base_addr, size, value, state.pc, region);
         Ok(())
     }
 
@@ -1285,7 +996,6 @@ impl<'p> Encoder<'p> {
         &mut self,
         state: &mut BlockState,
         helper: HelperId,
-        prog: Option<&Program>,
         ctx: &mut ProgCtx,
     ) -> Result<(), EncodeError> {
         let tag = ctx.tag;
@@ -1300,17 +1010,23 @@ impl<'p> Encoder<'p> {
                         ))
                     }
                 };
-                let def = prog
-                    .and_then(|p| p.map(bpf_isa::MapId(map_id)).copied())
-                    .or_else(|| self.map_defs.get(&map_id).copied())
+                let def = self
+                    .map_defs
+                    .get(&map_id)
+                    .copied()
                     .ok_or_else(|| EncodeError::Unsupported("undeclared map".into()))?;
                 if def.key_size > 8 || def.value_size > 64 {
                     return Err(EncodeError::Unsupported("map key/value too large".into()));
                 }
-                let key = self.read_key(state, tag, Reg::R2, def.key_size as usize)?;
+                let key = self.load_bytes(state, tag, Reg::R2, 0, def.key_size as usize)?;
+                let presence = Cell {
+                    region: Region::MapPresent(map_id),
+                    term: key,
+                    offset: None,
+                };
                 match helper {
                     HelperId::MapLookup => {
-                        let present = self.map_present(tag, map_id, key);
+                        let present = self.load_cell(tag, presence);
                         let nonnull = self.pool.constant(MAP_VALUE_PTR, 64);
                         let null = self.pool.constant(0, 64);
                         let ptr = self.pool.ite(present, nonnull, null);
@@ -1322,21 +1038,27 @@ impl<'p> Encoder<'p> {
                         ptr
                     }
                     HelperId::MapUpdate => {
-                        // Read the new value bytes through r3 and record them
-                        // as map value stores.
-                        let value_prov = state.prov[Reg::R3.index()];
-                        for i in 0..def.value_size as usize {
-                            let byte =
-                                self.read_byte_through(state, tag, value_prov, Reg::R3, i as i64)?;
-                            self.map_store_byte(tag, map_id, key, i as i64, byte, pc);
+                        // Copy the new value bytes from r3 into the map value,
+                        // then mark the key present.
+                        for i in 0..def.value_size as i64 {
+                            let from = self.cell_at(state, Reg::R3, i)?;
+                            let byte = self.load_cell(tag, from);
+                            let to = Cell {
+                                region: Region::MapValue(map_id),
+                                term: key,
+                                offset: Some(i),
+                            };
+                            self.store_cell(tag, to, byte, pc);
                         }
-                        self.record_map_op(tag, map_id, key, pc, MapOpKind::Update);
+                        let tt = self.pool.tt();
+                        self.store_cell(tag, presence, tt, pc);
                         state.prov[Reg::R0.index()] = Prov::None;
                         self.pool.constant(0, 64)
                     }
                     HelperId::MapDelete => {
-                        let present = self.map_present(tag, map_id, key);
-                        self.record_map_op(tag, map_id, key, pc, MapOpKind::Delete);
+                        let present = self.load_cell(tag, presence);
+                        let ff = self.pool.ff();
+                        self.store_cell(tag, presence, ff, pc);
                         let ok = self.pool.constant(0, 64);
                         let enoent = self.pool.constant((-2i64) as u64, 64);
                         state.prov[Reg::R0.index()] = Prov::None;
@@ -1387,72 +1109,8 @@ impl<'p> Encoder<'p> {
         Ok(())
     }
 
-    /// Read a map key (≤ 8 bytes) through the pointer in `reg`.
-    fn read_key(
-        &mut self,
-        state: &BlockState,
-        tag: usize,
-        reg: Reg,
-        key_size: usize,
-    ) -> Result<TermId, EncodeError> {
-        let prov = state.prov[reg.index()];
-        let mut bytes = Vec::with_capacity(key_size);
-        for i in 0..key_size {
-            bytes.push(self.read_byte_through(state, tag, prov, reg, i as i64)?);
-        }
-        Ok(self.combine_bytes(&bytes))
-    }
-
-    /// Read one byte at `[reg + delta]` given the register's provenance.
-    fn read_byte_through(
-        &mut self,
-        state: &BlockState,
-        tag: usize,
-        prov: Prov,
-        reg: Reg,
-        delta: i64,
-    ) -> Result<TermId, EncodeError> {
-        if let Prov::MapValue {
-            map_id,
-            key,
-            offset,
-        } = prov
-        {
-            let start = offset.ok_or_else(|| {
-                EncodeError::Unsupported("map value access at unknown offset".into())
-            })?;
-            return Ok(self.map_load_byte(tag, map_id, key, start + delta, state.pc));
-        }
-        let (region, conc) = self.region_of(prov, 0)?;
-        let key = self.mem_key(tag, region);
-        let d = self.pool.constant(delta as u64, 64);
-        let term = self.pool.add(state.regs[reg.index()], d);
-        let addr = SymAddr {
-            term,
-            concrete: conc.map(|o| (region, o + delta)),
-        };
-        Ok(self.load_byte(tag, key, addr, state.pc))
-    }
-
-    fn alu64(&mut self, op: AluOp, d: TermId, s: TermId) -> TermId {
-        match op {
-            AluOp::Add => self.pool.add(d, s),
-            AluOp::Sub => self.pool.sub(d, s),
-            AluOp::Mul => self.pool.mul(d, s),
-            AluOp::Div => self.pool.udiv(d, s),
-            AluOp::Or => self.pool.or(d, s),
-            AluOp::And => self.pool.and(d, s),
-            AluOp::Lsh => self.pool.shl(d, s),
-            AluOp::Rsh => self.pool.lshr(d, s),
-            AluOp::Neg => self.pool.neg(d),
-            AluOp::Mod => self.pool.urem(d, s),
-            AluOp::Xor => self.pool.xor(d, s),
-            AluOp::Mov => s,
-            AluOp::Arsh => self.pool.ashr(d, s),
-        }
-    }
-
-    fn alu32(&mut self, op: AluOp, d: TermId, s: TermId) -> TermId {
+    /// One ALU operation on operands of equal width (64 or 32 bits).
+    fn alu(&mut self, op: AluOp, d: TermId, s: TermId) -> TermId {
         match op {
             AluOp::Add => self.pool.add(d, s),
             AluOp::Sub => self.pool.sub(d, s),
@@ -1495,67 +1153,41 @@ impl<'p> Encoder<'p> {
     // ----- output comparison --------------------------------------------------
 
     /// Build a 1-bit term that is true iff the observable outputs of the two
-    /// encoded programs differ (return value, final packet bytes touched by
-    /// either program, final map values and presence for keys touched by
-    /// either program).
+    /// encoded programs differ: the return value and the final packet bytes,
+    /// map values and map presence either program wrote (and, for windows,
+    /// every end-of-window register).
     pub fn output_difference(&mut self, a: &ProgramEncoding, b: &ProgramEncoding) -> TermId {
         let mut disjuncts = vec![self.pool.ne(a.ret, b.ret)];
-
-        // Packet bytes.
-        let mut packet_addrs: Vec<SymAddr> = Vec::new();
-        for &t in &[a.tag, b.tag] {
-            for s in self.packet_stores_flat.get(&t).cloned().unwrap_or_default() {
-                packet_addrs.push(s.addr);
-            }
-        }
-        for addr in packet_addrs {
-            let fa = self.final_packet_byte(a.tag, addr);
-            let fb = self.final_packet_byte(b.tag, addr);
-            disjuncts.push(self.pool.ne(fa, fb));
-        }
-
-        // Map values.
-        let mut map_slots: Vec<(u32, TermId, i64)> = Vec::new();
-        for &t in &[a.tag, b.tag] {
-            for s in self.map_stores_flat.get(&t).cloned().unwrap_or_default() {
-                if !map_slots
-                    .iter()
-                    .any(|(m, k, o)| *m == s.map_id && *k == s.key && *o == s.offset)
-                {
-                    map_slots.push((s.map_id, s.key, s.offset));
-                }
-            }
-        }
-        for (map_id, key, offset) in map_slots {
-            let tt = self.pool.tt();
-            let fa = self.map_load_byte(a.tag, map_id, key, offset, tt);
-            let fb = self.map_load_byte(b.tag, map_id, key, offset, tt);
-            disjuncts.push(self.pool.ne(fa, fb));
-        }
-
-        // Map presence.
-        let mut keys: Vec<(u32, TermId)> = Vec::new();
-        for &t in &[a.tag, b.tag] {
-            for op in self.map_ops_flat.get(&t).cloned().unwrap_or_default() {
-                if !keys.iter().any(|(m, k)| *m == op.map_id && *k == op.key) {
-                    keys.push((op.map_id, op.key));
-                }
-            }
-        }
-        for (map_id, key) in keys {
-            let pa = self.map_present(a.tag, map_id, key);
-            let pb = self.map_present(b.tag, map_id, key);
-            disjuncts.push(self.pool.ne(pa, pb));
-        }
-
-        // End-of-window register comparison.
+        self.written_cells_differ(a.tag, b.tag, None, &mut disjuncts);
         if let (Some(ra), Some(rb)) = (a.end_regs, b.end_regs) {
             for i in 0..NUM_REGS {
                 disjuncts.push(self.pool.ne(ra[i], rb[i]));
             }
         }
-
         self.pool.or_many(&disjuncts)
+    }
+
+    /// Push `final value in a != final value in b` for every observed cell
+    /// either program wrote, each cell once, in the order they were written.
+    fn written_cells_differ(
+        &mut self,
+        a: usize,
+        b: usize,
+        live_stack: Option<&[i16]>,
+        disjuncts: &mut Vec<TermId>,
+    ) {
+        let mut seen = HashSet::new();
+        let cells: Vec<Cell> = [a, b]
+            .iter()
+            .flat_map(|&tag| self.written.get(tag).into_iter().flatten())
+            .filter(|cell| cell.observed(live_stack) && seen.insert(**cell))
+            .copied()
+            .collect();
+        for cell in cells {
+            let fa = self.load_cell(a, cell);
+            let fb = self.load_cell(b, cell);
+            disjuncts.push(self.pool.ne(fa, fb));
+        }
     }
 
     /// Build a 1-bit term that is true iff the two programs' uninterpreted
@@ -1602,56 +1234,8 @@ impl<'p> Encoder<'p> {
                 disjuncts.push(self.pool.ne(ra[r.index()], rb[r.index()]));
             }
         }
-        // Packet / map effects are always compared.
-        let mem = {
-            let mut stripped_a = a.clone();
-            let mut stripped_b = b.clone();
-            stripped_a.end_regs = None;
-            stripped_b.end_regs = None;
-            let ra = self.pool.constant(0, 64);
-            stripped_a.ret = ra;
-            stripped_b.ret = ra;
-            self.output_difference(&stripped_a, &stripped_b)
-        };
-        disjuncts.push(mem);
-
-        // Stack bytes written by either window and still live afterwards.
-        let stack_key = if self.opts.memory_type_concretization {
-            MemKey::Stack
-        } else {
-            MemKey::Unified
-        };
-        let mut stack_addrs: Vec<SymAddr> = Vec::new();
-        for &t in &[a.tag, b.tag] {
-            for s in self.stack_stores_flat.get(&t).cloned().unwrap_or_default() {
-                let relevant = match s.addr.concrete {
-                    Some((RegionTag::Stack, off)) => live_stack_out.contains(&(off as i16)),
-                    // Unknown offset: compare conservatively.
-                    _ => true,
-                };
-                if relevant {
-                    stack_addrs.push(s.addr);
-                }
-            }
-        }
-        for addr in stack_addrs {
-            let tt = self.pool.tt();
-            let fa = self.load_byte(a.tag, stack_key, addr, tt);
-            let fb = self.load_byte(b.tag, stack_key, addr, tt);
-            disjuncts.push(self.pool.ne(fa, fb));
-        }
-
+        self.written_cells_differ(a.tag, b.tag, Some(live_stack_out), &mut disjuncts);
         self.pool.or_many(&disjuncts)
-    }
-
-    fn final_packet_byte(&mut self, tag: usize, addr: SymAddr) -> TermId {
-        let key = if self.opts.memory_type_concretization {
-            MemKey::Packet
-        } else {
-            MemKey::Unified
-        };
-        let tt = self.pool.tt();
-        self.load_byte(tag, key, addr, tt)
     }
 
     /// Names and terms of the shared input variables (used by counterexample
@@ -1665,44 +1249,10 @@ impl<'p> Encoder<'p> {
         ]
     }
 
-    /// The packet initial bytes observed during encoding: (address term,
-    /// concrete offset if known, value term). Used by counterexample
-    /// extraction to reconstruct a concrete packet.
-    pub fn packet_init_reads(&self) -> Vec<(TermId, Option<i64>, TermId)> {
-        let mut out = Vec::new();
-        for (key, reads) in &self.init_reads {
-            let is_packet_table = matches!(key, MemKey::Packet | MemKey::Unified);
-            if !is_packet_table {
-                continue;
-            }
-            for r in reads {
-                match r.addr.concrete {
-                    Some((RegionTag::Packet, off)) => out.push((r.addr.term, Some(off), r.value)),
-                    None => out.push((r.addr.term, None, r.value)),
-                    _ => {}
-                }
-            }
-        }
-        out
-    }
-
-    /// The initial map state observed during encoding: (map id, key term,
-    /// offset, value term) plus presence bits (map id, key term, presence
-    /// term). Used by counterexample extraction.
-    pub fn map_init_reads(&self) -> (Vec<MapValueRead>, Vec<MapPresenceRead>) {
-        let mut values = Vec::new();
-        for reads in self.init_map_values.values() {
-            for r in reads {
-                values.push((r.map_id, r.key, r.offset, r.value));
-            }
-        }
-        let mut present = Vec::new();
-        for reads in self.init_map_present.values() {
-            for r in reads {
-                present.push((r.map_id, r.key, r.present));
-            }
-        }
-        (values, present)
+    /// Every cell whose initial value the formula read, with that value
+    /// (used by counterexample extraction).
+    pub(crate) fn init_cells(&self) -> impl Iterator<Item = &(Cell, TermId)> + '_ {
+        self.tables.iter().flat_map(|(_, table)| &table.init)
     }
 
     /// Definition of a map as seen by the encoder.
@@ -1897,6 +1447,42 @@ mod tests {
         let src = "lddw r2, 0xffffffff00000005\nmov64 r0, r2\nexit";
         let cand = "lddw r2, 0xffffffff00000005\nmov32 r0, r2\nexit";
         assert!(!equivalent(src, cand));
+    }
+
+    #[test]
+    fn a_program_against_itself_shares_every_initial_read() {
+        // Context, packet (at a concrete and at a data_end-relative
+        // address), stack and map reads of the second copy are the cells the
+        // first copy read: they reuse its variables, add no implication, and
+        // the miter folds to false before any solving.
+        let text = r"
+            ldxdw r2, [r1+0]
+            ldxdw r3, [r1+8]
+            ldxw r5, [r2+0]
+            ldxb r6, [r3-1]
+            add64 r5, r6
+            stxw [r10-4], r5
+            ld_map_fd r1, 0
+            mov64 r2, r10
+            add64 r2, -4
+            call map_lookup_elem
+            jeq r0, 0, +1
+            ldxdw r0, [r0+0]
+            exit
+        ";
+        let prog = Program::with_maps(
+            ProgramType::Xdp,
+            asm::assemble(text).unwrap(),
+            vec![MapDef::hash(0, 4, 8, 16)],
+        );
+        let mut pool = TermPool::new();
+        let mut enc = Encoder::new(&mut pool, EncodeOptions::default());
+        let a = enc.encode_program(&prog, 0).unwrap();
+        let constraints = enc.constraints.len();
+        let b = enc.encode_program(&prog, 1).unwrap();
+        assert_eq!(enc.constraints.len(), constraints);
+        let diff = enc.output_difference(&a, &b);
+        assert_eq!(enc.pool().as_const(diff), Some(0));
     }
 
     #[test]
