@@ -95,7 +95,7 @@ fn fold_constants(prog: &Program) -> Vec<Insn> {
     let Ok(cfg) = Cfg::build(&prog.insns) else {
         return prog.insns.clone();
     };
-    let types = Types::analyze(&prog.insns, &cfg);
+    let types = Types::analyze(&prog.insns, &cfg, prog.prog_type);
     let mut out = prog.insns.clone();
     for (idx, insn) in prog.insns.iter().enumerate() {
         if !types.reachable[idx] {

@@ -400,7 +400,7 @@ fn push_bytes(out: &mut Vec<i16>, off: i16, size: MemSize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpf_isa::asm;
+    use bpf_isa::{asm, ProgramType};
 
     fn analyze(text: &str) -> (Vec<Insn>, LiveMap) {
         let insns = asm::assemble(text).unwrap();
@@ -413,7 +413,7 @@ mod tests {
     fn analyze_stack(text: &str) -> (Vec<Insn>, LiveMap) {
         let insns = asm::assemble(text).unwrap();
         let cfg = Cfg::build(&insns).unwrap();
-        let types = crate::Types::analyze(&insns, &cfg);
+        let types = crate::Types::analyze(&insns, &cfg, ProgramType::Xdp);
         let live = Liveness::new().analyze_with_types(&insns, &cfg, &types, &[]);
         (insns, live)
     }
@@ -532,7 +532,7 @@ mod tests {
         ";
         let insns = asm::assemble(text).unwrap();
         let cfg = Cfg::build(&insns).unwrap();
-        let types = crate::Types::analyze(&insns, &cfg);
+        let types = crate::Types::analyze(&insns, &cfg, ProgramType::Xdp);
         let live = Liveness::new().analyze_with_types(&insns, &cfg, &types, &[]);
         // The key bytes are live out of the store: a helper may read them.
         for b in [-4i16, -3, -2, -1] {
@@ -562,7 +562,7 @@ mod tests {
         ";
         let insns = asm::assemble(text).unwrap();
         let cfg = Cfg::build(&insns).unwrap();
-        let types = crate::Types::analyze(&insns, &cfg);
+        let types = crate::Types::analyze(&insns, &cfg, ProgramType::Xdp);
         let typed = Liveness::new().analyze_with_types(&insns, &cfg, &types, &[]);
         assert!(typed.stack_live_out[0].contains(&-8));
         assert!(!typed.stack_live_out[0].contains(&-16));
@@ -575,7 +575,7 @@ mod tests {
         ";
         let ctx_insns = asm::assemble(ctx_text).unwrap();
         let ctx_cfg = Cfg::build(&ctx_insns).unwrap();
-        let ctx_types = crate::Types::analyze(&ctx_insns, &ctx_cfg);
+        let ctx_types = crate::Types::analyze(&ctx_insns, &ctx_cfg, ProgramType::Xdp);
         let ctx_live = Liveness::new().analyze_with_types(&ctx_insns, &ctx_cfg, &ctx_types, &[]);
         // The ctx load (r1 is the context pointer) does not touch the stack;
         // [r10-8] is live only because of the later r10 load.

@@ -23,7 +23,7 @@
 //! encodings.
 
 use crate::cfg::Cfg;
-use bpf_isa::{AluOp, HelperId, Insn, Reg, Src, NUM_REGS};
+use bpf_isa::{AluOp, CtxLoad, HelperId, Insn, ProgramType, Reg, Src, NUM_REGS};
 
 /// The memory region a pointer refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,6 +47,14 @@ impl MemRegion {
     /// permitted (the packet-end pointer is comparison-only).
     pub fn dereferenceable(self) -> bool {
         !matches!(self, MemRegion::PacketEnd)
+    }
+
+    /// A pointer into this region at a known offset.
+    pub fn at(self, offset: i64) -> AbsVal {
+        AbsVal::Ptr {
+            region: self,
+            offset: Some(offset),
+        }
     }
 }
 
@@ -137,14 +145,8 @@ impl TypeState {
     /// stack, everything else is uninitialized.
     pub fn entry() -> TypeState {
         let mut regs = [AbsVal::Uninit; NUM_REGS];
-        regs[Reg::R1.index()] = AbsVal::Ptr {
-            region: MemRegion::Context,
-            offset: Some(0),
-        };
-        regs[Reg::R10.index()] = AbsVal::Ptr {
-            region: MemRegion::Stack,
-            offset: Some(0),
-        };
+        regs[Reg::R1.index()] = MemRegion::Context.at(0);
+        regs[Reg::R10.index()] = MemRegion::Stack.at(0);
         TypeState { regs }
     }
 
@@ -186,8 +188,9 @@ pub struct Types {
 }
 
 impl Types {
-    /// Run the analysis over a program's instructions and CFG.
-    pub fn analyze(insns: &[Insn], cfg: &Cfg) -> Types {
+    /// Run the analysis over the instructions and CFG of a program of type
+    /// `prog_type` (which fixes what context loads yield).
+    pub fn analyze(insns: &[Insn], cfg: &Cfg, prog_type: ProgramType) -> Types {
         let n = insns.len();
         let mut before = vec![TypeState::bottom(); n];
         let mut reachable_insn = vec![false; n];
@@ -213,7 +216,7 @@ impl Types {
                     if before[idx] != state {
                         before[idx] = state;
                     }
-                    state = transfer(&state, &insns[idx]);
+                    state = transfer(&state, &insns[idx], prog_type);
                 }
                 for &succ in &block.succs {
                     let merged = match &block_in[succ] {
@@ -264,7 +267,7 @@ impl Types {
 }
 
 /// Abstract transfer function of one instruction.
-fn transfer(state: &TypeState, insn: &Insn) -> TypeState {
+fn transfer(state: &TypeState, insn: &Insn, prog_type: ProgramType) -> TypeState {
     let mut out = *state;
     match *insn {
         Insn::Alu64 { op, dst, src } => {
@@ -289,28 +292,23 @@ fn transfer(state: &TypeState, insn: &Insn) -> TypeState {
             };
             out.set(dst, v);
         }
-        Insn::Load { dst, base, off, .. } => {
-            // Loading the packet data / data_end pointers out of the context
-            // is the idiom every XDP program starts with; recognize it so the
-            // packet region gets typed.
+        Insn::Load {
+            size,
+            dst,
+            base,
+            off,
+        } => {
+            // Loading the packet pointers out of the context is the idiom
+            // every packet program starts with; type them as the context
+            // layout declares.
             let v = match state.get(base) {
                 AbsVal::Ptr {
                     region: MemRegion::Context,
                     offset: Some(c),
-                } => match c + off as i64 {
-                    0 => AbsVal::Ptr {
-                        region: MemRegion::Packet,
-                        offset: Some(0),
-                    },
-                    8 => AbsVal::Ptr {
-                        region: MemRegion::PacketEnd,
-                        offset: Some(0),
-                    },
-                    16 => AbsVal::Ptr {
-                        region: MemRegion::Packet,
-                        offset: Some(0),
-                    },
-                    _ => AbsVal::Scalar,
+                } => match prog_type.ctx_load(c + off as i64, size) {
+                    CtxLoad::Packet => MemRegion::Packet.at(0),
+                    CtxLoad::PacketEnd => MemRegion::PacketEnd.at(0),
+                    CtxLoad::Scalar => AbsVal::Scalar,
                 },
                 _ => AbsVal::Scalar,
             };
@@ -327,10 +325,7 @@ fn transfer(state: &TypeState, insn: &Insn) -> TypeState {
                         AbsVal::MapHandle(id) => id,
                         _ => None,
                     };
-                    AbsVal::Ptr {
-                        region: MemRegion::MapValue(map),
-                        offset: Some(0),
-                    }
+                    MemRegion::MapValue(map).at(0)
                 }
                 _ => AbsVal::Scalar,
             };
@@ -437,7 +432,7 @@ mod tests {
     fn analyze(text: &str) -> (Vec<Insn>, Types) {
         let insns = asm::assemble(text).unwrap();
         let cfg = Cfg::build(&insns).unwrap();
-        let types = Types::analyze(&insns, &cfg);
+        let types = Types::analyze(&insns, &cfg, ProgramType::Xdp);
         (insns, types)
     }
 
@@ -515,6 +510,29 @@ mod tests {
             t.mem_access(4, &insns[4]),
             Some((MemRegion::Packet, Some(14)))
         );
+    }
+
+    #[test]
+    fn context_loads_are_typed_by_the_program_types_layout() {
+        // A narrow load of an XDP pointer slot and any tracepoint argument
+        // are scalars, as the safety walker types them.
+        for (prog_type, text) in [
+            (ProgramType::Xdp, "ldxw r2, [r1+0]\nexit"),
+            (ProgramType::Xdp, "ldxdw r2, [r1+24]\nexit"),
+            (ProgramType::Tracepoint, "ldxdw r2, [r1+0]\nexit"),
+            (ProgramType::Tracepoint, "ldxdw r2, [r1+8]\nexit"),
+        ] {
+            let insns = asm::assemble(text).unwrap();
+            let cfg = Cfg::build(&insns).unwrap();
+            let t = Types::analyze(&insns, &cfg, prog_type);
+            assert_eq!(
+                t.reg_before(1, Reg::R2),
+                AbsVal::Scalar,
+                "{prog_type}: {text}"
+            );
+        }
+        let (_, t) = analyze("ldxdw r2, [r1+16]\nexit");
+        assert_eq!(t.reg_before(1, Reg::R2), MemRegion::Packet.at(0));
     }
 
     #[test]

@@ -925,10 +925,20 @@ mod tests {
 
     #[test]
     fn helper_sequence_mismatch_is_not_equivalent() {
-        let src = xdp("mov64 r1, r1\nmov64 r2, -2\ncall xdp_adjust_head\nmov64 r0, 0\nexit");
+        let src = xdp("mov64 r1, r1\nmov64 r2, -2\ncall perf_event_output\nmov64 r0, 0\nexit");
         let cand = xdp("mov64 r0, 0\nexit");
         let mut checker = EquivChecker::new(EquivOptions::default());
         assert!(!checker.check(&src, &cand).is_equivalent());
+    }
+
+    #[test]
+    fn moving_the_packet_head_is_not_encoded() {
+        let src = xdp("mov64 r2, -2\ncall xdp_adjust_head\nmov64 r0, 0\nexit");
+        let mut checker = EquivChecker::new(EquivOptions::default());
+        assert!(matches!(
+            checker.check_uncached(&src, &src),
+            EquivOutcome::Unknown(_)
+        ));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 use crate::encode::{Encoder, Region, DATA_PTR};
 use bitsmt::{eval::Evaluator, Model, TermId};
 use bpf_interp::ProgramInput;
-use bpf_isa::Program;
+use bpf_isa::{CtxField, Program};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Reconstruct a program input from a model.
 ///
@@ -23,25 +23,21 @@ pub fn input_from_model(encoder: &Encoder<'_>, model: &Model, prog: &Program) ->
     let evaluator = RefCell::new(Evaluator::new(pool, &assignment));
     let value_of = |t: TermId| evaluator.borrow_mut().eval(t);
 
-    let mut input = ProgramInput::default();
-    let mut packet_len = 0u64;
-    for (name, term) in encoder.input_summary() {
-        let v = value_of(term);
-        match name {
-            "in_pkt_len" => packet_len = v.min(4096),
-            "in_time_ns" => input.time_ns = v,
-            "in_cpu_id" => input.cpu_id = v as u32,
-            "in_pid_tgid" => input.pid_tgid = v,
-            _ => {}
-        }
-    }
-    input.packet = vec![0u8; packet_len as usize];
+    let mut input = ProgramInput {
+        packet: vec![0u8; value_of(encoder.packet_len).min(4096) as usize],
+        time_ns: value_of(encoder.time_ns),
+        cpu_id: value_of(encoder.cpu_id) as u32,
+        pid_tgid: value_of(encoder.pid_tgid),
+        ..ProgramInput::default()
+    };
 
-    // Packet contents: place each observed initial byte at its offset.
-    // Map contents: every key whose value or (model-true) presence the
-    // formula read becomes an entry holding the value bytes read under an
-    // equal key (zero where none was).
-    let mut map_keys = Vec::new();
+    // Packet and context contents: place each observed initial byte at its
+    // offset, a context byte into the input word its slot holds.
+    // Map contents: every key the model says is present, and every key
+    // whose value bytes the formula read unless the model says it is
+    // absent, becomes an entry holding the value bytes read under an equal
+    // key (zero where none was).
+    let mut present = HashMap::new();
     let mut map_bytes = HashMap::new();
     for &(cell, value) in encoder.init_cells() {
         match cell.region {
@@ -54,21 +50,35 @@ pub fn input_from_model(encoder: &Encoder<'_>, model: &Model, prog: &Program) ->
                     input.packet[off as usize] = value_of(value) as u8;
                 }
             }
-            Region::MapPresent(map_id) if value_of(value) & 1 == 1 => {
-                map_keys.push((map_id, value_of(cell.term)));
+            Region::Context => {
+                let Some(off) = cell.offset.map(|o| o as usize) else {
+                    continue;
+                };
+                for &(start, size, field) in prog.prog_type.ctx_layout() {
+                    if let (CtxField::Input(word), true) =
+                        (field, (start..start + size).contains(&off))
+                    {
+                        input.ctx_words[word] |= value_of(value) << (8 * (off - start));
+                    }
+                }
+            }
+            Region::MapPresent(map_id) => {
+                present
+                    .entry((map_id, value_of(cell.term)))
+                    .or_insert(value_of(value) & 1 == 1);
             }
             Region::MapValue(map_id) => {
-                let key = value_of(cell.term);
-                map_keys.push((map_id, key));
                 let offset = cell.offset.expect("map value cells have a byte offset");
                 map_bytes
-                    .entry((map_id, key, offset))
+                    .entry((map_id, value_of(cell.term), offset))
                     .or_insert_with(|| value_of(value) as u8);
             }
             _ => {}
         }
     }
-    for (map_id, key) in map_keys {
+    let read_keys = map_bytes.keys().map(|&(map_id, key, _)| (map_id, key));
+    let keys: BTreeSet<_> = present.keys().copied().chain(read_keys).collect();
+    for (map_id, key) in keys.into_iter().filter(|k| present.get(k) != Some(&false)) {
         let def = match encoder
             .map_def(map_id)
             .or_else(|| prog.map(bpf_isa::MapId(map_id)).copied())

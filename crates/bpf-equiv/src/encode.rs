@@ -22,8 +22,8 @@ use bitsmt::{TermId, TermPool};
 use bpf_analysis::cfg::Cfg;
 use bpf_interp::layout::{CTX_BASE, PACKET_BASE, PACKET_HEADROOM, STACK_BASE};
 use bpf_isa::{
-    AluOp, ByteOrder, HelperId, Insn, JmpOp, MapDef, MapKind, MemSize, Program, Reg, Src, NUM_REGS,
-    STACK_SIZE,
+    AluOp, ByteOrder, CtxField, CtxLoad, HelperId, Insn, JmpOp, MapDef, MapKind, MemSize, Program,
+    ProgramType, Reg, Src, NUM_REGS, STACK_SIZE,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -296,6 +296,8 @@ pub struct Encoder<'p> {
     pub constraints: Vec<TermId>,
 
     map_defs: HashMap<u32, MapDef>,
+    /// The type of the first program encoded, which fixes the context layout.
+    prog_type: Option<ProgramType>,
     /// The tables, each under its key (see [`Encoder::table`]).
     tables: Vec<(Region, Table)>,
     /// Per program tag: every cell it stored to, in program order.
@@ -322,6 +324,7 @@ impl<'p> Encoder<'p> {
             ucall_returns: Vec::new(),
             constraints: Vec::new(),
             map_defs: HashMap::new(),
+            prog_type: None,
             tables: Vec::new(),
             written: Vec::new(),
             fresh: 0,
@@ -331,7 +334,6 @@ impl<'p> Encoder<'p> {
         let max_len = enc.pool.constant(4096, 64);
         let len_ok = enc.pool.ule(enc.packet_len, max_len);
         enc.constraints.push(len_ok);
-        enc.seed_context();
         enc
     }
 
@@ -352,19 +354,23 @@ impl<'p> Encoder<'p> {
         self.pool.var(name, width)
     }
 
-    /// Pre-populate the context's initial bytes: `data` and `data_end`
-    /// pointers derived from the packet length, `data_meta == data`, and a
-    /// shared opaque word for the remaining fields.
-    fn seed_context(&mut self) {
+    /// Fix the context layout to `prog_type`'s and pre-populate the initial
+    /// bytes of its pointer slots: `data` and `data_meta` hold [`DATA_PTR`],
+    /// `data_end` lies the packet length past it. Input slots are ordinary
+    /// cells, read like any other.
+    fn seed_context(&mut self, prog_type: ProgramType) {
+        self.prog_type = Some(prog_type);
         let data = self.pool.constant(DATA_PTR, 64);
-        let len = self.packet_len;
-        let data_end = self.pool.add(data, len);
-        let extra = self.pool.var("in_ctx_extra", 64);
-        let words = [data, data_end, data, extra];
+        let data_end = self.pool.add(data, self.packet_len);
         let t = self.table(Region::Context);
-        for (wi, word) in words.into_iter().enumerate() {
-            for b in 0..8u32 {
-                let offset = wi as i64 * 8 + b as i64;
+        for &(start, size, field) in prog_type.ctx_layout() {
+            let word = match field {
+                CtxField::Data | CtxField::DataMeta => data,
+                CtxField::DataEnd => data_end,
+                CtxField::Input(_) => continue,
+            };
+            for b in 0..size as u32 {
+                let offset = (start + b as usize) as i64;
                 let cell = Cell {
                     region: Region::Context,
                     term: self.pool.constant(CTX_BASE + offset as u64, 64),
@@ -615,12 +621,21 @@ impl<'p> Encoder<'p> {
 
     // ----- program encoding ---------------------------------------------------
 
-    /// Encode a complete program.
+    /// Encode a complete program. The first program fixes the context
+    /// layout; a program of another type is unsupported.
     pub fn encode_program(
         &mut self,
         prog: &Program,
         tag: usize,
     ) -> Result<ProgramEncoding, EncodeError> {
+        if self.prog_type.is_none() {
+            self.seed_context(prog.prog_type);
+        }
+        if self.prog_type != Some(prog.prog_type) {
+            return Err(EncodeError::Unsupported(
+                "programs of different types".into(),
+            ));
+        }
         for def in &prog.maps {
             self.map_defs.insert(def.id.0, *def);
         }
@@ -925,13 +940,12 @@ impl<'p> Encoder<'p> {
                 off,
             } => {
                 let value = self.load_bytes(state, tag, base, off as i64, size.bytes())?;
-                // Track the packet data / data_end pointers coming out of the
-                // context, as the interpreter and type analysis do.
-                let new_prov = match state.prov[base.index()] {
-                    Prov::Ctx(Some(c)) if size == MemSize::Dword => match c + off as i64 {
-                        0 | 16 => Prov::Packet(Some(0)),
-                        8 => Prov::PacketEnd(Some(0)),
-                        _ => Prov::None,
+                // Track the packet pointers the context layout declares.
+                let new_prov = match (state.prov[base.index()], self.prog_type) {
+                    (Prov::Ctx(Some(c)), Some(t)) => match t.ctx_load(c + off as i64, size) {
+                        CtxLoad::Packet => Prov::Packet(Some(0)),
+                        CtxLoad::PacketEnd => Prov::PacketEnd(Some(0)),
+                        CtxLoad::Scalar => Prov::None,
                     },
                     _ => Prov::None,
                 };
@@ -1086,6 +1100,11 @@ impl<'p> Encoder<'p> {
                 state.prov[Reg::R0.index()] = Prov::None;
                 self.pid_tgid
             }
+            HelperId::XdpAdjustHead => {
+                return Err(EncodeError::Unsupported(
+                    "xdp_adjust_head moves the packet head, which is not modelled".into(),
+                ))
+            }
             _ => {
                 // Uninterpreted helper: record the call, return a shared value
                 // keyed by call order.
@@ -1236,17 +1255,6 @@ impl<'p> Encoder<'p> {
         }
         self.written_cells_differ(a.tag, b.tag, Some(live_stack_out), &mut disjuncts);
         self.pool.or_many(&disjuncts)
-    }
-
-    /// Names and terms of the shared input variables (used by counterexample
-    /// extraction).
-    pub fn input_summary(&self) -> Vec<(&'static str, TermId)> {
-        vec![
-            ("in_pkt_len", self.packet_len),
-            ("in_time_ns", self.time_ns),
-            ("in_cpu_id", self.cpu_id),
-            ("in_pid_tgid", self.pid_tgid),
-        ]
     }
 
     /// Every cell whose initial value the formula read, with that value

@@ -58,7 +58,7 @@ impl WindowContext {
     /// apply and callers should use the full check.
     pub fn new(src: &Program) -> Option<WindowContext> {
         let cfg = Cfg::build(&src.insns).ok()?;
-        let types = Types::analyze(&src.insns, &cfg);
+        let types = Types::analyze(&src.insns, &cfg, src.prog_type);
         // Type-sharpened liveness: loads through pointers provably outside
         // the stack do not make the frame live, while helper calls and
         // unknown pointer loads conservatively keep every byte live.

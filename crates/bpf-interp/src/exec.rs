@@ -205,6 +205,12 @@ pub fn call_helper(
     pc: usize,
 ) -> Result<(), Trap> {
     let arg = |machine: &MachineState, r: Reg| machine.reg(r, pc);
+    if !machine.prog_type.offers(helper) {
+        return Err(Trap::BadHelperArgument {
+            what: "helper not offered to this program type",
+            pc,
+        });
+    }
 
     let ret: u64 = match helper {
         HelperId::MapLookup => {
@@ -269,12 +275,6 @@ pub fn call_helper(
         HelperId::GetSmpProcessorId => machine.cpu_id as u64,
         HelperId::GetCurrentPidTgid => machine.pid_tgid,
         HelperId::XdpAdjustHead => {
-            if machine.prog_type != ProgramType::Xdp {
-                return Err(Trap::BadHelperArgument {
-                    what: "adjust_head outside XDP",
-                    pc,
-                });
-            }
             let delta = arg(machine, Reg::R2)? as i64;
             if machine.adjust_head(delta) {
                 0

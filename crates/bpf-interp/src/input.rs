@@ -22,8 +22,8 @@ pub struct ProgramInput {
     /// Packet payload (starts at the `data` pointer; headroom is added by the
     /// machine).
     pub packet: Vec<u8>,
-    /// Additional context words; for tracepoint programs these are the
-    /// argument record, for XDP they fill the fields after `data_end`.
+    /// Context input words, placed where the program type's context layout
+    /// (`ProgramType::ctx_layout`) puts them.
     pub ctx_words: Vec<u64>,
     /// Initial contents of the program's maps.
     pub maps: MapState,

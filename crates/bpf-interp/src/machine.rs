@@ -6,7 +6,7 @@ use crate::layout::{
     map_handle, MemKind, CTX_BASE, PACKET_BASE, PACKET_HEADROOM, PACKET_MAX, STACK_BASE,
 };
 use crate::maps::MapStore;
-use bpf_isa::{MemSize, Program, ProgramType, Reg, STACK_SIZE};
+use bpf_isa::{CtxField, MemSize, Program, ProgramType, Reg, STACK_SIZE};
 
 /// Capacity of the inline context buffer: the largest context any program
 /// type has (the tracepoint argument record).
@@ -30,10 +30,8 @@ pub struct MachineState {
     /// `bpf_xdp_adjust_head`.
     data_off: usize,
     /// The program context bytes (located at [`CTX_BASE`]); only the first
-    /// `ctx_len` are part of the context.
+    /// `prog_type.ctx_size()` are part of the context.
     ctx: [u8; CTX_MAX],
-    /// Size of the context structure for this program type.
-    ctx_len: usize,
     /// Map runtime state.
     pub maps: MapStore,
     /// Program type, which fixes the context layout.
@@ -73,7 +71,6 @@ impl MachineState {
             packet,
             data_off: PACKET_HEADROOM,
             ctx: [0u8; CTX_MAX],
-            ctx_len: prog.prog_type.ctx_size().max(32),
             maps,
             prog_type: prog.prog_type,
             prandom_state: input.random_seed | 1,
@@ -81,38 +78,26 @@ impl MachineState {
             cpu_id: input.cpu_id,
             pid_tgid: input.pid_tgid,
         };
-        state.rebuild_ctx(&input.ctx_words);
+        state.write_ctx(Some(&input.ctx_words));
         state.set_reg_raw(Reg::R1, CTX_BASE);
         state.set_reg_raw(Reg::R10, STACK_BASE + STACK_SIZE as u64);
         state
     }
 
-    /// Rewrite the context bytes from the current packet window and the
-    /// supplied extra context words.
-    ///
-    /// Context layouts (this model):
-    /// * XDP / socket filter / sched_cls: `[0..8)` = `data` pointer,
-    ///   `[8..16)` = `data_end` pointer, `[16..24)` = `data_meta`,
-    ///   `[24..28)` = ingress ifindex, `[28..32)` = rx queue index.
-    /// * Tracepoint: eight 64-bit argument words.
-    fn rebuild_ctx(&mut self, ctx_words: &[u64]) {
-        match self.prog_type {
-            ProgramType::Xdp | ProgramType::SocketFilter | ProgramType::SchedCls => {
-                let data = PACKET_BASE + self.data_off as u64;
-                let data_end = PACKET_BASE + self.packet.len() as u64;
-                self.ctx[0..8].copy_from_slice(&data.to_le_bytes());
-                self.ctx[8..16].copy_from_slice(&data_end.to_le_bytes());
-                self.ctx[16..24].copy_from_slice(&data.to_le_bytes());
-                let ifindex = ctx_words.first().copied().unwrap_or(0) as u32;
-                let rxq = ctx_words.get(1).copied().unwrap_or(0) as u32;
-                self.ctx[24..28].copy_from_slice(&ifindex.to_le_bytes());
-                self.ctx[28..32].copy_from_slice(&rxq.to_le_bytes());
-            }
-            ProgramType::Tracepoint => {
-                for (i, w) in ctx_words.iter().take(8).enumerate() {
-                    self.ctx[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
-                }
-            }
+    /// Write the context slots declared by [`ProgramType::ctx_layout`]: the
+    /// packet pointers from the current packet window, and the input slots
+    /// from `ctx_words` when given (missing words read as 0).
+    fn write_ctx(&mut self, ctx_words: Option<&[u64]>) {
+        for &(offset, size, field) in self.prog_type.ctx_layout() {
+            let value = match field {
+                CtxField::Data | CtxField::DataMeta => self.packet_data_ptr(),
+                CtxField::DataEnd => self.packet_end_ptr(),
+                CtxField::Input(i) => match ctx_words {
+                    Some(words) => words.get(i).copied().unwrap_or(0),
+                    None => continue,
+                },
+            };
+            self.ctx[offset..offset + size].copy_from_slice(&value.to_le_bytes()[..size]);
         }
     }
 
@@ -177,11 +162,7 @@ impl MachineState {
             return false;
         }
         self.data_off = new_off as usize;
-        let words = [
-            u32::from_le_bytes(self.ctx[24..28].try_into().expect("ctx")) as u64,
-            u32::from_le_bytes(self.ctx[28..32].try_into().expect("ctx")) as u64,
-        ];
-        self.rebuild_ctx(&words);
+        self.write_ctx(None);
         true
     }
 
@@ -250,7 +231,7 @@ impl MachineState {
             }
             MemKind::Context => {
                 let off = (addr - CTX_BASE) as usize;
-                if off + len > self.ctx_len {
+                if off + len > self.prog_type.ctx_size() {
                     return Err(Trap::OutOfBounds {
                         addr,
                         size: len,

@@ -55,7 +55,7 @@ pub use error::IsaError;
 pub use helper::HelperId;
 pub use insn::{Insn, RegList, Src};
 pub use opcode::{AluOp, ByteOrder, JmpOp, MemSize};
-pub use program::{MapDef, MapId, MapKind, Program, ProgramType};
+pub use program::{CtxField, CtxLoad, CtxSlot, MapDef, MapId, MapKind, Program, ProgramType};
 pub use reg::Reg;
 
 /// The number of general purpose registers (`r0` through `r10`).

@@ -1,6 +1,6 @@
 //! Program container: instruction sequence, program type, and map definitions.
 
-use crate::{Insn, IsaError, MemSize};
+use crate::{HelperId, Insn, IsaError, MemSize};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -91,17 +91,87 @@ pub enum ProgramType {
     Tracepoint,
 }
 
+/// What one slot of a program context holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CtxField {
+    /// The packet `data` pointer.
+    Data,
+    /// The packet `data_end` pointer.
+    DataEnd,
+    /// The packet metadata pointer, equal to `data` (no metadata is modelled).
+    DataMeta,
+    /// The low bytes of context word `i` of the input (`ProgramInput::ctx_words`).
+    Input(usize),
+}
+
+/// One slot of a context layout: `(offset, width in bytes, what it holds)`.
+pub type CtxSlot = (usize, usize, CtxField);
+
+/// What a load from the context yields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CtxLoad {
+    /// The packet start pointer (`data` or `data_meta`).
+    Packet,
+    /// The packet end pointer.
+    PacketEnd,
+    /// A scalar.
+    Scalar,
+}
+
+/// `struct xdp_md` as modelled: three 64-bit packet pointers, then the
+/// ingress ifindex and the rx queue index.
+const PACKET_CTX: [CtxSlot; 5] = [
+    (0, 8, CtxField::Data),
+    (8, 8, CtxField::DataEnd),
+    (16, 8, CtxField::DataMeta),
+    (24, 4, CtxField::Input(0)),
+    (28, 4, CtxField::Input(1)),
+];
+
+/// A raw tracepoint record: eight 64-bit argument words.
+const TRACEPOINT_CTX: [CtxSlot; 8] = [
+    (0, 8, CtxField::Input(0)),
+    (8, 8, CtxField::Input(1)),
+    (16, 8, CtxField::Input(2)),
+    (24, 8, CtxField::Input(3)),
+    (32, 8, CtxField::Input(4)),
+    (40, 8, CtxField::Input(5)),
+    (48, 8, CtxField::Input(6)),
+    (56, 8, CtxField::Input(7)),
+];
+
 impl ProgramType {
+    /// The context passed in `r1`, slot by slot in offset order: which bytes
+    /// hold packet pointers and which hold inputs.
+    pub fn ctx_layout(self) -> &'static [CtxSlot] {
+        match self {
+            ProgramType::Xdp | ProgramType::SocketFilter | ProgramType::SchedCls => &PACKET_CTX,
+            ProgramType::Tracepoint => &TRACEPOINT_CTX,
+        }
+    }
+
     /// Size in bytes of the context structure passed in `r1`.
     pub fn ctx_size(self) -> usize {
-        match self {
-            // struct xdp_md: data, data_end, data_meta, ingress_ifindex,
-            // rx_queue_index, egress_ifindex — modelled as 6 u32 fields
-            // preceded by 64-bit data/data_end slots (see bpf-interp docs).
-            ProgramType::Xdp => 32,
-            ProgramType::SocketFilter | ProgramType::SchedCls => 32,
-            ProgramType::Tracepoint => 64,
+        self.ctx_layout()
+            .last()
+            .map_or(0, |&(off, size, _)| off + size)
+    }
+
+    /// What a `size` load at context offset `offset` yields: a packet
+    /// pointer when it reads a whole pointer slot, else a scalar.
+    pub fn ctx_load(self, offset: i64, size: MemSize) -> CtxLoad {
+        let mut layout = self.ctx_layout().iter();
+        match layout.find(|&&(off, width, _)| off as i64 == offset && width == size.bytes()) {
+            Some((_, _, CtxField::Data | CtxField::DataMeta)) => CtxLoad::Packet,
+            Some((_, _, CtxField::DataEnd)) => CtxLoad::PacketEnd,
+            _ => CtxLoad::Scalar,
         }
+    }
+
+    /// Whether programs of this type may call `helper`: only XDP programs
+    /// may move the packet head.
+    pub fn offers(self, helper: HelperId) -> bool {
+        helper != HelperId::XdpAdjustHead || self == ProgramType::Xdp
     }
 
     /// The set of XDP action codes, useful for workload generators and
@@ -258,7 +328,7 @@ impl fmt::Display for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HelperId, JmpOp, Reg};
+    use crate::{JmpOp, Reg};
 
     fn sample() -> Program {
         Program::with_maps(
@@ -348,6 +418,56 @@ mod tests {
         let p = sample();
         assert!(p.map(MapId(1)).is_some());
         assert!(p.map(MapId(9)).is_none());
+    }
+
+    #[test]
+    fn context_layouts_are_sorted_disjoint_and_fit_the_context() {
+        for ty in [
+            ProgramType::Xdp,
+            ProgramType::SocketFilter,
+            ProgramType::SchedCls,
+            ProgramType::Tracepoint,
+        ] {
+            let layout = ty.ctx_layout();
+            assert!(!layout.is_empty(), "{ty}");
+            for pair in layout.windows(2) {
+                assert!(pair[0].0 + pair[0].1 <= pair[1].0, "{ty}: {pair:?}");
+            }
+            for &(offset, size, field) in layout {
+                assert!(size > 0 && offset + size <= ty.ctx_size(), "{ty}");
+                // The default input carries eight context words.
+                if let CtxField::Input(word) = field {
+                    assert!(word < 8, "{ty}: {field:?}");
+                }
+            }
+        }
+        assert_eq!(ProgramType::Xdp.ctx_size(), 32);
+        assert_eq!(ProgramType::Tracepoint.ctx_size(), 64);
+    }
+
+    #[test]
+    fn only_whole_pointer_slots_load_pointers() {
+        let xdp = ProgramType::Xdp;
+        assert_eq!(xdp.ctx_load(0, MemSize::Dword), CtxLoad::Packet);
+        assert_eq!(xdp.ctx_load(8, MemSize::Dword), CtxLoad::PacketEnd);
+        assert_eq!(xdp.ctx_load(16, MemSize::Dword), CtxLoad::Packet);
+        assert_eq!(xdp.ctx_load(0, MemSize::Word), CtxLoad::Scalar);
+        assert_eq!(xdp.ctx_load(4, MemSize::Dword), CtxLoad::Scalar);
+        assert_eq!(xdp.ctx_load(24, MemSize::Dword), CtxLoad::Scalar);
+        for off in (0..64).step_by(8) {
+            assert_eq!(
+                ProgramType::Tracepoint.ctx_load(off, MemSize::Dword),
+                CtxLoad::Scalar
+            );
+        }
+    }
+
+    #[test]
+    fn only_xdp_programs_may_adjust_the_head() {
+        assert!(ProgramType::Xdp.offers(HelperId::XdpAdjustHead));
+        assert!(!ProgramType::SocketFilter.offers(HelperId::XdpAdjustHead));
+        assert!(!ProgramType::Tracepoint.offers(HelperId::XdpAdjustHead));
+        assert!(ProgramType::Tracepoint.offers(HelperId::MapLookup));
     }
 
     #[test]

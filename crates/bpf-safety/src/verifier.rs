@@ -2,7 +2,7 @@
 //! checker and the Linux kernel-checker model.
 
 use bpf_analysis::cfg::Cfg;
-use bpf_isa::{AluOp, HelperId, Insn, JmpOp, MapId, MemSize, Program, ProgramType, Reg, Src};
+use bpf_isa::{AluOp, CtxLoad, HelperId, Insn, JmpOp, MapId, MemSize, Program, Reg, Src};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -114,7 +114,8 @@ pub enum VerifierError {
         /// Instruction index.
         at: usize,
     },
-    /// A helper this model does not know.
+    /// A helper this model does not know, or one the program type does not
+    /// offer (the kernel reports both as an unknown function).
     UnknownHelper {
         /// Instruction index.
         at: usize,
@@ -364,7 +365,6 @@ fn verify_inner(
     }
 
     // Path-by-path walk.
-    let ctx_size = prog.prog_type.ctx_size() as i64;
     let mut work: VecDeque<PathState> = VecDeque::new();
     work.push_back(PathState::entry());
     while let Some(mut state) = work.pop_front() {
@@ -412,7 +412,7 @@ fn verify_inner(
                     state.pc = fall_pc;
                 }
                 _ => {
-                    step(&mut state, &insn, at, prog, ctx_size, config)?;
+                    step(&mut state, &insn, at, prog, config)?;
                     state.pc = at + 1;
                 }
             }
@@ -498,7 +498,6 @@ fn step(
     insn: &Insn,
     at: usize,
     prog: &Program,
-    ctx_size: i64,
     config: &VerifierConfig,
 ) -> Result<(), VerifierError> {
     match *insn {
@@ -543,33 +542,13 @@ fn step(
             base,
             off,
         } => {
-            let value = check_mem_access(
-                state,
-                base,
-                off,
-                size,
-                at,
-                prog,
-                ctx_size,
-                config,
-                Access::Load,
-            )?;
+            let value = check_mem_access(state, base, off, size, at, prog, config, Access::Load)?;
             state.regs[dst.index()] = value;
         }
         Insn::Store {
             size, base, off, ..
         } => {
-            check_mem_access(
-                state,
-                base,
-                off,
-                size,
-                at,
-                prog,
-                ctx_size,
-                config,
-                Access::Store,
-            )?;
+            check_mem_access(state, base, off, size, at, prog, config, Access::Store)?;
         }
         Insn::StoreImm {
             size, base, off, ..
@@ -577,32 +556,12 @@ fn step(
             if config.forbid_ctx_store_imm && matches!(state.regs[base.index()], RV::PtrCtx(_)) {
                 return Err(VerifierError::CtxStoreImm { at });
             }
-            check_mem_access(
-                state,
-                base,
-                off,
-                size,
-                at,
-                prog,
-                ctx_size,
-                config,
-                Access::Store,
-            )?;
+            check_mem_access(state, base, off, size, at, prog, config, Access::Store)?;
         }
         Insn::AtomicAdd {
             size, base, off, ..
         } => {
-            check_mem_access(
-                state,
-                base,
-                off,
-                size,
-                at,
-                prog,
-                ctx_size,
-                config,
-                Access::Atomic,
-            )?;
+            check_mem_access(state, base, off, size, at, prog, config, Access::Atomic)?;
         }
         Insn::LoadImm64 { dst, imm } => {
             state.regs[dst.index()] = RV::Const(imm as u64);
@@ -715,7 +674,6 @@ fn check_mem_access(
     size: MemSize,
     at: usize,
     prog: &Program,
-    ctx_size: i64,
     config: &VerifierConfig,
     access: Access,
 ) -> Result<RV, VerifierError> {
@@ -757,23 +715,14 @@ fn check_mem_access(
                 return Err(VerifierError::CtxWrite { at });
             }
             let start = reg_off + off as i64;
-            if start < 0 || start + nbytes > ctx_size {
+            if start < 0 || start + nbytes > prog.prog_type.ctx_size() as i64 {
                 return Err(VerifierError::CtxOutOfBounds { at });
             }
-            // Loading the packet pointers out of an XDP-like context.
-            if size == MemSize::Dword
-                && matches!(
-                    prog.prog_type,
-                    ProgramType::Xdp | ProgramType::SocketFilter | ProgramType::SchedCls
-                )
-            {
-                return Ok(match start {
-                    0 | 16 => RV::PtrPacket(Some(0)),
-                    8 => RV::PtrPacketEnd,
-                    _ => RV::Scalar,
-                });
-            }
-            Ok(RV::Scalar)
+            Ok(match prog.prog_type.ctx_load(start, size) {
+                CtxLoad::Packet => RV::PtrPacket(Some(0)),
+                CtxLoad::PacketEnd => RV::PtrPacketEnd,
+                CtxLoad::Scalar => RV::Scalar,
+            })
         }
         RV::PtrPacket(Some(reg_off)) => {
             let start = reg_off + off as i64;
@@ -821,6 +770,9 @@ fn check_helper_call(
     at: usize,
     prog: &Program,
 ) -> Result<(), VerifierError> {
+    if !prog.prog_type.offers(helper) {
+        return Err(VerifierError::UnknownHelper { at });
+    }
     let ret = match helper {
         HelperId::MapLookup | HelperId::MapUpdate | HelperId::MapDelete => {
             let map = match state.regs[Reg::R1.index()] {

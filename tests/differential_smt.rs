@@ -12,13 +12,14 @@
 //!
 //! Packet, stack and map state are covered on real proposal streams instead:
 //! every verdict of a cold full-program check must agree with the
-//! interpreter.
+//! interpreter. The context is covered slot by slot, for every program type's
+//! declared layout.
 
 use bitsmt::{eval::eval, Assignment, TermPool};
 use bpf_equiv::encode::{EncodeOptions, Encoder};
-use bpf_equiv::{EquivChecker, EquivOptions, EquivOutcome};
+use bpf_equiv::{check_equivalence, EquivChecker, EquivOptions, EquivOutcome};
 use bpf_interp::{run, InputGenerator, ProgramInput};
-use bpf_isa::{AluOp, Insn, Program, ProgramType, Reg};
+use bpf_isa::{asm, AluOp, CtxField, Insn, MemSize, Program, ProgramType, Reg};
 use k2_core::proposals::RuleProbabilities;
 use k2_core::ProposalGenerator;
 use proptest::prelude::*;
@@ -155,13 +156,77 @@ fn memory_and_map_verdicts_agree_with_the_interpreter_on_proposal_streams() {
         proofs > 0 && counterexamples > 0,
         "{proofs} proofs, {counterexamples} counterexamples"
     );
-    // Counterexample inputs are reconstructed best-effort, and some do not
-    // pin everything the model relied on (recvmsg4 reads context bytes 24-31,
-    // which the reconstruction never writes into `ctx_words`). This stream
-    // had 12 such inputs when the test was written; there must be no more.
+    // Counterexample inputs are reconstructed best-effort from the model,
+    // but every input the formula reads (packet and context bytes, map
+    // entries the model says are present) lands in the input, so each one
+    // must tell the programs apart.
     assert!(
-        silent.len() <= 12,
-        "{} counterexamples do not distinguish: {silent:?}",
+        silent.is_empty(),
+        "{} of {counterexamples} counterexamples do not distinguish: {silent:?}",
         silent.len()
     );
+}
+
+#[test]
+fn every_context_slot_agrees_with_the_interpreter() {
+    // For every program type, slot of its context layout and load width
+    // that fits the slot, `ldx r0, [r1+off]` against `mov64 r0, 0`. An input
+    // slot holds a free input, so the pair is never equivalent; a pointer
+    // slot may be constant in part (the low byte of `data`). Every
+    // counterexample must make the interpreter tell the programs apart, and
+    // every proof must hold on generated inputs.
+    let mut inputs = InputGenerator::new(0xc7);
+    for prog_type in [
+        ProgramType::Xdp,
+        ProgramType::SocketFilter,
+        ProgramType::SchedCls,
+        ProgramType::Tracepoint,
+    ] {
+        let zero = Program::new(prog_type, vec![Insn::mov64_imm(Reg::R0, 0), Insn::Exit]);
+        for &(offset, width, field) in prog_type.ctx_layout() {
+            for size in MemSize::ALL.into_iter().filter(|s| s.bytes() <= width) {
+                let off = offset as i16;
+                let load = Program::new(
+                    prog_type,
+                    vec![Insn::load(size, Reg::R0, Reg::R1, off), Insn::Exit],
+                );
+                let case = format!("{prog_type}: {}", load.insns[0]);
+                match check_equivalence(&load, &zero, &EquivOptions::default()).0 {
+                    EquivOutcome::NotEquivalent(Some(input)) => {
+                        let a = run(&load, &input).expect("load runs").output;
+                        let b = run(&zero, &input).expect("mov runs").output;
+                        assert_ne!(a, b, "{case}: {input:?} does not distinguish");
+                    }
+                    EquivOutcome::Equivalent => {
+                        assert!(
+                            !matches!(field, CtxField::Input(_)),
+                            "{case}: an input slot proven constant"
+                        );
+                        for input in inputs.generate_suite(&load, 16) {
+                            let a = run(&load, &input).expect("load runs").output;
+                            assert_eq!(a.ret, 0, "{case}: proven 0, but not on {input:?}");
+                        }
+                    }
+                    other => panic!("{case}: {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tracepoint_arguments_are_inputs_not_packet_pointers() {
+    // 0x100100 is where the packet data pointer lies; a tracepoint's first
+    // argument is a free input, so loading it is not that constant.
+    let tp = |text: &str| Program::new(ProgramType::Tracepoint, asm::assemble(text).unwrap());
+    let src = tp("ldxdw r0, [r1+0]\nexit");
+    let cand = tp("lddw r0, 0x100100\nexit");
+    match check_equivalence(&src, &cand, &EquivOptions::default()).0 {
+        EquivOutcome::NotEquivalent(Some(input)) => {
+            let a = run(&src, &input).expect("source runs").output;
+            let b = run(&cand, &input).expect("candidate runs").output;
+            assert_ne!(a, b, "{input:?} does not distinguish");
+        }
+        other => panic!("expected a counterexample, got {other:?}"),
+    }
 }

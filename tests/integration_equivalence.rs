@@ -3,9 +3,10 @@
 //! input, and counterexamples for non-equivalent pairs must reproduce in the
 //! interpreter.
 
-use bpf_equiv::{EquivChecker, EquivOptions, EquivOutcome};
-use bpf_interp::{run, InputGenerator};
+use bpf_equiv::{check_equivalence, EquivChecker, EquivOptions, EquivOutcome};
+use bpf_interp::{run, InputGenerator, ProgramInput};
 use bpf_isa::{asm, Program, ProgramType};
+use bpf_safety::{SafetyChecker, SafetyConfig};
 
 fn xdp(text: &str) -> Program {
     Program::new(ProgramType::Xdp, asm::assemble(text).unwrap())
@@ -146,6 +147,37 @@ fn baseline_outputs_are_always_equivalent_to_their_sources() {
             bench.name
         );
     }
+}
+
+#[test]
+fn moving_the_packet_head_is_never_proven_equivalent() {
+    // The source reads packet byte 0 and then moves the head 14 bytes into
+    // the headroom; the candidate moves the head first and reads byte 0 of
+    // the moved packet. The encoder does not model the move, so it must not
+    // prove the pair: on a 64-byte 0xab packet the interpreter returns 171
+    // and 0, and the safety walker accepts both.
+    let src = xdp(
+        "mov64 r6, r1\nmov64 r7, 0\nldxdw r2, [r1+0]\nldxdw r3, [r1+8]\nmov64 r4, r2\n\
+         add64 r4, 1\njgt r4, r3, +1\nldxb r7, [r2+0]\nmov64 r1, r6\nmov64 r2, -14\n\
+         call xdp_adjust_head\nmov64 r0, r7\nexit",
+    );
+    let cand = xdp(
+        "mov64 r6, r1\nmov64 r2, -14\ncall xdp_adjust_head\nldxdw r2, [r6+0]\n\
+         ldxdw r3, [r6+8]\nmov64 r4, r2\nadd64 r4, 1\nmov64 r0, 0\njgt r4, r3, +1\n\
+         ldxb r0, [r2+0]\nexit",
+    );
+    let mut walker = SafetyChecker::new(SafetyConfig::default());
+    assert!(walker.check(&src).is_ok() && walker.check(&cand).is_ok());
+    let input = ProgramInput {
+        packet: vec![0xab; 64],
+        ..ProgramInput::default()
+    };
+    assert_eq!(run(&src, &input).unwrap().output.ret, 171);
+    assert_eq!(run(&cand, &input).unwrap().output.ret, 0);
+    let mut checker = EquivChecker::new(EquivOptions::default());
+    assert!(!checker.check(&src, &cand).is_equivalent());
+    let (cold, _) = check_equivalence(&src, &cand, &EquivOptions::default());
+    assert!(!cold.is_equivalent(), "{cold:?}");
 }
 
 #[test]

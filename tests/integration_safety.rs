@@ -427,6 +427,14 @@ fn must_reject_corpus_keeps_its_recorded_messages() {
             lookup_keyed_past_a_map_value(),
             "map value access out of bounds at 10",
         ),
+        (
+            "packet head moved outside XDP",
+            Program::new(
+                ProgramType::SocketFilter,
+                asm::assemble("mov64 r2, -14\ncall xdp_adjust_head\nmov64 r0, 0\nexit").unwrap(),
+            ),
+            "unknown helper at 1",
+        ),
     ];
     let mut checker = SafetyChecker::new(SafetyConfig::default());
     let kernel = LinuxVerifier::default();
