@@ -11,6 +11,8 @@
 //!    perform constant folding and local simplification, which matters a lot
 //!    in practice because K2's concretization optimizations turn most
 //!    address-comparison clauses into constants before the solver ever runs.
+//!    They also fold low-bit masks and slices of concatenations, so a masked
+//!    wide load and a narrow load of the same bytes are one term.
 //! 2. [`eval`] — a concrete evaluator used for testing, for validating
 //!    models, and for executing counterexamples back into test cases.
 //! 3. [`bitblast`] — Tseitin conversion of the term graph into CNF: ripple

@@ -82,7 +82,12 @@ pub struct TermNode {
 /// All term construction goes through the methods on this type; structurally
 /// identical terms share a single [`TermId`], and the constructors perform
 /// constant folding and a set of local rewrites (identity/zero elements,
-/// `x == x`, `ite(true, a, b)`, nested extracts, ...).
+/// `x == x`, `ite(true, a, b)`, nested extracts, ...). Two rewrites bring
+/// the same bits to one term whichever way they were read: a low-bit mask
+/// `and(x, 2^k - 1)` becomes `zero_extend(extract(x, k - 1, 0))`, and a
+/// slice of a concatenation that lies within one side becomes a slice of
+/// that side. Since loads are concatenations of bytes, a masked wide load
+/// and a narrow load of the same bytes share a [`TermId`].
 #[derive(Debug, Default, Clone)]
 pub struct TermPool {
     nodes: Vec<TermNode>,
@@ -245,6 +250,13 @@ impl TermPool {
             (Some(0), _) | (_, Some(0)) => return self.constant(0, w),
             (Some(m), _) if m == mask(w) => return b,
             (_, Some(m)) if m == mask(w) => return a,
+            // A low-bit mask keeps the low k bits: and(x, 2^k - 1) is
+            // zero_extend(x[k-1:0]), so it meets narrower reads of x.
+            (Some(m), None) | (None, Some(m)) if (m + 1).is_power_of_two() => {
+                let x = if self.as_const(a).is_some() { b } else { a };
+                let low = self.extract(x, m.trailing_ones() - 1, 0);
+                return self.zero_extend(low, w);
+            }
             _ => {}
         }
         if a == b {
@@ -552,6 +564,16 @@ impl TermPool {
         if let Some(x) = self.as_const(arg) {
             return self.constant((x >> lo) & mask(out_w), out_w);
         }
+        // A slice within one side of a concatenation is a slice of that side.
+        if let Op::Concat(high, low) = self.node(arg).op {
+            let wl = self.width(low);
+            if hi < wl {
+                return self.extract(low, hi, lo);
+            }
+            if lo >= wl {
+                return self.extract(high, hi - wl, lo - wl);
+            }
+        }
         // extract of extract composes.
         if let Op::Extract {
             hi: _ihi,
@@ -848,6 +870,51 @@ mod tests {
                 arg: x
             }
         );
+    }
+
+    #[test]
+    fn low_bit_mask_is_a_zero_extended_slice() {
+        let mut p = TermPool::new();
+        let x = p.var("x", 64);
+        let ff = p.constant(0xff, 64);
+        let low = p.extract(x, 7, 0);
+        let byte = p.zero_extend(low, 64);
+        assert_eq!(p.and(x, ff), byte);
+        assert_eq!(p.and(ff, x), byte);
+        // Only masks of contiguous low bits fold.
+        let f0 = p.constant(0xf0, 64);
+        let high_nibble = p.and(x, f0);
+        assert!(matches!(p.node(high_nibble).op, Op::And(..)));
+    }
+
+    #[test]
+    fn extract_of_concat_picks_a_side() {
+        let mut p = TermPool::new();
+        let hi = p.var("hi", 8);
+        let lo = p.var("lo", 16);
+        let cc = p.concat(hi, lo);
+        let in_lo = p.extract(cc, 11, 4);
+        assert_eq!(in_lo, p.extract(lo, 11, 4));
+        assert_eq!(p.extract(cc, 15, 0), lo);
+        let in_hi = p.extract(cc, 22, 17);
+        assert_eq!(in_hi, p.extract(hi, 6, 1));
+        assert_eq!(p.extract(cc, 23, 16), hi);
+        let straddle = p.extract(cc, 19, 12);
+        assert_eq!(
+            p.node(straddle).op,
+            Op::Extract {
+                hi: 19,
+                lo: 12,
+                arg: cc
+            }
+        );
+        // A masked wide load and a narrow load of the same bytes meet.
+        let bytes: Vec<TermId> = (0..8).map(|i| p.var(format!("b{i}"), 8)).collect();
+        let word = bytes[1..].iter().fold(bytes[0], |acc, &b| p.concat(b, acc));
+        let mask = p.constant(0xffff, 64);
+        let masked = p.and(word, mask);
+        let half = p.concat(bytes[1], bytes[0]);
+        assert_eq!(masked, p.zero_extend(half, 64));
     }
 
     #[test]

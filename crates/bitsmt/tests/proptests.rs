@@ -4,6 +4,10 @@
 //! inputs, the bit-blasted CNF semantics must agree with the reference
 //! evaluator. We check it by asserting `term == eval(term)` is satisfiable
 //! and `term != eval(term)` (under the same variable pinning) is not.
+//!
+//! That check evaluates the term the pool already simplified, so a wrong
+//! rewrite in a smart constructor passes it; `folds_agree_with_the_reference`
+//! compares against a plain-`u64` evaluator over the unsimplified AST.
 
 use bitsmt::{eval::eval, Assignment, CheckResult, Solver, TermId, TermPool};
 use proptest::prelude::*;
@@ -26,6 +30,16 @@ enum Expr {
     UDiv(Box<Expr>, Box<Expr>),
     URem(Box<Expr>, Box<Expr>),
     IteUlt(Box<Expr>, Box<Expr>, Box<Expr>, Box<Expr>),
+    /// `zero_extend(extract(a, hi, lo))`, with `lo <= hi < WIDTH`.
+    Extract(Box<Expr>, u32, u32),
+    /// `concat(a[WIDTH-1-k:0], b[k-1:0])`, with `0 < k < WIDTH`.
+    Concat(Box<Expr>, Box<Expr>, u32),
+    /// `extract(zero_extend(a, 2 * WIDTH), lo + WIDTH - 1, lo)`, with
+    /// `lo <= WIDTH`: a slice of `a`, of its zero high bits, or of both.
+    ZeroExtend(Box<Expr>, u32),
+    /// `and(a, 2^k - 1)`, with `0 < k < WIDTH`; the flag puts the mask
+    /// on the left.
+    AndMask(Box<Expr>, u32, bool),
 }
 
 fn arb_expr(depth: u32) -> BoxedStrategy<Expr> {
@@ -46,12 +60,44 @@ fn arb_expr(depth: u32) -> BoxedStrategy<Expr> {
             (inner.clone(), 0u8..64).prop_map(|(a, s)| Expr::Ashr(Box::new(a), s)),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::UDiv(Box::new(a), Box::new(b))),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::URem(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone(), inner.clone(), inner).prop_map(|(a, b, c, d)| {
-                Expr::IteUlt(Box::new(a), Box::new(b), Box::new(c), Box::new(d))
-            }),
+            (inner.clone(), inner.clone(), inner.clone(), inner.clone()).prop_map(
+                |(a, b, c, d)| Expr::IteUlt(Box::new(a), Box::new(b), Box::new(c), Box::new(d))
+            ),
+            slice_node(inner),
         ]
     })
     .boxed()
+}
+
+/// One of the nodes the pool's slice and mask rewrites apply to.
+fn slice_node(inner: BoxedStrategy<Expr>) -> BoxedStrategy<Expr> {
+    prop_oneof![
+        (inner.clone(), 0..WIDTH, 0..WIDTH).prop_map(|(a, x, y)| Expr::Extract(
+            Box::new(a),
+            x.max(y),
+            x.min(y)
+        )),
+        (inner.clone(), inner.clone(), 1..WIDTH).prop_map(|(a, b, k)| Expr::Concat(
+            Box::new(a),
+            Box::new(b),
+            k
+        )),
+        (inner.clone(), 0..=WIDTH).prop_map(|(a, lo)| Expr::ZeroExtend(Box::new(a), lo)),
+        (inner, 1..WIDTH, any::<bool>()).prop_map(|(a, k, left)| Expr::AndMask(
+            Box::new(a),
+            k,
+            left
+        )),
+    ]
+    .boxed()
+}
+
+/// Expressions rooted in one or two slice nodes, so that every case
+/// exercises a rewrite.
+fn arb_slice_expr() -> BoxedStrategy<Expr> {
+    let inner = arb_expr(2);
+    let once = slice_node(inner.clone());
+    slice_node(prop_oneof![inner, once].boxed())
 }
 
 const WIDTH: u32 = 16; // keep CNF small so the suite runs fast
@@ -113,11 +159,93 @@ fn build(pool: &mut TermPool, e: &Expr) -> TermId {
             let (t, e) = (build(pool, c), build(pool, d));
             pool.ite(cond, t, e)
         }
+        Expr::Extract(a, hi, lo) => {
+            let x = build(pool, a);
+            let slice = pool.extract(x, *hi, *lo);
+            pool.zero_extend(slice, WIDTH)
+        }
+        Expr::Concat(a, b, k) => {
+            let (x, y) = (build(pool, a), build(pool, b));
+            let high = pool.extract(x, WIDTH - 1 - k, 0);
+            let low = pool.extract(y, k - 1, 0);
+            pool.concat(high, low)
+        }
+        Expr::ZeroExtend(a, lo) => {
+            let x = build(pool, a);
+            let wide = pool.zero_extend(x, 2 * WIDTH);
+            pool.extract(wide, lo + WIDTH - 1, *lo)
+        }
+        Expr::AndMask(a, k, left) => {
+            let x = build(pool, a);
+            let m = pool.constant(low_bits(*k), WIDTH);
+            if *left {
+                pool.and(m, x)
+            } else {
+                pool.and(x, m)
+            }
+        }
     }
+}
+
+fn low_bits(k: u32) -> u64 {
+    (1u64 << k) - 1
+}
+
+/// The value of `e` at `WIDTH` bits, computed on plain `u64`s straight from
+/// the AST, with no term pool and so none of its rewrites.
+fn reference(e: &Expr, vars: &[u64; 3]) -> u64 {
+    let m = low_bits(WIDTH);
+    let r = |e: &Expr| reference(e, vars);
+    let v = match e {
+        Expr::Var(i) => vars[*i as usize],
+        Expr::Const(c) => *c,
+        Expr::Add(a, b) => r(a).wrapping_add(r(b)),
+        Expr::Sub(a, b) => r(a).wrapping_sub(r(b)),
+        Expr::Mul(a, b) => r(a).wrapping_mul(r(b)),
+        Expr::And(a, b) => r(a) & r(b),
+        Expr::Or(a, b) => r(a) | r(b),
+        Expr::Xor(a, b) => r(a) ^ r(b),
+        Expr::Shl(a, s) => r(a) << (u32::from(*s) % WIDTH),
+        Expr::Lshr(a, s) => r(a) >> (u32::from(*s) % WIDTH),
+        Expr::Ashr(a, s) => {
+            let signed = (r(a) << (64 - WIDTH)) as i64 >> (64 - WIDTH);
+            (signed >> (u32::from(*s) % WIDTH)) as u64
+        }
+        Expr::UDiv(a, b) => r(a).checked_div(r(b)).unwrap_or(0),
+        Expr::URem(a, b) => {
+            let x = r(a);
+            x.checked_rem(r(b)).unwrap_or(x)
+        }
+        Expr::IteUlt(a, b, c, d) => {
+            if r(a) < r(b) {
+                r(c)
+            } else {
+                r(d)
+            }
+        }
+        Expr::Extract(a, hi, lo) => (r(a) >> lo) & low_bits(hi - lo + 1),
+        Expr::Concat(a, b, k) => (r(a) << k) | (r(b) & low_bits(*k)),
+        Expr::ZeroExtend(a, lo) => r(a) >> lo,
+        Expr::AndMask(a, k, _) => r(a) & low_bits(*k),
+    };
+    v & m
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The pool's rewrites preserve meaning: evaluating the built (and
+    /// already folded) term gives what the AST means before any folding.
+    #[test]
+    fn folds_agree_with_the_reference(e in arb_slice_expr(), v0 in any::<u64>(), v1 in any::<u64>(), v2 in any::<u64>()) {
+        let vars = [v0 & 0xffff, v1 & 0xffff, v2 & 0xffff];
+        let mut pool = TermPool::new();
+        let term = build(&mut pool, &e);
+        let mut assignment = Assignment::new();
+        assignment.set("v0", vars[0]).set("v1", vars[1]).set("v2", vars[2]);
+        prop_assert_eq!(pool.width(term), WIDTH);
+        prop_assert_eq!(eval(&pool, &assignment, term), reference(&e, &vars), "{:?}", e);
+    }
 
     /// The solver agrees with the evaluator: pin the variables to concrete
     /// values, compute the expected result with the evaluator, and check that

@@ -5,7 +5,7 @@ use crate::counterexample::input_from_model;
 use crate::encode::{EncodeError, EncodeOptions, Encoder};
 use crate::refute::Refuter;
 use crate::window::{check_window_with, Window, WindowContext};
-use bitsmt::{CheckResult, SolveMemo, Solver, TermPool};
+use bitsmt::{CheckResult, SolveMemo, Solver, SolverStats, TermPool};
 use bpf_interp::ProgramInput;
 use bpf_isa::Program;
 use k2_telemetry::TelemetryRef;
@@ -230,10 +230,9 @@ pub struct EquivChecker {
     pub stats: EquivStats,
     /// Microseconds spent in the most recent solver query.
     pub last_time_us: u64,
-    /// CNF variables in the most recent solver query.
-    pub last_cnf_vars: u64,
-    /// CNF clauses in the most recent solver query.
-    pub last_cnf_clauses: u64,
+    /// Solver statistics (CNF size, conflicts, ...) of the most recent
+    /// solver query.
+    pub last_solve: SolverStats,
     telemetry: TelemetryRef,
 }
 
@@ -249,8 +248,7 @@ impl EquivChecker {
             memo: None,
             stats: EquivStats::default(),
             last_time_us: 0,
-            last_cnf_vars: 0,
-            last_cnf_clauses: 0,
+            last_solve: SolverStats::default(),
             telemetry: TelemetryRef::none(),
         }
     }
@@ -581,8 +579,7 @@ impl EquivChecker {
             (solver.check(), solver.stats)
         };
         self.stats.memo_hits += u64::from(solver_stats.memo_hit);
-        self.last_cnf_vars = solver_stats.cnf_vars;
-        self.last_cnf_clauses = solver_stats.cnf_clauses;
+        self.last_solve = solver_stats;
 
         let outcome = match result {
             CheckResult::Unsat => EquivOutcome::Equivalent,
@@ -620,7 +617,7 @@ mod tests {
         let mut checker = EquivChecker::new(EquivOptions::default());
         assert!(checker.check(&src, &cand).is_equivalent());
         assert_eq!(checker.stats.queries, 1);
-        assert!(checker.last_cnf_clauses > 0 || checker.last_cnf_vars == 0);
+        assert!(checker.last_solve.cnf_clauses > 0 || checker.last_solve.cnf_vars == 0);
     }
 
     #[test]

@@ -157,6 +157,17 @@ impl ProgramType {
             .map_or(0, |&(off, size, _)| off + size)
     }
 
+    /// The slot holding all `size` bytes at context offset `offset`, if one
+    /// does (an access that crosses a slot boundary or leaves the context
+    /// has none).
+    pub fn ctx_slot(self, offset: i64, size: MemSize) -> Option<CtxSlot> {
+        let end = offset + size.bytes() as i64;
+        self.ctx_layout()
+            .iter()
+            .copied()
+            .find(|&(off, width, _)| off as i64 <= offset && end <= (off + width) as i64)
+    }
+
     /// What a `size` load at context offset `offset` yields: a packet
     /// pointer when it reads a whole pointer slot, else a scalar.
     pub fn ctx_load(self, offset: i64, size: MemSize) -> CtxLoad {
@@ -460,6 +471,33 @@ mod tests {
                 CtxLoad::Scalar
             );
         }
+    }
+
+    #[test]
+    fn a_context_access_has_a_slot_only_within_one() {
+        let xdp = ProgramType::Xdp;
+        assert_eq!(
+            xdp.ctx_slot(0, MemSize::Dword),
+            Some((0, 8, CtxField::Data))
+        );
+        assert_eq!(
+            xdp.ctx_slot(9, MemSize::Byte),
+            Some((8, 8, CtxField::DataEnd))
+        );
+        assert_eq!(
+            xdp.ctx_slot(26, MemSize::Half),
+            Some((24, 4, CtxField::Input(0)))
+        );
+        assert_eq!(xdp.ctx_slot(4, MemSize::Dword), None);
+        assert_eq!(xdp.ctx_slot(24, MemSize::Dword), None);
+        assert_eq!(xdp.ctx_slot(32, MemSize::Byte), None);
+        assert_eq!(xdp.ctx_slot(-1, MemSize::Byte), None);
+        let tp = ProgramType::Tracepoint;
+        assert_eq!(
+            tp.ctx_slot(12, MemSize::Word),
+            Some((8, 8, CtxField::Input(1)))
+        );
+        assert_eq!(tp.ctx_slot(60, MemSize::Dword), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! checker and the Linux kernel-checker model.
 
 use bpf_analysis::cfg::Cfg;
-use bpf_isa::{AluOp, CtxLoad, HelperId, Insn, JmpOp, MapId, MemSize, Program, Reg, Src};
+use bpf_isa::{AluOp, CtxField, CtxLoad, HelperId, Insn, JmpOp, MapId, MemSize, Program, Reg, Src};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -66,6 +66,16 @@ pub enum VerifierError {
     },
     /// A context access is outside the context structure.
     CtxOutOfBounds {
+        /// Instruction index.
+        at: usize,
+    },
+    /// A context load that crosses a slot boundary or reads part of a
+    /// pointer slot.
+    CtxFieldAccess {
+        /// Context offset of the access.
+        off: i64,
+        /// Access width in bytes.
+        size: usize,
         /// Instruction index.
         at: usize,
     },
@@ -163,6 +173,9 @@ impl fmt::Display for VerifierError {
             }
             VerifierError::CtxOutOfBounds { at } => {
                 write!(f, "context access out of bounds at {at}")
+            }
+            VerifierError::CtxFieldAccess { off, size, at } => {
+                write!(f, "invalid context access off={off} size={size} at {at}")
             }
             VerifierError::CtxStoreImm { at } => {
                 write!(f, "immediate store into PTR_TO_CTX at {at}")
@@ -718,6 +731,19 @@ fn check_mem_access(
             if start < 0 || start + nbytes > prog.prog_type.ctx_size() as i64 {
                 return Err(VerifierError::CtxOutOfBounds { at });
             }
+            // A load reads within one slot, and a pointer slot only whole.
+            let within_a_slot = match prog.prog_type.ctx_slot(start, size) {
+                Some((_, _, CtxField::Input(_))) => true,
+                Some((slot, width, _)) => slot as i64 == start && width as i64 == nbytes,
+                None => false,
+            };
+            if !within_a_slot {
+                return Err(VerifierError::CtxFieldAccess {
+                    off: start,
+                    size: size.bytes(),
+                    at,
+                });
+            }
             Ok(match prog.prog_type.ctx_load(start, size) {
                 CtxLoad::Packet => RV::PtrPacket(Some(0)),
                 CtxLoad::PacketEnd => RV::PtrPacketEnd,
@@ -1030,6 +1056,30 @@ mod tests {
         let e2 = reject_with(&xdp("ldxdw r0, [r1+64]\nexit"));
         assert!(matches!(e2, VerifierError::CtxOutOfBounds { .. }));
         assert!(accept(&xdp("ldxw r0, [r1+24]\nexit")));
+    }
+
+    #[test]
+    fn context_loads_read_within_one_slot() {
+        // Input slots may be read in part; pointer slots only whole.
+        assert!(accept(&xdp("ldxb r0, [r1+25]\nexit")));
+        assert!(accept(&xdp("ldxh r0, [r1+30]\nexit")));
+        let tracepoint = Program::new(
+            ProgramType::Tracepoint,
+            asm::assemble("ldxw r0, [r1+12]\nexit").unwrap(),
+        );
+        assert!(accept(&tracepoint));
+        assert_eq!(
+            reject_with(&xdp("ldxh r0, [r1+22]\nexit")),
+            VerifierError::CtxFieldAccess {
+                off: 22,
+                size: 2,
+                at: 0
+            }
+        );
+        assert!(matches!(
+            reject_with(&xdp("ldxw r0, [r1+26]\nexit")),
+            VerifierError::CtxFieldAccess { .. }
+        ));
     }
 
     #[test]

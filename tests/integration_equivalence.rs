@@ -185,32 +185,14 @@ fn every_baseline_checked_against_itself_needs_no_conflicts() {
     // A program against itself shares every initial read, so each output
     // pair is the same term and the miter folds away before the SAT search:
     // a cold one-shot solve must decide it without a single conflict.
-    use bitsmt::{CheckResult, Solver, TermPool};
-    use bpf_equiv::encode::{EncodeOptions, Encoder};
     for bench in bpf_bench_suite::all() {
         let (_, prog) = k2_baseline::best_baseline(&bench.prog);
-        let mut pool = TermPool::new();
-        let mut encoder = Encoder::new(&mut pool, EncodeOptions::default());
-        let a = encoder.encode_program(&prog, 0).expect("baseline encodes");
-        let b = encoder.encode_program(&prog, 1).expect("baseline encodes");
-        let calls_match = encoder
-            .call_logs_compatible(&a, &b)
-            .expect("identical call logs");
-        let outputs_differ = encoder.output_difference(&a, &b);
-        let constraints = encoder.constraints.clone();
-        let pool = encoder.pool();
-        let calls_differ = pool.not(calls_match);
-        let differ = pool.or(outputs_differ, calls_differ);
-        let mut solver = Solver::new(pool);
-        for c in constraints {
-            solver.assert(c);
-        }
-        solver.assert(differ);
+        let mut checker = EquivChecker::new(EquivOptions::default());
         assert!(
-            matches!(solver.check(), CheckResult::Unsat),
+            checker.check_uncached(&prog, &prog).is_equivalent(),
             "{} is not equivalent to itself",
             bench.name
         );
-        assert_eq!(solver.stats.conflicts, 0, "{}", bench.name);
+        assert_eq!(checker.last_solve.conflicts, 0, "{}", bench.name);
     }
 }

@@ -413,6 +413,26 @@ fn must_reject_corpus_keeps_its_recorded_messages() {
             "immediate store into PTR_TO_CTX at 0",
         ),
         (
+            "load across the data and data_end slots",
+            text("ldxdw r0, [r1+4]\nexit"),
+            "invalid context access off=4 size=8 at 0",
+        ),
+        (
+            "load of half the data pointer",
+            text("ldxw r0, [r1+0]\nexit"),
+            "invalid context access off=0 size=4 at 0",
+        ),
+        (
+            "load of one byte of the data_end pointer",
+            text("ldxb r0, [r1+9]\nexit"),
+            "invalid context access off=9 size=1 at 0",
+        ),
+        (
+            "load across both XDP input words",
+            text("ldxdw r0, [r1+24]\nexit"),
+            "invalid context access off=24 size=8 at 0",
+        ),
+        (
             "neg with a register source",
             neg_with_register_source(),
             "BPF_NEG uses reserved fields at 1",
