@@ -295,11 +295,6 @@ impl K2SessionBuilder {
         self.set("time_budget_ms", KnobValue::Uint(ms))
     }
 
-    /// Override the wall-clock budget as a [`std::time::Duration`].
-    pub fn time_budget(self, budget: std::time::Duration) -> Self {
-        self.time_budget_ms(budget.as_millis() as u64)
-    }
-
     /// Override the batch worker count (`0` = one per CPU).
     pub fn batch_workers(self, workers: usize) -> Self {
         self.set("batch_workers", KnobValue::Uint(workers as u64))

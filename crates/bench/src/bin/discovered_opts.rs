@@ -50,7 +50,7 @@ fn main() {
     );
     let window = Window { start: 2, end: 5 };
     let replacement = asm::assemble("mov32 r0, r2\narsh64 r0, 21\nnop").unwrap();
-    let (outcome, us) = check_window(&balancer, window, &replacement, &Default::default());
+    let (outcome, us) = check_window(&balancer, window, &replacement);
     println!("Example 2 — context-dependent rewrite (balancer_kern):");
     println!(
         "  window [{}..{}) of:\n{}",

@@ -143,9 +143,7 @@ impl Cfg {
             }
         }
         for (from, to) in edges {
-            if !blocks[from].succs.contains(&to)
-                || is_cond_with_same_target(&blocks, insns, from, to)
-            {
+            if !blocks[from].succs.contains(&to) {
                 blocks[from].succs.push(to);
             }
             if !blocks[to].preds.contains(&from) {
@@ -243,86 +241,6 @@ impl Cfg {
         Some(order)
     }
 
-    /// Immediate dominators of every reachable block (entry dominates itself).
-    /// Unreachable blocks get `usize::MAX`.
-    ///
-    /// Uses the Cooper–Harvey–Kennedy iterative algorithm over the reverse
-    /// post-order.
-    pub fn dominators(&self) -> Vec<usize> {
-        const UNDEF: usize = usize::MAX;
-        let order = match self.topo_order() {
-            Some(o) => o,
-            // With loops, fall back to reverse post-order from a DFS.
-            None => self.reverse_post_order(),
-        };
-        let mut rpo_index = vec![UNDEF; self.blocks.len()];
-        for (i, &b) in order.iter().enumerate() {
-            rpo_index[b] = i;
-        }
-        let mut idom = vec![UNDEF; self.blocks.len()];
-        idom[0] = 0;
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in order.iter().skip(1) {
-                let mut new_idom = UNDEF;
-                for &p in &self.blocks[b].preds {
-                    if idom[p] == UNDEF {
-                        continue;
-                    }
-                    new_idom = if new_idom == UNDEF {
-                        p
-                    } else {
-                        intersect(&idom, &rpo_index, p, new_idom)
-                    };
-                }
-                if new_idom != UNDEF && idom[b] != new_idom {
-                    idom[b] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-        idom
-    }
-
-    /// Whether block `a` dominates block `b` (every path from the entry to
-    /// `b` passes through `a`).
-    pub fn dominates(&self, idom: &[usize], a: usize, b: usize) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if cur == 0 || idom[cur] == usize::MAX {
-                return a == 0 && cur == 0;
-            }
-            let next = idom[cur];
-            if next == cur {
-                return a == cur;
-            }
-            cur = next;
-        }
-    }
-
-    /// Whether there is any path from block `a` to block `b`.
-    pub fn can_reach(&self, a: usize, b: usize) -> bool {
-        let mut seen = vec![false; self.blocks.len()];
-        let mut stack = vec![a];
-        while let Some(x) = stack.pop() {
-            if x == b {
-                return true;
-            }
-            if seen[x] {
-                continue;
-            }
-            seen[x] = true;
-            for &s in &self.blocks[x].succs {
-                stack.push(s);
-            }
-        }
-        false
-    }
-
     /// Length (in blocks) of the longest acyclic path from the entry to any
     /// exit — the "longest path" metric reported in the paper's Table 1.
     pub fn longest_path_blocks(&self) -> usize {
@@ -345,52 +263,6 @@ impl Cfg {
             None => self.blocks.len(),
         }
     }
-
-    fn reverse_post_order(&self) -> Vec<usize> {
-        let mut visited = vec![false; self.blocks.len()];
-        let mut post = Vec::new();
-        // Iterative post-order DFS.
-        let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-        visited[0] = true;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next < self.blocks[node].succs.len() {
-                let s = self.blocks[node].succs[*next];
-                *next += 1;
-                if !visited[s] {
-                    visited[s] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(node);
-                stack.pop();
-            }
-        }
-        post.reverse();
-        post
-    }
-}
-
-/// Conditional jumps whose taken and fall-through targets coincide produce a
-/// single edge; this helper keeps the succs list deduplicated in that case.
-fn is_cond_with_same_target(
-    _blocks: &[BasicBlock],
-    _insns: &[Insn],
-    _from: usize,
-    _to: usize,
-) -> bool {
-    false
-}
-
-fn intersect(idom: &[usize], rpo_index: &[usize], mut a: usize, mut b: usize) -> usize {
-    while a != b {
-        while rpo_index[a] > rpo_index[b] {
-            a = idom[a];
-        }
-        while rpo_index[b] > rpo_index[a] {
-            b = idom[b];
-        }
-    }
-    a
 }
 
 #[cfg(test)]
@@ -433,15 +305,6 @@ mod tests {
         assert!(!cfg.has_loop());
         assert_eq!(cfg.topo_order(), Some(vec![0, 1, 2, 3]));
         assert_eq!(cfg.longest_path_blocks(), 3);
-
-        let idom = cfg.dominators();
-        assert_eq!(idom[1], 0);
-        assert_eq!(idom[2], 0);
-        assert_eq!(idom[3], 0);
-        assert!(cfg.dominates(&idom, 0, 3));
-        assert!(!cfg.dominates(&idom, 1, 3));
-        assert!(cfg.can_reach(1, 3));
-        assert!(!cfg.can_reach(1, 2));
     }
 
     #[test]

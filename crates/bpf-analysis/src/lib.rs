@@ -5,7 +5,7 @@
 //! optimizer (`k2-baseline`) and the K2 search itself (`k2-core`):
 //!
 //! * [`mod@cfg`] — control-flow graph over basic blocks, reachability,
-//!   topological order, back-edge (loop) detection, and dominators,
+//!   topological order and back-edge (loop) detection,
 //! * [`liveness`] — per-instruction live register sets and live stack slots,
 //!   used for dead-code elimination and for K2's window-based verification
 //!   pre/postconditions,

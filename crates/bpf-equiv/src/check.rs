@@ -13,17 +13,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Options controlling the equivalence checker: the paper's optimizations
-/// I–V (IV, modular verification, engages on [`EquivChecker::check_in_window`]
-/// calls).
+/// IV (modular verification, which engages on
+/// [`EquivChecker::check_in_window`] calls) and V. Optimizations I–III have
+/// no switch: the encoder keeps one table per memory region and one per map,
+/// and the term pool folds the comparison of two constant addresses
+/// ([`crate::encode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EquivOptions {
-    /// Optimization I: per-memory-region read/write tables. (Optimization
-    /// II, per-map tables, is always on: map helpers must name a statically
-    /// known map.)
-    pub memory_type_concretization: bool,
-    /// Optimization III: compile-time resolution of concrete address
-    /// comparisons.
-    pub offset_concretization: bool,
     /// Optimization IV: modular (window-based) verification. When a
     /// candidate differs from the source only inside a straight-line span,
     /// [`EquivChecker::check_in_window`] first tries the much smaller
@@ -45,8 +41,6 @@ pub struct EquivOptions {
 impl Default for EquivOptions {
     fn default() -> Self {
         EquivOptions {
-            memory_type_concretization: true,
-            offset_concretization: true,
             window_verification: true,
             enable_cache: true,
             incremental_solving: false,
@@ -56,23 +50,14 @@ impl Default for EquivOptions {
 }
 
 impl EquivOptions {
-    /// Every optimization that can be turned off is off (the paper's "None"
-    /// column in Table 4; map tables stay per map).
+    /// Every optimization that can be turned off is off: no windows and no
+    /// verdict cache.
     pub fn none() -> EquivOptions {
         EquivOptions {
-            memory_type_concretization: false,
-            offset_concretization: false,
             window_verification: false,
             enable_cache: false,
             incremental_solving: false,
             static_analysis: false,
-        }
-    }
-
-    fn encode_options(&self) -> EncodeOptions {
-        EncodeOptions {
-            memory_type_concretization: self.memory_type_concretization,
-            offset_concretization: self.offset_concretization,
         }
     }
 }
@@ -493,13 +478,8 @@ impl EquivChecker {
             .expect("just inserted")
             .1
             .as_ref()?;
-        let (outcome, us) = check_window_with(
-            ctx,
-            src,
-            window,
-            &cand.insns[window.start..window.end],
-            &self.options.encode_options(),
-        );
+        let (outcome, us) =
+            check_window_with(ctx, src, window, &cand.insns[window.start..window.end]);
         self.stats.window_time_us += us;
         self.telemetry.time_us("equiv.window", us);
         match outcome {
@@ -533,7 +513,7 @@ impl EquivChecker {
         let start = Instant::now();
         let telemetry = self.telemetry.clone();
         let mut pool = TermPool::new();
-        let mut encoder = Encoder::new(&mut pool, self.options.encode_options());
+        let mut encoder = Encoder::new(&mut pool, EncodeOptions);
 
         // The encode span covers formula construction up to (but not
         // including) bit-blasting; an encode failure still records the
@@ -901,19 +881,7 @@ mod tests {
         let src = xdp("mov64 r6, 7\nstxdw [r10-8], r6\nldxdw r0, [r10-8]\nadd64 r0, 1\nexit");
         let good = xdp("mov64 r0, 8\nexit");
         let bad = xdp("mov64 r0, 9\nexit");
-        for opts in [
-            EquivOptions::default(),
-            EquivOptions {
-                offset_concretization: false,
-                ..EquivOptions::default()
-            },
-            EquivOptions {
-                memory_type_concretization: false,
-                offset_concretization: false,
-                ..EquivOptions::default()
-            },
-            EquivOptions::none(),
-        ] {
+        for opts in [EquivOptions::default(), EquivOptions::none()] {
             let mut checker = EquivChecker::new(opts);
             assert!(checker.check(&src, &good).is_equivalent(), "{opts:?}");
             assert!(!checker.check(&src, &bad).is_equivalent(), "{opts:?}");

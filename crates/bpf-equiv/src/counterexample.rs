@@ -5,6 +5,7 @@
 
 use crate::encode::{Encoder, Region, DATA_PTR};
 use bitsmt::{eval::Evaluator, Model, TermId};
+use bpf_interp::layout::CTX_BASE;
 use bpf_interp::ProgramInput;
 use bpf_isa::{CtxField, Program};
 use std::cell::RefCell;
@@ -31,8 +32,9 @@ pub fn input_from_model(encoder: &Encoder<'_>, model: &Model, prog: &Program) ->
         ..ProgramInput::default()
     };
 
-    // Packet and context contents: place each observed initial byte at its
-    // offset, a context byte into the input word its slot holds.
+    // Packet and context contents: place each observed initial byte at the
+    // offset its address evaluates to, a context byte into the input word
+    // its slot holds.
     // Map contents: every key the model says is present, and every key
     // whose value bytes the formula read unless the model says it is
     // absent, becomes an entry holding the value bytes read under an equal
@@ -42,18 +44,13 @@ pub fn input_from_model(encoder: &Encoder<'_>, model: &Model, prog: &Program) ->
     for &(cell, value) in encoder.init_cells() {
         match cell.region {
             Region::Packet => {
-                let off = match cell.offset {
-                    Some(o) => o,
-                    None => value_of(cell.term) as i64 - DATA_PTR as i64,
-                };
-                if off >= 0 && (off as usize) < input.packet.len() {
-                    input.packet[off as usize] = value_of(value) as u8;
+                let off = value_of(cell.term).wrapping_sub(DATA_PTR) as usize;
+                if off < input.packet.len() {
+                    input.packet[off] = value_of(value) as u8;
                 }
             }
             Region::Context => {
-                let Some(off) = cell.offset.map(|o| o as usize) else {
-                    continue;
-                };
+                let off = value_of(cell.term).wrapping_sub(CTX_BASE) as usize;
                 for &(start, size, field) in prog.prog_type.ctx_layout() {
                     if let (CtxField::Input(word), true) =
                         (field, (start..start + size).contains(&off))
@@ -73,7 +70,7 @@ pub fn input_from_model(encoder: &Encoder<'_>, model: &Model, prog: &Program) ->
                     .entry((map_id, value_of(cell.term), offset))
                     .or_insert_with(|| value_of(value) as u8);
             }
-            _ => {}
+            Region::Stack => {}
         }
     }
     let read_keys = map_bytes.keys().map(|&(map_id, key, _)| (map_id, key));
@@ -123,7 +120,7 @@ mod tests {
         );
 
         let mut pool = TermPool::new();
-        let mut enc = Encoder::new(&mut pool, EncodeOptions::default());
+        let mut enc = Encoder::new(&mut pool, EncodeOptions);
         let e1 = enc.encode_program(&src, 0).unwrap();
         let e2 = enc.encode_program(&cand, 1).unwrap();
         let diff = enc.output_difference(&e1, &e2);

@@ -34,13 +34,14 @@
 //!
 //! ## Optimizations (paper §5)
 //!
-//! [`EquivOptions`] exposes the paper's optimizations I–V individually so the
-//! Table 4 / Table 6 ablations can be reproduced:
+//! Optimizations I–III are structural; only IV and V have switches, in
+//! [`EquivOptions`]:
 //!
 //! 1. memory type concretization — separate tables per memory region,
 //! 2. map concretization — separate tables per map,
-//! 3. memory offset concretization — compile-time resolution of address
-//!    comparisons when the pointer offsets are statically known,
+//! 3. memory offset concretization — an address is a constant region base
+//!    plus its offset wherever the offset is statically known, so the term
+//!    pool folds the comparison of two such addresses,
 //! 4. modular (window) verification — [`window::check_window`],
 //! 5. caching — [`cache::EquivCache`] keyed by canonicalized programs.
 //!

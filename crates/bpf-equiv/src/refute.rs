@@ -73,11 +73,6 @@ impl Refuter {
         Refuter { backend, batch }
     }
 
-    /// Number of inputs in the batch.
-    pub fn num_inputs(&self) -> usize {
-        self.batch.len()
-    }
-
     /// Try to refute `cand` by concrete execution: returns the first input
     /// on which both programs run successfully but produce different
     /// observable outputs, or `None` when the batch is inconclusive and the

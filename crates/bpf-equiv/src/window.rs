@@ -78,16 +78,11 @@ impl WindowContext {
 ///
 /// This convenience wrapper analyzes `src` on every call; the search hot
 /// path builds a [`WindowContext`] once and uses [`check_window_with`].
-pub fn check_window(
-    src: &Program,
-    window: Window,
-    replacement: &[Insn],
-    options: &EncodeOptions,
-) -> (EquivOutcome, u64) {
+pub fn check_window(src: &Program, window: Window, replacement: &[Insn]) -> (EquivOutcome, u64) {
     let start_time = Instant::now();
     match WindowContext::new(src) {
         Some(ctx) => {
-            let (outcome, _) = check_window_with(&ctx, src, window, replacement, options);
+            let (outcome, _) = check_window_with(&ctx, src, window, replacement);
             (outcome, start_time.elapsed().as_micros() as u64)
         }
         None => (
@@ -106,7 +101,6 @@ pub fn check_window_with(
     src: &Program,
     window: Window,
     replacement: &[Insn],
-    options: &EncodeOptions,
 ) -> (EquivOutcome, u64) {
     let start_time = Instant::now();
     let elapsed = |t: Instant| t.elapsed().as_micros() as u64;
@@ -151,7 +145,7 @@ pub fn check_window_with(
     let live_stack_out: Vec<i16> = live.stack_live_out[window.end - 1].clone();
 
     let mut pool = TermPool::new();
-    let mut encoder = Encoder::new(&mut pool, *options);
+    let mut encoder = Encoder::new(&mut pool, EncodeOptions);
 
     // Shared register state entering both windows. Registers with statically
     // known constants become those constants (precondition); the frame
@@ -234,10 +228,6 @@ mod tests {
         Program::new(ProgramType::Xdp, asm::assemble(text).unwrap())
     }
 
-    fn opts() -> EncodeOptions {
-        EncodeOptions::default()
-    }
-
     #[test]
     fn window_accepts_strength_reduction_with_known_operand() {
         // r3 is known to be 4 entering the window, so r1 *= r3 can become
@@ -245,7 +235,7 @@ mod tests {
         let src = xdp("mov64 r3, 4\nmov64 r1, 10\nmul64 r1, r3\nmov64 r0, r1\nexit");
         let window = Window { start: 2, end: 3 };
         let replacement = asm::assemble("lsh64 r1, 2").unwrap();
-        let (outcome, _) = check_window(&src, window, &replacement, &opts());
+        let (outcome, _) = check_window(&src, window, &replacement);
         assert!(outcome.is_equivalent(), "{outcome:?}");
     }
 
@@ -255,7 +245,7 @@ mod tests {
         let src = xdp("mov64 r3, 3\nmov64 r1, 10\nmul64 r1, r3\nmov64 r0, r1\nexit");
         let window = Window { start: 2, end: 3 };
         let replacement = asm::assemble("lsh64 r1, 2").unwrap();
-        let (outcome, _) = check_window(&src, window, &replacement, &opts());
+        let (outcome, _) = check_window(&src, window, &replacement);
         assert!(!outcome.is_equivalent());
     }
 
@@ -267,11 +257,11 @@ mod tests {
         let window = Window { start: 0, end: 3 };
         let replacement = asm::assemble("mov64 r2, 6\nmov64 r3, 99").unwrap();
         // r3 differs (99 vs 2) but is dead after the window.
-        let (outcome, _) = check_window(&src, window, &replacement, &opts());
+        let (outcome, _) = check_window(&src, window, &replacement);
         assert!(outcome.is_equivalent(), "{outcome:?}");
         // If r3 were live out, the same replacement must be rejected.
         let src_live = xdp("mov64 r2, 1\nmov64 r3, 2\nadd64 r2, 5\nmov64 r0, r3\nexit");
-        let (outcome2, _) = check_window(&src_live, window, &replacement, &opts());
+        let (outcome2, _) = check_window(&src_live, window, &replacement);
         assert!(!outcome2.is_equivalent());
     }
 
@@ -280,10 +270,10 @@ mod tests {
         let src = xdp("mov64 r1, 0\nstxw [r10-4], r1\nstxw [r10-8], r1\nldxdw r0, [r10-8]\nexit");
         let window = Window { start: 0, end: 3 };
         let good = asm::assemble("stdw [r10-8], 0\nmov64 r1, 0").unwrap();
-        let (outcome, _) = check_window(&src, window, &good, &opts());
+        let (outcome, _) = check_window(&src, window, &good);
         assert!(outcome.is_equivalent(), "{outcome:?}");
         let bad = asm::assemble("stdw [r10-8], 1\nmov64 r1, 0").unwrap();
-        let (outcome2, _) = check_window(&src, window, &bad, &opts());
+        let (outcome2, _) = check_window(&src, window, &bad);
         assert!(!outcome2.is_equivalent());
     }
 
@@ -295,13 +285,13 @@ mod tests {
         let src = xdp("mov64 r0, 5\nadd64 r0, 7\nexit");
         for start in 0..=src.insns.len() {
             let window = Window { start, end: start };
-            let (outcome, _) = check_window(&src, window, &[], &opts());
+            let (outcome, _) = check_window(&src, window, &[]);
             assert!(outcome.is_equivalent(), "start {start}: {outcome:?}");
         }
         // An empty window with a non-empty replacement is an insertion, not
         // a rewrite this checker reasons about: stay conservative.
         let insertion = asm::assemble("mov64 r1, 0").unwrap();
-        let (outcome, _) = check_window(&src, Window { start: 1, end: 1 }, &insertion, &opts());
+        let (outcome, _) = check_window(&src, Window { start: 1, end: 1 }, &insertion);
         assert!(matches!(outcome, EquivOutcome::Unknown(_)));
         // Out-of-range windows are still rejected, even empty ones.
         let far = src.insns.len() + 1;
@@ -312,7 +302,6 @@ mod tests {
                 end: far,
             },
             &[],
-            &opts(),
         );
         assert!(matches!(outcome, EquivOutcome::Unknown(_)));
     }
@@ -324,12 +313,12 @@ mod tests {
         let window = Window { start: 2, end: 3 };
         let good = asm::assemble("lsh64 r1, 2").unwrap();
         let bad = asm::assemble("lsh64 r1, 3").unwrap();
-        let (fresh_good, _) = check_window(&src, window, &good, &opts());
-        let (ctx_good, _) = check_window_with(&ctx, &src, window, &good, &opts());
+        let (fresh_good, _) = check_window(&src, window, &good);
+        let (ctx_good, _) = check_window_with(&ctx, &src, window, &good);
         assert_eq!(fresh_good, ctx_good);
         assert!(ctx_good.is_equivalent());
-        let (fresh_bad, _) = check_window(&src, window, &bad, &opts());
-        let (ctx_bad, _) = check_window_with(&ctx, &src, window, &bad, &opts());
+        let (fresh_bad, _) = check_window(&src, window, &bad);
+        let (ctx_bad, _) = check_window_with(&ctx, &src, window, &bad);
         assert_eq!(fresh_bad, ctx_bad);
         assert!(!ctx_bad.is_equivalent());
     }
@@ -339,7 +328,7 @@ mod tests {
         let src = xdp("mov64 r0, 0\njeq r0, 0, +0\nexit");
         let window = Window { start: 1, end: 2 };
         let replacement = asm::assemble("mov64 r1, 0").unwrap();
-        let (outcome, _) = check_window(&src, window, &replacement, &opts());
+        let (outcome, _) = check_window(&src, window, &replacement);
         assert!(matches!(outcome, EquivOutcome::Unknown(_)));
     }
 
@@ -352,7 +341,7 @@ mod tests {
         );
         let window = Window { start: 4, end: 7 };
         let replacement = asm::assemble("add64 r2, r3\nadd64 r2, r4\nadd64 r2, r5").unwrap();
-        let (outcome, micros) = check_window(&src, window, &replacement, &opts());
+        let (outcome, micros) = check_window(&src, window, &replacement);
         assert!(outcome.is_equivalent());
         assert!(micros > 0);
     }

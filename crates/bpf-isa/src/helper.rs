@@ -123,12 +123,6 @@ impl HelperId {
         )
     }
 
-    /// Whether the helper's return value is a pointer into map value memory
-    /// (as opposed to a scalar).
-    pub fn returns_map_value_ptr(self) -> bool {
-        matches!(self, HelperId::MapLookup)
-    }
-
     /// Whether two calls with identical arguments are guaranteed to return the
     /// same result (i.e. the helper is a pure function of its arguments and
     /// the map state). Random numbers and timestamps are not.

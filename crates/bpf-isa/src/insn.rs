@@ -465,11 +465,6 @@ impl Insn {
         )
     }
 
-    /// Whether control never falls through to the following instruction.
-    pub fn is_unconditional_exit_or_jump(&self) -> bool {
-        matches!(self, Insn::Ja { .. } | Insn::Exit)
-    }
-
     /// For a (conditional or unconditional) jump at index `pc`, the absolute
     /// target index. Returns `None` for non-jumps and for `exit`.
     pub fn jump_target(&self, pc: usize) -> Option<i64> {

@@ -375,11 +375,6 @@ impl CostFunction {
         self.tests.len()
     }
 
-    /// Access the equivalence checker (for cache statistics).
-    pub fn equivalence_checker(&self) -> &EquivChecker {
-        &self.equiv
-    }
-
     /// Accumulated statistics of the per-chain safety checker.
     pub fn safety_stats(&self) -> bpf_safety::SafetyStats {
         self.safety.stats

@@ -78,7 +78,7 @@ proptest! {
             .ret;
 
         let mut pool = TermPool::new();
-        let mut encoder = Encoder::new(&mut pool, EncodeOptions::default());
+        let mut encoder = Encoder::new(&mut pool, EncodeOptions);
         let encoding = encoder
             .encode_program(&prog, 0)
             .expect("straight-line ALU must be encodable");

@@ -110,17 +110,10 @@ fn different_pairs_produce_reproducible_counterexamples() {
 
 #[test]
 fn optimization_settings_agree_on_verdicts() {
-    // The concretization optimizations change solving time, never verdicts.
+    // Windows and the verdict cache change solving time, never verdicts.
     let (label, a, b) = &equivalent_pairs()[1];
     let (_, wrong_a, wrong_b) = &different_pairs()[0];
-    for opts in [
-        EquivOptions::default(),
-        EquivOptions {
-            offset_concretization: false,
-            ..EquivOptions::default()
-        },
-        EquivOptions::none(),
-    ] {
+    for opts in [EquivOptions::default(), EquivOptions::none()] {
         let mut checker = EquivChecker::new(opts);
         assert!(
             checker.check(a, b).is_equivalent(),
